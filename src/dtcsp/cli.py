@@ -15,7 +15,6 @@ Instance files (.dti) are line oriented with '#' comments: a first line
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -160,24 +159,13 @@ def _print_report(report, as_json):
 # ---------------------------------------------------------------------------
 # Commands
 
-_CLASSIFY_CACHE = {}
-
-
-def _classify_cached(lang, text):
-    key = hashlib.sha256(text.encode()).hexdigest()
-    if key not in _CLASSIFY_CACHE:
-        _CLASSIFY_CACHE[key] = classify(lang)
-    return _CLASSIFY_CACHE[key]
-
-
 def cmd_classify(args) -> int:
     try:
-        text = open(args.language).read()
-        lang = parse_language(text)
+        lang = parse_language(open(args.language).read())
     except (OSError, DtcspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    verdict = _classify_cached(lang, text)
+    verdict = classify(lang)
     if args.json:
         print(json.dumps(verdict_to_dict(verdict), sort_keys=True))
     else:
@@ -233,8 +221,7 @@ def _run_method(method, lang, inst, verdict, args, stats):
 
 def cmd_solve(args) -> int:
     try:
-        lang_text = open(args.language).read()
-        lang = parse_language(lang_text)
+        lang = parse_language(open(args.language).read())
         inst, lang = parse_instance(open(args.instance).read(), lang)
     except (OSError, DtcspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -242,8 +229,7 @@ def cmd_solve(args) -> int:
     stats = {}
     start = time.perf_counter()
     try:
-        verdict = _classify_cached(lang, lang_text + "\n::\n"
-                                   + ",".join(r.name for r in lang.relations))
+        verdict = classify(lang)
         method = args.method if args.method != "auto" else _AUTO_METHOD[verdict.cls]
         result = _run_method(method, lang, inst, verdict, args, stats)
     except NotHornError as exc:

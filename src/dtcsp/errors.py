@@ -29,12 +29,12 @@ class MissingVariableError(DtcspError):
     """An evaluation touched a variable the assignment does not cover."""
 
 
-class SizeLimitExceeded(DtcspError):
-    """Normal-form expansion grew past the configured literal budget."""
-
-
 class BudgetExceeded(DtcspError):
     """An enumeration would exceed the configured work budget."""
+
+
+class SizeLimitExceeded(BudgetExceeded):
+    """Normal-form expansion grew past the configured literal budget."""
 
 
 class NotHornError(DtcspError):

@@ -8,16 +8,19 @@ formulas is decidable by enumerating assignments over a bounded window
 ``{0, ..., (q + 1) * nvars - 1}`` where ``q`` is the largest absolute offset:
 any separating assignment can be gap-compressed into that window because
 literal truth only depends on variable differences clipped at magnitude q.
+Truth tables over that window (``equivalent``, ``reduce``) come from
+``grids.grid_eval``; ``Formula.evaluate`` checks single points.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import (
     ArityError,
@@ -318,7 +321,8 @@ def _normal_form(root, view, budget):
                     total += len(c)
                     if total > budget:
                         raise SizeLimitExceeded(
-                            f"{view} expansion exceeds {budget} literals")
+                            f"{view} expansion exceeds the literal budget "
+                            f"of {budget}")
                     merged.append(c)
             acc = merged
         return acc
@@ -332,7 +336,8 @@ def _normal_form(root, view, budget):
             seen.add(key)
             out.append(tuple(c))
     if sum(len(c) for c in out) > budget:
-        raise SizeLimitExceeded(f"{view} expansion exceeds {budget} literals")
+        raise SizeLimitExceeded(
+            f"{view} expansion exceeds the literal budget of {budget}")
     return tuple(out)
 
 
@@ -361,6 +366,14 @@ def to_dnf(f: Formula, budget=DEFAULT_CLAUSE_BUDGET) -> Formula:
 # Equivalence and reduction
 
 
+def _window(nvars, q, budget):
+    """Side of the ``{0, ..., (q + 1) * nvars - 1}`` window, budget-checked."""
+    size = max(1, (q + 1) * nvars)
+    if nvars > 0 and size**nvars > budget:
+        raise BudgetExceeded(f"{size}^{nvars} assignments exceed budget {budget}")
+    return size
+
+
 def equivalent(f: Formula, g: Formula, nvars: int,
                budget=DEFAULT_ENUM_BUDGET) -> bool:
     """True iff f and g agree on every integer assignment.
@@ -369,38 +382,32 @@ def equivalent(f: Formula, g: Formula, nvars: int,
     q = max qe-degree of the two formulas; a separating assignment, if any,
     gap-compresses into that window.
     """
+    from . import grids
     for h in (f, g):
         vs = h.variables()
         if vs and max(vs) >= nvars:
             raise MissingVariableError(
                 f"formula uses x{max(vs) + 1} but nvars={nvars}")
-    q = max(f.qe_degree, g.qe_degree)
-    size = max(1, (q + 1) * nvars)
-    if nvars > 0 and size**nvars > budget:
-        raise BudgetExceeded(f"{size}^{nvars} assignments exceed budget {budget}")
-    ff = f.compiled()
-    gg = g.compiled()
-    for point in itertools.product(range(size), repeat=nvars):
-        if ff(point) != gg(point):
-            return False
-    return True
+    size = _window(nvars, max(f.qe_degree, g.qe_degree), budget)
+    return bool(np.array_equal(grids.grid_eval(f, nvars, 0, size),
+                               grids.grid_eval(g, nvars, 0, size)))
 
 
-def _clause_truth_bits(view, points):
-    """Evaluator for clause sets: truth on each point packed into one int."""
+def _clause_truth_bits(view, nv, size):
+    """Evaluator for clause sets: truth on each window point packed into one
+    int, bit i being the i-th point in row-major order."""
+    from . import grids
     lit_bits = {}
 
     def bits_of(lit):
         b = lit_bits.get(lit)
         if b is None:
-            b = 0
-            for idx, pt in enumerate(points):
-                if lit.holds(pt.__getitem__):
-                    b |= 1 << idx
-            lit_bits[lit] = b
+            grid = grids.grid_eval(Formula(lit), nv, 0, size)
+            packed = np.packbits(grid, axis=None, bitorder="little")
+            b = lit_bits[lit] = int.from_bytes(packed.tobytes(), "little")
         return b
 
-    full = (1 << len(points)) - 1
+    full = (1 << size**nv) - 1
 
     def truth(cls):
         if view == "cnf":
@@ -434,12 +441,7 @@ def reduce(f: Formula, budget=DEFAULT_ENUM_BUDGET) -> Formula:
         raise ValueError("reduce needs a formula with a CNF or DNF view")
     view = f.view
     nv = max(1, f.nvars)
-    q = f.qe_degree
-    size = max(1, (q + 1) * nv)
-    if size**nv > budget:
-        raise BudgetExceeded(f"{size}^{nv} assignments exceed budget {budget}")
-    points = list(itertools.product(range(size), repeat=nv))
-    truth = _clause_truth_bits(view, points)
+    truth = _clause_truth_bits(view, nv, _window(nv, f.qe_degree, budget))
 
     clauses = [list(c) for c in f.clauses]
     target = truth(clauses)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dtcsp.cli import main, parse_instance, write_instance
 from dtcsp import Instance, parse_language
 
@@ -46,8 +48,9 @@ def test_classify_parse_error(capsys):
     assert "error" in err
 
 
-def test_classify_budget_downgrade_exits_3(capsys):
-    code, out, _ = run(capsys, "classify", FIXTURES / "big.dtl")
+@pytest.mark.parametrize("language", ["big.dtl", "cnf_blowup.dtl"])
+def test_classify_budget_downgrade_exits_3(capsys, language):
+    code, out, _ = run(capsys, "classify", FIXTURES / language)
     assert code == 3
     assert "DEGENERATE_OR_UNKNOWN" in out
 
@@ -152,10 +155,14 @@ def test_solve_window_override(capsys):
     assert code == 0
 
 
-def test_solve_budget_error_exits_3(capsys):
-    code, _, err = run(capsys, "solve", FIXTURES / "big.dtl",
-                       FIXTURES / "big.dti", "--method", "brute",
-                       "--window", "500")
+@pytest.mark.parametrize("argv", [
+    ("big.dtl", "big.dti", "--method", "brute", "--window", "500"),
+    ("cnf_blowup.dtl", "cnf_blowup.dti", "--method", "horn"),
+], ids=["brute_window", "horn_cnf_blowup"])
+def test_solve_budget_error_exits_3(capsys, argv):
+    language, instance, *flags = argv
+    code, _, err = run(capsys, "solve", FIXTURES / language,
+                       FIXTURES / instance, *flags)
     assert code == 3
     assert "budget" in err.lower()
 

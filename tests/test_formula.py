@@ -23,7 +23,7 @@ from dtcsp import (
     to_dnf,
     write_language,
 )
-from dtcsp.formula import parse_expression
+from dtcsp.formula import formula_from_clauses, parse_expression
 
 from helpers import random_mixed_language
 
@@ -32,6 +32,15 @@ F_TEXT = "rel F/4 := (x2 = x1 + 1 -> x4 = x3 + 1) & (x4 = x3 + 1 -> x2 = x1 + 1)
 
 def parse_f():
     return parse_language(F_TEXT)
+
+
+def window_agree(f, g, n):
+    """Reference for ``equivalent``: plain enumeration of the window through
+    ``Formula.compiled``, the oracle's path, independent of ``grids``."""
+    size = max(1, (max(f.qe_degree, g.qe_degree) + 1) * n)
+    ff, gg = f.compiled(), g.compiled()
+    return all(ff(p) == gg(p)
+               for p in itertools.product(range(size), repeat=n))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +196,7 @@ def test_equivalent_budget():
 
 
 def test_equivalent_symmetric_and_reflexive_random():
+    outcomes = set()
     for seed in range(25):
         lang = random_mixed_language(seed, nrels=2, arity_max=3, q_max=2)
         f = lang.relations[0].formula
@@ -194,6 +204,12 @@ def test_equivalent_symmetric_and_reflexive_random():
         n = max(lang.relations[0].arity, lang.relations[1].arity)
         assert equivalent(f, f, n)
         assert equivalent(f, g, n) == equivalent(g, f, n)
+        # random pairs mostly differ; the normal forms never do
+        for h in (g, to_cnf(f), to_dnf(f)):
+            same = equivalent(f, h, n)
+            assert same == window_agree(f, h, n)
+            outcomes.add(same)
+    assert outcomes == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +263,18 @@ def test_reduce_is_equivalent_and_minimal():
             norm = shape(rel.formula)
             red = reduce(norm)
             assert equivalent(red, rel.formula, rel.arity)
+            assert window_agree(red, rel.formula, rel.arity)
             again = reduce(red)
             assert again.clauses == red.clauses
+            # no single clause or literal deletion keeps the relation
+            for i, clause in enumerate(red.clauses):
+                rest = red.clauses[:i] + red.clauses[i + 1:]
+                cands = [rest] + [
+                    rest[:i] + (clause[:j] + clause[j + 1:],) + rest[i:]
+                    for j in range(len(clause))]
+                for cand in cands:
+                    smaller = formula_from_clauses(red.view, cand)
+                    assert not window_agree(smaller, rel.formula, rel.arity)
 
 
 def test_window_soundness_of_satisfiability():
