@@ -194,7 +194,7 @@ _AUTO_METHOD = {
 
 
 def _run_method(method, lang, inst, verdict, args, stats):
-    window = range(0, args.window) if args.window else None
+    window = range(0, args.window) if args.window is not None else None
     if method == "horn":
         return solve_horn_csp(lang, inst, stats=stats)
     if method == "ac":
@@ -297,6 +297,17 @@ def cmd_check(args) -> int:
     return 1
 
 
+def _window_size(text):
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise argparse.ArgumentTypeError(
+            f"window must be an integer of at least 1, got {text!r}")
+    return size
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dtcsp",
@@ -314,8 +325,8 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--method", default="auto",
                    choices=["auto", "horn", "ac", "modmax", "bt", "brute"])
-    p.add_argument("--window", type=int, default=None,
-                   help="override the (q+1)n decision window size")
+    p.add_argument("--window", type=_window_size, default=None,
+                   help="override the (q+1)n decision window size (at least 1)")
     p.add_argument("--modulus", type=int, default=None,
                    help="modulus when forcing --method modmax")
     p.add_argument("--json", action="store_true")

@@ -2,10 +2,13 @@
 
 An instance over a language with qe-degree q and n variables is satisfiable
 over the integers iff it is satisfiable over ``{0, ..., (q + 1) * n - 1}``, so
-every solver here works on such a window: generalized arc-consistency for
-max- or min-closed languages, complete backtracking as the universal fallback,
-and a residue/quotient pipeline for languages preserved by a modular maximum
-or minimum.
+every solver here works on such a window: one bound per variable, propagated
+to a fixpoint over per-relation tables, for max- or min-closed languages
+(Jeavons & Cooper, "Tractable constraints on ordered domains", 1995);
+complete backtracking with generalized arc-consistency as the universal
+fallback; and a residue/quotient pipeline for languages preserved by a
+modular maximum or minimum, whose quotient instances go to the bound
+fixpoint.
 """
 
 from __future__ import annotations
@@ -187,29 +190,108 @@ def _domains_span(domains: DomainStore):
 # ---------------------------------------------------------------------------
 # Max-closed decision
 
+def _bound_tables(grid):
+    """Per axis j, the table whose cell t is the largest s <= t_j such that
+    some tuple r of the grid has r_j = s and r <= t on every other axis, or
+    -1 when there is none."""
+    width = grid.shape[0]
+    dtype = np.min_scalar_type(-width)
+    tables = []
+    for j in range(grid.ndim):
+        below = grid
+        for axis in range(grid.ndim):
+            if axis != j:
+                below = grids.accumulate_leq_mod(below, axis, 1)
+        shape = [1] * grid.ndim
+        shape[j] = width
+        index = np.arange(width, dtype=dtype).reshape(shape)
+        table = np.where(below, index, dtype.type(-1))
+        np.maximum.accumulate(table, axis=j, out=table)
+        tables.append(table)
+    return tables
+
+
 def decide_max_closed(lang, inst, mode="max", window=None,
                       stats=None) -> SolveResult:
-    """Decide via AC over the bounded window; extremal assignment on success.
+    """Decide by upper-bound propagation; the greatest solution on success.
 
-    For a max-closed language the arc-consistent domains are nonempty exactly
-    when the instance is satisfiable, and picking each variable's maximum
-    (minimum for min-closed) yields a solution.  The assignment is always
-    re-verified; if verification fails the complete backtracking solver takes
-    over and the result is flagged as a fallback.
+    Each variable's bound u starts at the top of the window (a contiguous
+    ``range``, by default the bounded window; an empty one is UNSAT) and a
+    constraint queue lowers it to the largest value the variable takes in a
+    relation tuple lying at or below u.  Soundness, for any language: every
+    solution stays componentwise at or below u, so a constraint with no tuple
+    left means UNSAT.  Greatest solution, for a max-closed language: at the
+    fixpoint each argument of a constraint reaches its bound in some tuple
+    below u, and the componentwise max of those tuples is the constraint's
+    restriction of u, so u is a solution and every other one lies below it.
+    ``mode="min"`` mirrors all of this with lower bounds.  The fixpoint is
+    always re-verified; if it is not a solution, complete backtracking over
+    the boxes between window edge and bound takes over and the result is
+    flagged as a fallback.  ``stats["revisions"]`` counts bound steps.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
         return SolveResult("SAT", {}, stats=stats)
     window = bounded_window(lang, inst) if window is None else window
-    store = DomainStore.from_window(inst, window)
-    fixed = arc_consistency(lang, inst, store, stats=stats)
-    if fixed is None:
-        return SolveResult("UNSAT", reason="arc-consistency wipeout", stats=stats)
-    pick = max if mode == "max" else min
-    assignment = {v: pick(d) for v, d in fixed.domains.items()}
+    if not isinstance(window, range) or window.step != 1:
+        raise ValueError("window must be a contiguous range")
+    if not window:
+        return SolveResult("UNSAT", reason="empty window", stats=stats)
+    lo, hi = window.start, window.stop
+    width = hi - lo
+
+    # one table set per (relation, repeated-argument pattern); repeated
+    # arguments fold onto the diagonal, so R(x, x, y) has two axes
+    grid_cache = {}
+    table_cache = {}
+    constraints = []
+    for name, args in inst.constraints:
+        distinct = tuple(dict.fromkeys(args))
+        pattern = tuple(distinct.index(a) for a in args)
+        key = (name, pattern)
+        if key not in table_cache:
+            if name not in grid_cache:
+                rel = lang.relation(name)
+                grid = grids.grid_eval(rel.formula, rel.arity, lo, hi)
+                grid_cache[name] = grid if mode == "max" else np.flip(grid)
+            folded = np.einsum(grid_cache[name], list(pattern),
+                               list(range(len(distinct))))
+            table_cache[key] = _bound_tables(folded)
+        constraints.append((distinct, table_cache[key]))
+
+    bound = dict.fromkeys(inst.variables, width - 1)
+    watchers = {}
+    for ci, (distinct, _) in enumerate(constraints):
+        for v in distinct:
+            watchers.setdefault(v, []).append(ci)
+    queue = deque(range(len(constraints)))
+    queued = [True] * len(constraints)
+    while queue:
+        ci = queue.popleft()
+        queued[ci] = False
+        distinct, tables = constraints[ci]
+        for v, table in zip(distinct, tables):
+            top = int(table[tuple(bound[w] for w in distinct)])
+            if top < 0:
+                return SolveResult("UNSAT", reason="bound wipeout", stats=stats)
+            if top < bound[v]:
+                bound[v] = top
+                stats["revisions"] = stats.get("revisions", 0) + 1
+                for cj in watchers[v]:
+                    if not queued[cj]:
+                        queue.append(cj)
+                        queued[cj] = True
+
+    if mode == "max":
+        boxes = {v: range(lo, lo + b + 1) for v, b in bound.items()}
+        assignment = {v: box[-1] for v, box in boxes.items()}
+    else:
+        boxes = {v: range(hi - 1 - b, hi) for v, b in bound.items()}
+        assignment = {v: box[0] for v, box in boxes.items()}
     if satisfies(lang, inst, assignment):
         return SolveResult("SAT", assignment, stats=stats)
-    result = backtracking_solve(lang, inst, domains=fixed, stats=stats)
+    domains = DomainStore({v: list(box) for v, box in boxes.items()})
+    result = backtracking_solve(lang, inst, domains=domains, stats=stats)
     result.fallback = True
     return result
 

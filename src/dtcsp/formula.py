@@ -33,6 +33,8 @@ from .errors import (
 
 DEFAULT_CLAUSE_BUDGET = 10**6
 DEFAULT_ENUM_BUDGET = 10**8
+# Clause-point evaluations one reduce may spend (see reduce).
+DEFAULT_REDUCE_WORK = 10**9
 
 
 class Cmp(Enum):
@@ -435,13 +437,27 @@ def reduce(f: Formula, budget=DEFAULT_ENUM_BUDGET) -> Formula:
     Requires a populated CNF or DNF view.  Scans clauses in order and literals
     in order, restarting after every successful deletion, and repeats both
     passes until neither finds anything; the result admits no further single
-    deletion.  Deterministic for reproducibility.
+    deletion.  Deterministic for reproducibility.  Every evaluation of a
+    clause set costs its clause count times the window's point count; past
+    ``DEFAULT_REDUCE_WORK`` in total, ``BudgetExceeded`` is raised.
     """
     if f.view not in ("cnf", "dnf"):
         raise ValueError("reduce needs a formula with a CNF or DNF view")
     view = f.view
     nv = max(1, f.nvars)
-    truth = _clause_truth_bits(view, nv, _window(nv, f.qe_degree, budget))
+    size = _window(nv, f.qe_degree, budget)
+    clause_truth = _clause_truth_bits(view, nv, size)
+    points = size**nv
+    work = 0
+
+    def truth(cls):
+        nonlocal work
+        work += len(cls) * points
+        if work > DEFAULT_REDUCE_WORK:
+            raise BudgetExceeded(
+                f"reduce exceeds its work budget of {DEFAULT_REDUCE_WORK} "
+                f"clause-point evaluations")
+        return clause_truth(cls)
 
     clauses = [list(c) for c in f.clauses]
     target = truth(clauses)

@@ -81,6 +81,54 @@ def max_closed_language(seed, nrels=3, off_max=3):
     return ConstraintLanguage(tuple(rels))
 
 
+def _mirror_node(node):
+    if isinstance(node, Literal):
+        return Literal(node.rhs, node.lhs, node.cmp, node.offset)
+    if isinstance(node, Not):
+        return Not(_mirror_node(node.part))
+    kind = And if isinstance(node, And) else Or
+    return kind(tuple(_mirror_node(p) for p in node.parts))
+
+
+def mirror_language(lang):
+    """The language under x -> -x: swaps max-closed and min-closed."""
+    return ConstraintLanguage(tuple(
+        RelationDef(r.name, r.arity, Formula(_mirror_node(r.formula.root)))
+        for r in lang.relations))
+
+
+def naive_bounds(lang, inst, window, mode="max"):
+    """Reference bound fixpoint by tuple enumeration.
+
+    Every bound starts at the top of the window (bottom for mode "min") and
+    moves to the largest (smallest) value an argument takes in the window
+    tuples of its constraint that lie within all bounds, until nothing
+    changes.  None when some constraint has no such tuple left."""
+    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
+    pick = max if mode == "max" else min
+    bound = {v: pick(window) for v in inst.variables}
+    tables = {}
+    for rel in lang.relations:
+        fn = rel.formula.compiled()
+        tables[rel.name] = [t for t in itertools.product(window, repeat=rel.arity)
+                            if fn(t)]
+    changed = True
+    while changed:
+        changed = False
+        for name, args in inst.constraints:
+            live = [t for t in tables[name]
+                    if all(t[i] == t[args.index(a)] and not better(t[i], bound[a])
+                           for i, a in enumerate(args))]
+            if not live:
+                return None
+            for i, a in enumerate(args):
+                top = pick(t[i] for t in live)
+                if better(bound[a], top):
+                    bound[a] = top
+                    changed = True
+    return bound
+
+
 def progression_formula(a, b, d):
     lits = tuple(Literal(1, 0, Cmp.EQ, c) for c in range(a, b + 1, d))
     return Formula(Or(lits))

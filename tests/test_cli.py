@@ -149,10 +149,27 @@ def test_solve_json_roundtrip(capsys):
 
 
 def test_solve_window_override(capsys):
-    code, out, _ = run(capsys, "solve", FIXTURES / "dist1.dtl",
-                       FIXTURES / "pair.dti", "--method", "brute",
-                       "--window", "2")
-    assert code == 0
+    # on {0, 1} the brute witness of dist1/pair and the greatest solution of
+    # maxrel/maxinst on {0, 1, 2} take the values below
+    for lang, inst, method, window, values in (
+            ("dist1.dtl", "pair.dti", "brute", "2", {0, 1}),
+            ("maxrel.dtl", "maxinst.dti", "ac", "3", {2})):
+        code, out, _ = run(capsys, "solve", FIXTURES / lang, FIXTURES / inst,
+                           "--method", method, "--window", window, "--json")
+        assert code == 0
+        assert set(json.loads(out)["assignment"].values()) == values
+
+
+@pytest.mark.parametrize("flags", [("--window=-3",), ("--window", "0")],
+                         ids=["minus_3", "zero"])
+def test_solve_window_below_one_exits_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(FIXTURES / "maxrel.dtl"),
+              str(FIXTURES / "maxinst.dti"), "--method", "ac", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "window must be an integer of at least 1" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from dtcsp import (
     ArityError,
+    VerdictClass,
     DomainStore,
     Instance,
     ParseError,
@@ -11,6 +13,7 @@ from dtcsp import (
     backtracking_solve,
     bounded_window,
     brute_solve,
+    classify,
     decide_max_closed,
     parse_language,
     satisfies,
@@ -21,7 +24,9 @@ from dtcsp import (
 from helpers import (
     capped_instance,
     max_closed_language,
+    mirror_language,
     modular_language,
+    naive_bounds,
     random_mixed_language,
 )
 
@@ -131,6 +136,120 @@ def test_decide_max_closed_unsat():
 
 def test_decide_max_closed_empty_instance():
     assert decide_max_closed(ORDER_LANG, Instance((), ())).sat
+
+
+def test_decide_max_closed_empty_window_unsat():
+    inst = Instance(("a",), ())
+    assert decide_max_closed(ORDER_LANG, inst, window=range(0)).status == "UNSAT"
+    assert backtracking_solve(ORDER_LANG, inst, window=range(0)).status == "UNSAT"
+
+
+def test_decide_max_closed_needs_contiguous_range():
+    inst = Instance(("a",), ())
+    for window in ([0, 1, 2], range(0, 6, 2)):
+        with pytest.raises(ValueError):
+            decide_max_closed(ORDER_LANG, inst, window=window)
+
+
+def _solutions(lang, inst, window):
+    order = list(inst.variables)
+    fns = [(lang.relation(nm).formula.compiled(),
+            tuple(order.index(a) for a in args))
+           for nm, args in inst.constraints]
+    for point in itertools.product(window, repeat=len(order)):
+        if all(fn([point[i] for i in idx]) for fn, idx in fns):
+            yield dict(zip(order, point))
+
+
+def _tiny_instance(lang, rng):
+    """2-4 variables; every ternary relation also applied as R(x, x, y) and
+    R(x, y, x)."""
+    n = rng.randint(2, 4)
+    vs = tuple(f"v{i}" for i in range(n))
+    cons = []
+    for rel in lang.relations:
+        if rel.arity == 3:
+            x, y = rng.sample(vs, 2)
+            cons += [(rel.name, (x, x, y)), (rel.name, (x, y, x))]
+    for _ in range(rng.randint(1, 5)):
+        rel = rng.choice(lang.relations)
+        cons.append((rel.name, tuple(rng.choice(vs) for _ in range(rel.arity))))
+    rng.shuffle(cons)
+    return Instance(vs, tuple(cons))
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_decide_extremal_solution_differential(mode):
+    # max-closed languages, mirrored into min-closed ones for mode "min"
+    pick = max if mode == "max" else min
+    seen = {"SAT": 0, "UNSAT": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        lang = max_closed_language(seed)
+        if mode == "min":
+            lang = mirror_language(lang)
+        inst = _tiny_instance(lang, rng)
+        full = len(bounded_window(lang, inst))
+        lo = rng.choice((0, 3))
+        for window in (None, range(lo, lo + rng.randint(1, full - 1))):
+            got = decide_max_closed(lang, inst, mode=mode, window=window)
+            window = bounded_window(lang, inst) if window is None else window
+            want = brute_solve(lang, inst, window)
+            assert got.status == want.status, (seed, window)
+            assert not got.fallback, (seed, window)
+            seen[got.status] += 1
+            if got.sat:
+                sols = list(_solutions(lang, inst, window))
+                extremal = {v: pick(s[v] for s in sols) for v in inst.variables}
+                assert got.assignment == extremal, (seed, window)
+    assert min(seen.values()) >= 10, seen
+
+
+def _hard_languages():
+    yield parse_language("rel D1/2 := x1 = x2 + 1 | x1 = x2 - 1\n"
+                         "rel D5/2 := x1 = x2 + 5 | x1 = x2 - 5")
+    yield parse_language("rel B/3 := (x1 < x2 & x2 < x3) | (x3 < x2 & x2 < x1)")
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_decide_on_hard_language_matches_oracle(mode):
+    # outside max/min-closed languages the bound fixpoint is still sound;
+    # when it is not a solution, backtracking decides and the flag is set
+    fallbacks = 0
+    for lang in _hard_languages():
+        assert classify(lang).cls is VerdictClass.NP_HARD
+        for seed in range(25):
+            rng = random.Random(seed)
+            inst = _tiny_instance(lang, rng)
+            window = bounded_window(lang, inst)
+            got = decide_max_closed(lang, inst, mode=mode)
+            want = brute_solve(lang, inst, window)
+            assert got.status == want.status, seed
+            fixpoint = naive_bounds(lang, inst, window, mode=mode)
+            if fixpoint is None:
+                assert got.status == "UNSAT" and not got.fallback, seed
+            elif satisfies(lang, inst, fixpoint):
+                assert got.assignment == fixpoint and not got.fallback, seed
+            else:
+                assert got.fallback, seed
+                fallbacks += 1
+    assert fallbacks >= 5
+
+
+def test_decide_ring_over_chain_scales():
+    # ternary ring x3 <= max(x1, x2) + 1 over the strict chain v0 < ... < v59,
+    # a 120-value window.  No timing assertion: arc-consistency over tuple
+    # lists takes minutes here, so a regression shows as a hung suite.
+    lang = parse_language("rel M/3 := x3 <= x1 + 1 | x3 <= x2 + 1\n"
+                          "rel C/2 := x1 <= x2 - 1")
+    n = 60
+    vs = tuple(f"v{i}" for i in range(n))
+    cons = [("M", (vs[i], vs[(i + 1) % n], vs[(i + 2) % n])) for i in range(n)]
+    cons += [("C", (vs[i], vs[i + 1])) for i in range(n - 1)]
+    inst = Instance(vs, tuple(cons))
+    res = decide_max_closed(lang, inst)
+    assert res.sat and not res.fallback
+    assert satisfies(lang, inst, res.assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dtcsp import (
     to_dnf,
     write_language,
 )
+from dtcsp import formula
 from dtcsp.formula import formula_from_clauses, parse_expression
 
 from helpers import random_mixed_language
@@ -231,6 +232,20 @@ def test_reduce_merges_duplicate_disjunct():
     f = Formula(Or((Literal(0, 1, Cmp.EQ, 1), Literal(0, 1, Cmp.EQ, 1))))
     red = reduce(to_dnf(f))
     assert red.clauses == ((Literal(0, 1, Cmp.EQ, 1),),)
+
+
+def test_reduce_work_budget(monkeypatch):
+    # F's CNF is already reduced: one pass of failed deletions, each clause
+    # set evaluated at all 8^4 points of the window (q = 1, four variables)
+    cnf = to_cnf(parse_f().relation("F").formula)
+    c = len(cnf.clauses)
+    lits = sum(len(cl) for cl in cnf.clauses)
+    work = 8**4 * (c + c * (c - 1) + lits * c)
+    monkeypatch.setattr(formula, "DEFAULT_REDUCE_WORK", work)
+    assert reduce(cnf).clauses == cnf.clauses
+    monkeypatch.setattr(formula, "DEFAULT_REDUCE_WORK", work - 1)
+    with pytest.raises(BudgetExceeded, match=f"reduce .* budget of {work - 1} "):
+        reduce(cnf)
 
 
 def test_reduce_requires_view():
