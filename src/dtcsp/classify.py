@@ -20,7 +20,6 @@ re-checked by evaluation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -251,14 +250,14 @@ def _first_member(R, u_idx, codes, d):
 # Syntactic classification of successor-dialect relations
 
 
-@functools.lru_cache(maxsize=None)
 def reduced_cnf(rel: RelationDef):
-    return reduce(to_cnf(rel.formula)).clauses
+    f = rel.formula
+    return f.reduced("cnf", lambda: reduce(to_cnf(f)).clauses)
 
 
-@functools.lru_cache(maxsize=None)
 def reduced_dnf(rel: RelationDef):
-    return reduce(to_dnf(rel.formula)).clauses
+    f = rel.formula
+    return f.reduced("dnf", lambda: reduce(to_dnf(f)).clauses)
 
 
 def is_horn(rel: RelationDef) -> bool:

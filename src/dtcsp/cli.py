@@ -231,6 +231,10 @@ def cmd_solve(args) -> int:
     try:
         verdict = classify(lang)
         method = args.method if args.method != "auto" else _AUTO_METHOD[verdict.cls]
+        if args.window is not None and method in ("horn", "modmax"):
+            print(f"error: --window does not apply to method {method}, "
+                  f"which decides over all integers", file=sys.stderr)
+            return 2
         result = _run_method(method, lang, inst, verdict, args, stats)
     except NotHornError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,8 @@ from .errors import ArityError, BudgetExceeded, InternalError, ParseError
 from .formula import And, Cmp, ConstraintLanguage, Formula, Literal, Not, Or, RelationDef
 
 DEFAULT_BRANCH_BUDGET = 10**6
+# Window cells one relation's bound tables may span (see decide_max_closed).
+DEFAULT_TABLE_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,33 @@ class SolveResult:
         return self.status == "SAT"
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def satisfies(lang: ConstraintLanguage, inst: Instance, assignment) -> bool:
-    """Check a full assignment against every constraint of the instance."""
+    """Check a full assignment against every constraint of the instance.
+
+    Constraints are grouped by relation, and each relation's formula is
+    evaluated once over columns holding its applications' argument values
+    (``grids.eval_node``).  The columns are int64 when every value plus the
+    relation's largest offset fits, else object arrays of Python ints, so
+    the check is exact for any integers.
+    """
+    groups = {}
     for name, args in inst.constraints:
-        rel = lang.relation(name)
-        values = tuple(assignment[a] for a in args)
-        if not rel.formula.evaluate(values):
+        groups.setdefault(name, []).append([assignment[a] for a in args])
+    for name, rows in groups.items():
+        formula = lang.relation(name).formula
+        limit = _INT64_MAX - formula.qe_degree
+        try:
+            table = np.array(rows, dtype=np.int64)
+            exact = table.max() <= limit and table.min() >= -limit
+        except OverflowError:
+            exact = False
+        if not exact:
+            table = np.array(rows, dtype=object)
+        columns = [table[:, i] for i in range(table.shape[1])]
+        if not np.all(grids.eval_node(formula.root, columns)):
             return False
     return True
 
@@ -228,6 +251,9 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     always re-verified; if it is not a solution, complete backtracking over
     the boxes between window edge and bound takes over and the result is
     flagged as a fallback.  ``stats["revisions"]`` counts bound steps.
+    A relation of arity k spans W^k window cells in its tables; past
+    ``DEFAULT_TABLE_CELLS`` of them, ``BudgetExceeded`` is raised before
+    anything is allocated.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
@@ -252,6 +278,12 @@ def decide_max_closed(lang, inst, mode="max", window=None,
         if key not in table_cache:
             if name not in grid_cache:
                 rel = lang.relation(name)
+                cells = width**rel.arity
+                if cells > DEFAULT_TABLE_CELLS:
+                    raise BudgetExceeded(
+                        f"bound tables: relation {name} needs {width}^"
+                        f"{rel.arity} = {cells} window cells, over the budget "
+                        f"of {DEFAULT_TABLE_CELLS}")
                 grid = grids.grid_eval(rel.formula, rel.arity, lo, hi)
                 grid_cache[name] = grid if mode == "max" else np.flip(grid)
             folded = np.einsum(grid_cache[name], list(pattern),

@@ -190,11 +190,12 @@ class Formula:
 
     ``view`` is None, "cnf" or "dnf"; when set, ``clauses`` holds the matching
     clause lists (clause = tuple of literals).  Caches are filled at most once
-    under a lock, so shared formulas are safe to use from multiple threads.
+    under a lock, so shared formulas are safe to use from multiple threads;
+    the reduced forms kept by ``reduced`` are stored once, first result wins.
     """
 
     __slots__ = ("root", "view", "clauses", "_lock", "_vars", "_q", "_fn",
-                 "_cnf", "_dnf", "_hash")
+                 "_cnf", "_dnf", "_reduced", "_hash")
 
     def __init__(self, root, view=None, clauses=None):
         self.root = root
@@ -206,6 +207,7 @@ class Formula:
         self._fn = None
         self._cnf = None
         self._dnf = None
+        self._reduced = {}
         self._hash = None
 
     def variables(self) -> tuple:
@@ -251,6 +253,16 @@ class Formula:
                 if self._dnf is None:
                     self._dnf = _normal_form(self.root, "dnf", budget)
         return self._dnf
+
+    def reduced(self, view, build):
+        """Clauses of the reduced ``view`` ("cnf" or "dnf") as returned by
+        ``build()``, kept with the formula.  ``build`` runs outside the lock,
+        since it needs the normal-form views; racing threads may both run
+        it, and the first result stored wins."""
+        out = self._reduced.get(view)
+        if out is None:
+            out = self._reduced.setdefault(view, build())
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Formula) and self.root == other.root
@@ -538,21 +550,19 @@ class ConstraintLanguage:
 
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))
-        seen = set()
+        by_name = {}
         for r in self.relations:
-            if r.name in seen:
+            if r.name in by_name:
                 raise DuplicateNameError(f"relation {r.name!r} declared twice")
-            seen.add(r.name)
+            by_name[r.name] = r
+        object.__setattr__(self, "_by_name", by_name)
 
     @property
     def q(self) -> int:
         return max((r.formula.qe_degree for r in self.relations), default=0)
 
     def relation(self, name: str) -> RelationDef:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self._by_name[name]
 
     def names(self):
         return [r.name for r in self.relations]

@@ -4,6 +4,8 @@ A grid is a boolean ndarray of shape ``(hi - lo,) * arity`` whose cell
 ``[i1, ..., ik]`` says whether the tuple ``(lo + i1, ..., lo + ik)`` satisfies
 a formula.  Index residues modulo d coincide with value residues up to a fixed
 shift, so residue-class slicing can be done directly in index space.
+``eval_node`` evaluates a formula over any broadcastable value arrays; the
+grids use it on ranges, ``finite.satisfies`` on columns of argument values.
 """
 
 from __future__ import annotations
@@ -11,6 +13,34 @@ from __future__ import annotations
 import numpy as np
 
 from .formula import And, Cmp, Literal, Not
+
+
+def eval_node(node, axes):
+    """Truth array of a formula node, variable i taking the values of the
+    array ``axes[i]``; the arrays broadcast against each other.  Exact for
+    object arrays of Python ints; int64 input must leave room for every
+    offset, as the sums wrap silently."""
+    if isinstance(node, Literal):
+        a = axes[node.lhs]
+        b = axes[node.rhs] + node.offset
+        if node.cmp is Cmp.LEQ:
+            return a <= b
+        if node.cmp is Cmp.LT:
+            return a < b
+        if node.cmp is Cmp.EQ:
+            return a == b
+        return a != b
+    if isinstance(node, Not):
+        return ~eval_node(node.part, axes)
+    if isinstance(node, And):
+        out = np.ones((), dtype=bool)
+        for p in node.parts:
+            out = out & eval_node(p, axes)
+        return out
+    out = np.zeros((), dtype=bool)
+    for p in node.parts:
+        out = out | eval_node(p, axes)
+    return out
 
 
 def grid_eval(formula, arity, lo, hi):
@@ -21,31 +51,7 @@ def grid_eval(formula, arity, lo, hi):
         shape = [1] * arity
         shape[i] = width
         axes.append(np.arange(lo, hi, dtype=np.int64).reshape(shape))
-
-    def rec(node):
-        if isinstance(node, Literal):
-            a = axes[node.lhs]
-            b = axes[node.rhs] + node.offset
-            if node.cmp is Cmp.LEQ:
-                return a <= b
-            if node.cmp is Cmp.LT:
-                return a < b
-            if node.cmp is Cmp.EQ:
-                return a == b
-            return a != b
-        if isinstance(node, Not):
-            return ~rec(node.part)
-        if isinstance(node, And):
-            out = np.ones((), dtype=bool)
-            for p in node.parts:
-                out = out & rec(p)
-            return out
-        out = np.zeros((), dtype=bool)
-        for p in node.parts:
-            out = out | rec(p)
-        return out
-
-    full = np.broadcast_to(rec(formula.root), (width,) * arity)
+    full = np.broadcast_to(eval_node(formula.root, axes), (width,) * arity)
     return np.ascontiguousarray(full)
 
 

@@ -186,6 +186,10 @@ class NaiveOffsetGraph:
     def implied_offset(self, x, y):
         if x == y:
             return 0
+        return self.offsets_from(x).get(y)
+
+    def offsets_from(self, x):
+        """value(x) - value(y) for every y reachable from x, x included."""
         seen = {x: 0}
         frontier = [x]
         while frontier:
@@ -194,7 +198,7 @@ class NaiveOffsetGraph:
                 if nxt not in seen:
                     seen[nxt] = seen[node] + w
                     frontier.append(nxt)
-        return seen.get(y)
+        return seen
 
 
 def equivalent_rewrites(formula):
@@ -207,3 +211,58 @@ def equivalent_rewrites(formula):
         Formula(And((r, Or((r, r))))),
         Formula(Not(Not(Not(Not(r))))),
     ]
+
+
+def naive_unit_resolution(clauses):
+    """Reference Horn solver: round-based positive unit resolution.
+
+    Asserts every unit clause, then rescans all live clauses once per round
+    until a round changes nothing: a negated equality whose atom the facts
+    force true is deleted, one whose atom they force false satisfies its
+    clause, and a clause left without negatives is asserted as a fact (or,
+    lacking a positive part, refutes the instance).  Facts live in a
+    NaiveOffsetGraph.  Returns ``(status, facts asserted, fact store)``."""
+    store = NaiveOffsetGraph()
+    facts = 0
+    units = []
+    active = []
+    for cl in clauses:
+        if not cl.negatives and cl.positive is None:
+            return "UNSAT", facts, store
+        if cl.negatives:
+            active.append((list(cl.negatives), cl.positive))
+        else:
+            units.append(cl.positive)
+    for fact in units:
+        facts += 1
+        if store.assert_fact(*fact) == "conflict":
+            return "UNSAT", facts, store
+    changed = True
+    while changed:
+        changed = False
+        remaining = []
+        for negatives, positive in active:
+            kept = []
+            satisfied = False
+            for x, y, p in negatives:
+                io = store.implied_offset(x, y)
+                if io is None:
+                    kept.append((x, y, p))
+                    continue
+                changed = True
+                if io != p:
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            if kept:
+                remaining.append((kept, positive))
+                continue
+            changed = True
+            if positive is None:
+                return "UNSAT", facts, store
+            facts += 1
+            if store.assert_fact(*positive) == "conflict":
+                return "UNSAT", facts, store
+        active = remaining
+    return "SAT", facts, store

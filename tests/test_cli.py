@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dtcsp import finite
 from dtcsp.cli import main, parse_instance, write_instance
 from dtcsp import Instance, parse_language
 
@@ -160,6 +161,19 @@ def test_solve_window_override(capsys):
         assert set(json.loads(out)["assignment"].values()) == values
 
 
+@pytest.mark.parametrize("argv, method", [
+    (("t2.dtl", "t2.dti", "--window", "1"), "modmax"),
+    (("f.dtl", "chain.dti", "--method", "horn", "--window", "3"), "horn"),
+], ids=["auto_modmax", "forced_horn"])
+def test_solve_window_rejected_by_horn_and_modmax(capsys, argv, method):
+    language, instance, *flags = argv
+    code, out, err = run(capsys, "solve", FIXTURES / language,
+                         FIXTURES / instance, *flags)
+    assert code == 2
+    assert out == ""
+    assert f"--window does not apply to method {method}" in err
+
+
 @pytest.mark.parametrize("flags", [("--window=-3",), ("--window", "0")],
                          ids=["minus_3", "zero"])
 def test_solve_window_below_one_exits_2(capsys, flags):
@@ -182,6 +196,16 @@ def test_solve_budget_error_exits_3(capsys, argv):
                        FIXTURES / instance, *flags)
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_solve_table_budget_exits_3(capsys, monkeypatch):
+    # the window {0, ..., 17} gives M/4 tables of 18^4 cells
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
+    code, out, err = run(capsys, "solve", FIXTURES / "ring4.dtl",
+                         FIXTURES / "ring4.dti")
+    assert code == 3
+    assert out == ""
+    assert "relation M" in err and "budget" in err
 
 
 def test_solve_forced_modmax_without_modulus(capsys):
@@ -235,6 +259,23 @@ def test_check_perturbed_witness(tmp_path, capsys):
                        FIXTURES / "chain.dti", path)
     assert code == 1
     assert "invalid" in out
+
+
+@pytest.mark.parametrize("values, code", [
+    ({"a": 2**80, "b": 2**80 + 1, "c": 2**80 + 1}, 0),
+    ({"a": 2**63 - 2, "b": 2**63 - 1, "c": 2**63 - 1}, 0),
+    ({"a": -(2**63 - 1), "b": -(2**63 - 2), "c": -(2**63 - 2)}, 0),
+    ({"a": -(2**90), "b": -(2**90) + 1, "c": -(2**90) + 2}, 1),
+    # a + 1 wraps to b in int64 arithmetic
+    ({"a": 2**63 - 1, "b": -(2**63), "c": -(2**63)}, 1),
+], ids=["2**80", "int64_top", "int64_bottom", "big_negative_bad", "wrap_bad"])
+def test_check_big_values(tmp_path, capsys, values, code):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(values))
+    got, out, _ = run(capsys, "check", FIXTURES / "f.dtl",
+                      FIXTURES / "chain.dti", path)
+    assert got == code
+    assert out.strip() == ("valid" if code == 0 else "invalid")
 
 
 def test_check_malformed_json(tmp_path, capsys):

@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dtcsp import finite
 from dtcsp import (
     ArityError,
+    BudgetExceeded,
     VerdictClass,
     DomainStore,
     Instance,
@@ -16,6 +20,7 @@ from dtcsp import (
     classify,
     decide_max_closed,
     parse_language,
+    random_instance,
     satisfies,
     solve_mod_max,
     validate_instance,
@@ -252,6 +257,33 @@ def test_decide_ring_over_chain_scales():
     assert satisfies(lang, inst, res.assignment)
 
 
+RING4 = parse_language(
+    "rel M/4 := x4 <= x1 + 2 | x4 <= x2 + 2 | x4 <= x3 + 2\n"
+    "rel C/2 := x1 <= x2 - 1")
+
+
+def _ring4(n):
+    """Arity-4 ring x4 <= max(x1, x2, x3) + 2 over the strict chain."""
+    vs = tuple(f"v{i}" for i in range(n))
+    cons = [("M", tuple(vs[(i + k) % n] for k in range(4))) for i in range(n)]
+    cons += [("C", (vs[i], vs[i + 1])) for i in range(n - 1)]
+    return Instance(vs, tuple(cons))
+
+
+def test_decide_table_cell_budget(monkeypatch):
+    # n = 6 gives the window {0, ..., 17}, so M's tables span 18^4 cells
+    inst = _ring4(6)
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4)
+    assert decide_max_closed(RING4, inst).sat
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        decide_max_closed(RING4, inst)
+    message = str(exc.value)
+    assert "bound tables" in message
+    assert "relation M" in message
+    assert str(18**4) in message
+
+
 # ---------------------------------------------------------------------------
 # backtracking
 
@@ -373,3 +405,52 @@ def test_auto_routing_agrees_with_oracle():
             assert satisfies(lang, inst, got.assignment)
     # the random corpus must actually exercise several routes
     assert sum(1 for c, n in routes.items() if n) >= 3
+
+
+# ---------------------------------------------------------------------------
+# bulk witness check
+
+# near and past the int64 range, so both column types and their boundary run
+BIG_SHIFTS = (0, 2**63 - 1, -(2**63 - 1), 2**63 - 8, -(2**63 - 8), 2**63,
+              -(2**63) - 1, 2**80, -(2**80) - 7)
+
+
+def _evaluate_each(lang, inst, assignment):
+    return all(lang.relation(name).formula.evaluate(
+        tuple(assignment[a] for a in args)) for name, args in inst.constraints)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_satisfies_matches_evaluate(seed, data):
+    lang = random_mixed_language(seed, nrels=3, arity_max=3, q_max=3)
+    n = data.draw(st.integers(1, 5))
+    inst = random_instance(lang, n, data.draw(st.integers(0, 4)), seed)
+    shift = data.draw(st.sampled_from(BIG_SHIFTS))
+    # shifting every value keeps each difference; shifting some makes them huge
+    moved = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    small = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    assignment = {v: x + (shift if m else 0)
+                  for v, x, m in zip(inst.variables, small, moved)}
+    assert satisfies(lang, inst, assignment) == \
+        _evaluate_each(lang, inst, assignment)
+
+
+def test_satisfies_exact_on_shifted_solutions():
+    # a solution moved by any constant stays a solution; moving one variable
+    # by one more makes each constraint on it follow Formula.evaluate
+    checked = 0
+    for seed in range(60):
+        lang = random_mixed_language(seed, nrels=3, arity_max=3, q_max=2)
+        inst = capped_instance(lang, seed, nmax=4)
+        res = brute_solve(lang, inst, bounded_window(lang, inst))
+        if not res.sat:
+            continue
+        for shift in BIG_SHIFTS:
+            moved = {v: x + shift for v, x in res.assignment.items()}
+            assert satisfies(lang, inst, moved)
+            moved[inst.variables[0]] += 1
+            assert satisfies(lang, inst, moved) == \
+                _evaluate_each(lang, inst, moved)
+        checked += 1
+    assert checked >= 10

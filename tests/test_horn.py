@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtcsp import (
     HornClause,
@@ -18,7 +21,13 @@ from dtcsp import (
 )
 from dtcsp.horn import CONFLICT, OK
 
-from helpers import NaiveOffsetGraph, capped_instance, random_horn_language
+from helpers import (
+    NaiveOffsetGraph,
+    capped_instance,
+    max_vars_for,
+    naive_unit_resolution,
+    random_horn_language,
+)
 
 F_LANG = parse_language(
     "rel F/4 := (x2 = x1 + 1 -> x4 = x3 + 1) & (x4 = x3 + 1 -> x2 = x1 + 1)\n"
@@ -73,7 +82,7 @@ def test_conflict_is_sticky():
     assert uf.assert_fact("a", "b", 1) == CONFLICT
 
 
-def test_path_compression_matches_naive_graph():
+def test_union_by_size_matches_naive_graph():
     for seed in range(100):
         rng = random.Random(seed)
         uf = OffsetUnionFind()
@@ -212,3 +221,140 @@ def test_horn_oracle_agreement_sample():
             assert satisfies(lang, inst, horn.assignment)
         checked += 1
     assert checked == 60
+
+
+def _reversed_f_chain(n):
+    """v1 = v0 + 1 plus F(v_i, v_i+1, v_i+1, v_i+2) for i = n-1 down to 0:
+    each F passes the successor fact one step up the chain, and listing them
+    backwards gives a round-based loop one new fact per round."""
+    vs = tuple(f"v{i}" for i in range(n + 2))
+    cons = [("F", (vs[i], vs[i + 1], vs[i + 1], vs[i + 2]))
+            for i in reversed(range(n))]
+    cons.append(("S1", (vs[0], vs[1])))
+    return Instance(vs, tuple(cons))
+
+
+def test_reversed_f_chain_2000():
+    # No timing assertion: the round-based loop needed about 10 s here, so a
+    # quadratic regression shows as a slow suite.
+    inst = _reversed_f_chain(2000)
+    stats = {}
+    res = solve_horn_csp(F_LANG, inst, stats=stats)
+    assert res.sat
+    assert res.assignment == {v: i for i, v in enumerate(inst.variables)}
+    assert stats["facts"] == 2 * 2000 + 1
+
+
+def test_shuffled_clauses_keep_the_witness():
+    cases = [(F_LANG, _reversed_f_chain(40))]
+    for seed in range(80):
+        lang = random_horn_language(seed, nrels=3, arity_max=3, q_max=3)
+        cases.append((lang, capped_instance(lang, seed, nmax=8, cmax=12)))
+    merged = 0
+    for lang, inst in cases:
+        clauses = compile_horn_instance(lang, inst)
+        base = solve_horn(clauses, inst.variables)
+        if base.sat and len(set(base.assignment.values())) < len(inst.variables):
+            merged += 1
+        for k in range(3):
+            shuffled = list(clauses)
+            random.Random(k).shuffle(shuffled)
+            again = solve_horn(shuffled, inst.variables)
+            assert again.status == base.status
+            assert again.assignment == base.assignment
+    assert merged >= 10
+
+
+@st.composite
+def horn_cases(draw):
+    """A random Horn language and an instance over up to 10 variables."""
+    lang = random_horn_language(draw(st.integers(0, 10**6)), nrels=3,
+                                arity_max=3, q_max=2)
+    vs = tuple(f"v{i}" for i in range(draw(st.integers(1, 10))))
+    cons = []
+    for _ in range(draw(st.integers(0, 3 * len(vs)))):
+        rel = draw(st.sampled_from(lang.relations))
+        args = draw(st.lists(st.sampled_from(vs), min_size=rel.arity,
+                             max_size=rel.arity))
+        cons.append((rel.name, tuple(args)))
+    return lang, Instance(vs, tuple(cons))
+
+
+def _check_against_reference(solve, args, clauses, variables):
+    """Run ``solve(*args)`` and compare it with the round-based reference on
+    ``clauses``: same status and, on SAT, the same fact count and the same
+    implied offset for every pair of variables.  Returns the result."""
+    stats = {}
+    with mock.patch("dtcsp.horn.extract_assignment",
+                    wraps=extract_assignment) as extract:
+        res = solve(*args, stats=stats)
+    status, facts, store = naive_unit_resolution(clauses)
+    assert res.status == status
+    if res.sat:
+        assert stats.get("facts", 0) == facts
+        uf = extract.call_args.args[0]
+        for x in variables:
+            offsets = store.offsets_from(x)
+            for y in variables:
+                assert uf.implied_offset(x, y) == offsets.get(y)
+    return res
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(horn_cases())
+def test_worklist_matches_oracle_and_round_based_reference(case):
+    lang, inst = case
+    res = _check_against_reference(solve_horn_csp, (lang, inst),
+                                   compile_horn_instance(lang, inst),
+                                   inst.variables)
+    if len(inst.variables) <= max_vars_for(lang.q, 4):
+        oracle = brute_solve(lang, inst, bounded_window(lang, inst))
+        assert res.status == oracle.status
+
+
+def _planted_clauses(rng):
+    """Horn clauses over 4 to 40 variables whose positive parts all hold
+    under one planted assignment, so that long chains of derived facts, and
+    merges of components that already carry watched literals, are common."""
+    n = rng.randint(4, 40)
+    vs = [f"v{i}" for i in range(n)]
+    planted = [rng.randint(-3, 3) for _ in range(n)]
+    clauses = []
+    for _ in range(rng.randint(1, 3 * n)):
+        negatives = []
+        for _ in range(rng.choice((0, 1, 1, 1, 2))):
+            i, j = rng.randrange(n), rng.randrange(n)
+            p = planted[i] - planted[j] + rng.choice((0, 0, 1, -2))
+            negatives.append((vs[i], vs[j], p))
+        i, j = rng.randrange(n), rng.randrange(n)
+        positive = (vs[i], vs[j], planted[i] - planted[j])
+        clauses.append(HornClause(tuple(negatives), positive))
+    return clauses, tuple(vs)
+
+
+def test_solve_horn_matches_round_based_reference():
+    for seed in range(1000):
+        clauses, variables = _planted_clauses(random.Random(seed))
+        _check_against_reference(solve_horn, (clauses, variables), clauses,
+                                 variables)
+
+
+def test_watched_literal_follows_two_merges():
+    # a = b + 0 is watched on {a} and {b}.  Derived facts then merge {b} into
+    # {c, d}, {a} into {e}, and {a, e} into {b, c, d}: the literal is decided
+    # only if it moved along with both relabelled components.
+    g = (("s1", "s0", 1),)
+    clauses = [
+        HornClause((), ("s1", "s0", 1)),
+        HornClause(g, ("d", "c", 1)),
+        HornClause(g, ("b", "d", 1)),
+        HornClause(g, ("e", "a", 0)),
+        HornClause(g, ("e", "c", 2)),
+        HornClause((("a", "b", 0),), ("z", "w", 1)),
+    ]
+    variables = ("a", "b", "c", "d", "e", "s0", "s1", "w", "z")
+    stats = {}
+    res = solve_horn(clauses, variables, stats=stats)
+    assert res.sat
+    assert res.assignment["z"] == res.assignment["w"] + 1
+    assert stats["facts"] == 6
