@@ -33,7 +33,6 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .finite import (
-    DomainStore,
     Instance,
     SolveResult,
     arc_consistency,

@@ -193,6 +193,27 @@ _AUTO_METHOD = {
 }
 
 
+_MODULAR = (VerdictClass.MODMAX_CLOSED, VerdictClass.MODMIN_CLOSED)
+
+
+def _flag_error(method, verdict, args):
+    """Why ``--window`` or ``--modulus`` would not be used by the method,
+    or None when both are usable."""
+    if args.window is not None and method in ("horn", "modmax"):
+        return (f"--window does not apply to method {method}, which decides "
+                f"over all integers")
+    fixed = verdict.cls in _MODULAR
+    if args.modulus is not None and method != "modmax":
+        return f"--modulus does not apply to method {method}"
+    if args.modulus is not None and fixed:
+        return (f"--modulus does not apply to method modmax here: the "
+                f"verdict {verdict.describe()} fixes the modulus")
+    if args.modulus is None and method == "modmax" and not fixed:
+        return ("method modmax needs --modulus: the language has no modular "
+                "verdict")
+    return None
+
+
 def _run_method(method, lang, inst, verdict, args, stats):
     window = range(0, args.window) if args.window is not None else None
     if method == "horn":
@@ -202,14 +223,11 @@ def _run_method(method, lang, inst, verdict, args, stats):
         return decide_max_closed(lang, inst, mode=mode, window=window,
                                  stats=stats)
     if method == "modmax":
-        if verdict.cls in (VerdictClass.MODMAX_CLOSED, VerdictClass.MODMIN_CLOSED):
+        if verdict.cls in _MODULAR:
             d = verdict.d
             mode = "max" if verdict.cls is VerdictClass.MODMAX_CLOSED else "min"
-        elif args.modulus:
-            d, mode = args.modulus, "max"
         else:
-            raise NotHornError(
-                "", "the language is not modular-closed; pass --modulus to force")
+            d, mode = args.modulus, "max"
         return solve_mod_max(lang, inst, d, mode=mode, stats=stats)
     if method == "bt":
         return backtracking_solve(lang, inst, window=window, stats=stats)
@@ -231,9 +249,9 @@ def cmd_solve(args) -> int:
     try:
         verdict = classify(lang)
         method = args.method if args.method != "auto" else _AUTO_METHOD[verdict.cls]
-        if args.window is not None and method in ("horn", "modmax"):
-            print(f"error: --window does not apply to method {method}, "
-                  f"which decides over all integers", file=sys.stderr)
+        error = _flag_error(method, verdict, args)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
             return 2
         result = _run_method(method, lang, inst, verdict, args, stats)
     except NotHornError as exc:
@@ -301,15 +319,18 @@ def cmd_check(args) -> int:
     return 1
 
 
-def _window_size(text):
-    try:
-        size = int(text)
-    except ValueError:
-        size = 0
-    if size < 1:
-        raise argparse.ArgumentTypeError(
-            f"window must be an integer of at least 1, got {text!r}")
-    return size
+def _positive_int(name):
+    """argparse type for a flag taking an integer of at least 1."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer of at least 1, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -329,10 +350,11 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--method", default="auto",
                    choices=["auto", "horn", "ac", "modmax", "bt", "brute"])
-    p.add_argument("--window", type=_window_size, default=None,
+    p.add_argument("--window", type=_positive_int("window"), default=None,
                    help="override the (q+1)n decision window size (at least 1)")
-    p.add_argument("--modulus", type=int, default=None,
-                   help="modulus when forcing --method modmax")
+    p.add_argument("--modulus", type=_positive_int("modulus"), default=None,
+                   help="modulus when forcing --method modmax on a language "
+                        "without a modular verdict (at least 1)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=None,
                    help="recorded for reproducibility")

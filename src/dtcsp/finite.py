@@ -2,13 +2,15 @@
 
 An instance over a language with qe-degree q and n variables is satisfiable
 over the integers iff it is satisfiable over ``{0, ..., (q + 1) * n - 1}``, so
-every solver here works on such a window: one bound per variable, propagated
-to a fixpoint over per-relation tables, for max- or min-closed languages
-(Jeavons & Cooper, "Tractable constraints on ordered domains", 1995);
-complete backtracking with generalized arc-consistency as the universal
-fallback; and a residue/quotient pipeline for languages preserved by a
-modular maximum or minimum, whose quotient instances go to the bound
-fixpoint.
+every solver here works on such a window.  Both finite solvers share one
+table core: each relation's ``grids.grid_eval`` grid over the window, folded
+onto each constraint's distinct arguments (``_window_grids``).  On it run
+one bound per variable, propagated to a fixpoint for max- or min-closed
+languages (Jeavons & Cooper, "Tractable constraints on ordered domains",
+1995), and complete backtracking with generalized arc-consistency on
+boolean domain masks as the universal fallback.  A residue/quotient
+pipeline handles languages preserved by a modular maximum or minimum; its
+quotient instances go to the bound fixpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import ArityError, BudgetExceeded, InternalError, ParseError
 from .formula import And, Cmp, ConstraintLanguage, Formula, Literal, Not, Or, RelationDef
 
 DEFAULT_BRANCH_BUDGET = 10**6
-# Window cells one relation's bound tables may span (see decide_max_closed).
+# Window cells one relation's grid may span (see _window_grids).
 DEFAULT_TABLE_CELLS = 10**8
 
 
@@ -57,24 +59,6 @@ def validate_instance(lang: ConstraintLanguage, inst: Instance):
         for a in args:
             if a not in declared:
                 raise ParseError(f"undeclared variable {a!r}")
-
-
-@dataclass
-class DomainStore:
-    """Per-variable sorted candidate values."""
-
-    domains: dict
-
-    @classmethod
-    def from_window(cls, inst: Instance, window):
-        vals = sorted(window)
-        return cls({v: list(vals) for v in inst.variables})
-
-    def copy(self):
-        return DomainStore({v: list(d) for v, d in self.domains.items()})
-
-    def is_empty(self):
-        return any(not d for d in self.domains.values())
 
 
 @dataclass
@@ -127,87 +111,112 @@ def bounded_window(lang: ConstraintLanguage, inst: Instance) -> range:
 
 
 # ---------------------------------------------------------------------------
+# Window grids
+
+def _window_grids(lang, inst, lo, hi, phase):
+    """Each constraint's relation grid over ``[lo, hi)``, folded onto its
+    distinct arguments.
+
+    Returns ``(constraints, folds)``: per constraint, its distinct arguments
+    in order of first position and the index of its grid in ``folds``, which
+    holds one grid per (relation, repeated-argument pattern).  Repeated
+    arguments fold onto the diagonal, so R(x, x, y) has two axes.  A
+    relation of arity k spans W^k window cells; past ``DEFAULT_TABLE_CELLS``
+    of them, ``BudgetExceeded`` naming ``phase`` is raised before anything
+    is allocated.
+    """
+    width = hi - lo
+    relation_grids = {}
+    fold_index = {}
+    folds = []
+    constraints = []
+    for name, args in inst.constraints:
+        distinct = tuple(dict.fromkeys(args))
+        pattern = tuple(distinct.index(a) for a in args)
+        key = (name, pattern)
+        if key not in fold_index:
+            if name not in relation_grids:
+                rel = lang.relation(name)
+                cells = width**rel.arity
+                if cells > DEFAULT_TABLE_CELLS:
+                    raise BudgetExceeded(
+                        f"{phase}: relation {name} needs {width}^{rel.arity}"
+                        f" = {cells} window cells, over the budget of "
+                        f"{DEFAULT_TABLE_CELLS}")
+                relation_grids[name] = grids.grid_eval(rel.formula, rel.arity,
+                                                       lo, hi)
+            fold_index[key] = len(folds)
+            folds.append(np.einsum(relation_grids[name], list(pattern),
+                                   list(range(len(distinct)))))
+        constraints.append((distinct, fold_index[key]))
+    return constraints, folds
+
+
+# ---------------------------------------------------------------------------
 # Arc-consistency
 
-def _window_tuples(rel: RelationDef, lo, hi):
-    """All tuples of the relation inside [lo, hi)^arity, lexicographic."""
-    grid = grids.grid_eval(rel.formula, rel.arity, lo, hi)
-    return [tuple(int(x) + lo for x in row) for row in np.argwhere(grid)]
+def _domain_grids(lang, inst, domains):
+    """``(lo, hi, constraints, folds)``: the window grids over the span of
+    the domains, as ``arc_consistency`` takes them."""
+    lo = min((d[0] for d in domains.values() if d), default=0)
+    hi = max((d[-1] for d in domains.values() if d), default=0) + 1
+    return (lo, hi, *_window_grids(lang, inst, lo, hi,
+                                   "arc-consistency grids"))
 
 
-class _ConstraintTuples:
-    """Per-constraint tuple table, shared across AC runs on one instance."""
-
-    def __init__(self, lang, inst, lo, hi):
-        self.entries = []
-        cache = {}
-        for name, args in inst.constraints:
-            rel = lang.relation(name)
-            key = (name, lo, hi)
-            if key not in cache:
-                cache[key] = _window_tuples(rel, lo, hi)
-            tuples = cache[key]
-            # positions of each variable inside the argument list
-            positions = {}
-            for pos, v in enumerate(args):
-                positions.setdefault(v, []).append(pos)
-            # repeated arguments must agree
-            if any(len(ps) > 1 for ps in positions.values()):
-                tuples = [t for t in tuples
-                          if all(len({t[p] for p in ps}) == 1
-                                 for ps in positions.values())]
-            self.entries.append((args, positions, tuples))
-
-
-def arc_consistency(lang, inst, domains: DomainStore, stats=None,
-                    tables=None) -> DomainStore | None:
+def arc_consistency(lang, inst, domains, stats=None, tables=None):
     """Generalized arc-consistency fixpoint, or None when a domain empties.
 
-    The queue starts with all constraints in declaration order; a constraint
-    re-enters when one of its variables loses a value.  Within a constraint,
-    variables are revised in argument order.
+    ``domains`` maps each variable to its sorted candidate values; the
+    fixpoint comes back as a new such dict.  Inside, a domain is a boolean
+    mask over the span of the domains (values missing from a domain stay
+    cleared), and a constraint is revised in one step: its folded grid is
+    cut down to the cells whose coordinates all lie in their variables'
+    domains (``np.ix_`` of the masks' set positions, the outer product of
+    the masks without the cells outside it), and each variable's support
+    is an ``any`` over the other axes.  The queue starts with all
+    constraints in declaration order; a constraint re-enters when one of
+    its variables loses a value.  Within a constraint, variables are
+    revised in argument order.
     """
     if tables is None:
-        lo, hi = _domains_span(domains)
-        tables = _ConstraintTuples(lang, inst, lo, hi)
-    store = domains.copy()
-    doms = {v: set(d) for v, d in store.domains.items()}
-    m = len(inst.constraints)
-    queue = deque(range(m))
-    queued = set(queue)
+        tables = _domain_grids(lang, inst, domains)
+    lo, hi, constraints, folds = tables
+    masks = {}
+    for v, values in domains.items():
+        mask = np.zeros(hi - lo, dtype=bool)
+        mask[np.asarray(values, dtype=np.int64) - lo] = True
+        masks[v] = mask
     watchers = {}
-    for ci, (args, _, _) in enumerate(tables.entries):
-        for v in args:
+    for ci, (distinct, _) in enumerate(constraints):
+        for v in distinct:
             watchers.setdefault(v, []).append(ci)
+    queue = deque(range(len(constraints)))
+    queued = [True] * len(constraints)
     while queue:
         ci = queue.popleft()
-        queued.discard(ci)
-        args, positions, tuples = tables.entries[ci]
-        live = [t for t in tuples
-                if all(t[p] in doms[v] for v, ps in positions.items() for p in ps)]
-        for v in sorted(positions, key=lambda v: positions[v][0]):
-            pos = positions[v][0]
-            supported = {t[pos] for t in live}
-            dom = doms[v]
-            if not dom <= supported:
-                removed = dom - supported
-                dom &= supported
+        queued[ci] = False
+        distinct, fi = constraints[ci]
+        k = len(distinct)
+        index = [np.flatnonzero(masks[v]) for v in distinct]
+        live = folds[fi][np.ix_(*index)]
+        for axis, v in enumerate(distinct):
+            others = tuple(a for a in range(k) if a != axis)
+            dropped = index[axis][~live.any(axis=others)]
+            if len(dropped):
+                mask = masks[v]
+                mask[dropped] = False
                 if stats is not None:
-                    stats["revisions"] = stats.get("revisions", 0) + len(removed)
-                if not dom:
+                    stats["revisions"] = (stats.get("revisions", 0)
+                                          + len(dropped))
+                if not mask.any():
                     return None
-                for cj in watchers.get(v, ()):
-                    if cj not in queued:
+                for cj in watchers[v]:
+                    if not queued[cj]:
                         queue.append(cj)
-                        queued.add(cj)
-                live = [t for t in live if t[pos] in dom]
-    return DomainStore({v: sorted(doms[v]) for v in store.domains})
-
-
-def _domains_span(domains: DomainStore):
-    lo = min((d[0] for d in domains.domains.values() if d), default=0)
-    hi = max((d[-1] for d in domains.domains.values() if d), default=0) + 1
-    return lo, hi
+                        queued[cj] = True
+    return {v: (np.flatnonzero(mask) + lo).tolist()
+            for v, mask in masks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +260,9 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     always re-verified; if it is not a solution, complete backtracking over
     the boxes between window edge and bound takes over and the result is
     flagged as a fallback.  ``stats["revisions"]`` counts bound steps.
-    A relation of arity k spans W^k window cells in its tables; past
-    ``DEFAULT_TABLE_CELLS`` of them, ``BudgetExceeded`` is raised before
-    anything is allocated.
+    The tables come from the window grids, so a relation past
+    ``DEFAULT_TABLE_CELLS`` raises ``BudgetExceeded`` before anything is
+    allocated.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
@@ -264,34 +273,11 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     if not window:
         return SolveResult("UNSAT", reason="empty window", stats=stats)
     lo, hi = window.start, window.stop
-    width = hi - lo
 
-    # one table set per (relation, repeated-argument pattern); repeated
-    # arguments fold onto the diagonal, so R(x, x, y) has two axes
-    grid_cache = {}
-    table_cache = {}
-    constraints = []
-    for name, args in inst.constraints:
-        distinct = tuple(dict.fromkeys(args))
-        pattern = tuple(distinct.index(a) for a in args)
-        key = (name, pattern)
-        if key not in table_cache:
-            if name not in grid_cache:
-                rel = lang.relation(name)
-                cells = width**rel.arity
-                if cells > DEFAULT_TABLE_CELLS:
-                    raise BudgetExceeded(
-                        f"bound tables: relation {name} needs {width}^"
-                        f"{rel.arity} = {cells} window cells, over the budget "
-                        f"of {DEFAULT_TABLE_CELLS}")
-                grid = grids.grid_eval(rel.formula, rel.arity, lo, hi)
-                grid_cache[name] = grid if mode == "max" else np.flip(grid)
-            folded = np.einsum(grid_cache[name], list(pattern),
-                               list(range(len(distinct))))
-            table_cache[key] = _bound_tables(folded)
-        constraints.append((distinct, table_cache[key]))
-
-    bound = dict.fromkeys(inst.variables, width - 1)
+    constraints, folds = _window_grids(lang, inst, lo, hi, "bound tables")
+    tables = [_bound_tables(fold if mode == "max" else np.flip(fold))
+              for fold in folds]
+    bound = dict.fromkeys(inst.variables, hi - lo - 1)
     watchers = {}
     for ci, (distinct, _) in enumerate(constraints):
         for v in distinct:
@@ -301,8 +287,8 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     while queue:
         ci = queue.popleft()
         queued[ci] = False
-        distinct, tables = constraints[ci]
-        for v, table in zip(distinct, tables):
+        distinct, fi = constraints[ci]
+        for v, table in zip(distinct, tables[fi]):
             top = int(table[tuple(bound[w] for w in distinct)])
             if top < 0:
                 return SolveResult("UNSAT", reason="bound wipeout", stats=stats)
@@ -322,7 +308,7 @@ def decide_max_closed(lang, inst, mode="max", window=None,
         assignment = {v: box[0] for v, box in boxes.items()}
     if satisfies(lang, inst, assignment):
         return SolveResult("SAT", assignment, stats=stats)
-    domains = DomainStore({v: list(box) for v, box in boxes.items()})
+    domains = {v: list(box) for v, box in boxes.items()}
     result = backtracking_solve(lang, inst, domains=domains, stats=stats)
     result.fallback = True
     return result
@@ -331,35 +317,39 @@ def decide_max_closed(lang, inst, mode="max", window=None,
 # ---------------------------------------------------------------------------
 # Complete backtracking search
 
-def backtracking_solve(lang, inst, domains: DomainStore | None = None,
-                       window=None, stats=None) -> SolveResult:
+def backtracking_solve(lang, inst, domains=None, window=None,
+                       stats=None) -> SolveResult:
     """Complete search over the window with AC propagation at every node.
 
-    Variables follow declaration order, values ascending, so the first
-    solution found is the lexicographically smallest one on the window.
+    ``domains`` maps each variable to its sorted candidate values; by
+    default every variable takes the values of ``window`` (any iterable of
+    ints, by default the bounded window).  The window grids are built once
+    per call.  Variables follow declaration order, values ascending, so the
+    first solution found is the lexicographically smallest one.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
         return SolveResult("SAT", {}, stats=stats)
     if domains is None:
         window = bounded_window(lang, inst) if window is None else window
-        domains = DomainStore.from_window(inst, window)
-    lo, hi = _domains_span(domains)
-    tables = _ConstraintTuples(lang, inst, lo, hi)
+        values = sorted(window)
+        domains = {v: values for v in inst.variables}
+    tables = _domain_grids(lang, inst, domains)
     root = arc_consistency(lang, inst, domains, stats=stats, tables=tables)
     if root is None:
         return SolveResult("UNSAT", stats=stats)
     order = list(inst.variables)
 
-    def search(store, depth):
+    def search(domains, depth):
         stats["branches"] = stats.get("branches", 0) + 1
         if depth == len(order):
-            return {v: store.domains[v][0] for v in order}
+            return {v: domains[v][0] for v in order}
         var = order[depth]
-        for val in list(store.domains[var]):
-            child = store.copy()
-            child.domains[var] = [val]
-            fixed = arc_consistency(lang, inst, child, stats=stats, tables=tables)
+        for val in domains[var]:
+            child = dict(domains)
+            child[var] = [val]
+            fixed = arc_consistency(lang, inst, child, stats=stats,
+                                    tables=tables)
             if fixed is None:
                 continue
             found = search(fixed, depth + 1)

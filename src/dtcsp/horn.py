@@ -16,7 +16,7 @@ equality comes out false.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import is_horn, reduced_cnf
 from .errors import InternalError, NotHornError
@@ -115,16 +115,12 @@ class OffsetUnionFind:
         return [groups[root][1] for root in order]
 
 
-@dataclass(frozen=True)
-class HornClause:
+class HornClause(NamedTuple):
     """Disjunction of negated equalities plus at most one positive equality."""
 
     negatives: tuple  # of (x, y, p) standing for not(value(x) = value(y) + p)
     positive: tuple | None = None  # (x, y, p)
     origin: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "negatives", tuple(self.negatives))
 
 
 def _templates(rel) -> list:

@@ -129,6 +129,48 @@ def naive_bounds(lang, inst, window, mode="max"):
     return bound
 
 
+def tuple_arc_consistency(lang, inst, domains, stats):
+    """Reference GAC over explicit tuple lists, in the queue order of
+    ``finite.arc_consistency``.
+
+    Each constraint keeps the relation's tuples over the span of the
+    domains whose repeated arguments agree.  The queue starts with all
+    constraints in declaration order; a revision filters the tuples to the
+    current domains, then narrows each distinct argument in order of first
+    position to the values its live tuples take, re-queueing the
+    constraints on a narrowed variable.  Returns the narrowed domains as
+    sorted lists, or None at the first emptied domain; ``stats["revisions"]``
+    counts removed values."""
+    values = [x for d in domains.values() for x in d]
+    span = range(min(values, default=0), max(values, default=0) + 1)
+    entries = []
+    for name, args in inst.constraints:
+        rel = lang.relation(name)
+        fn = rel.formula.compiled()
+        tuples = [t for t in itertools.product(span, repeat=rel.arity)
+                  if fn(t) and all(t[i] == t[args.index(a)]
+                                   for i, a in enumerate(args))]
+        entries.append((tuple(dict.fromkeys(args)), args, tuples))
+    doms = {v: set(d) for v, d in domains.items()}
+    queue = list(range(len(entries)))
+    while queue:
+        ci = queue.pop(0)
+        distinct, args, tuples = entries[ci]
+        live = [t for t in tuples if all(x in doms[a] for x, a in zip(t, args))]
+        for v in distinct:
+            supported = {t[args.index(v)] for t in live}
+            if doms[v] <= supported:
+                continue
+            stats["revisions"] = (stats.get("revisions", 0)
+                                  + len(doms[v] - supported))
+            doms[v] &= supported
+            if not doms[v]:
+                return None
+            queue += [cj for cj, (other, _, _) in enumerate(entries)
+                      if v in other and cj not in queue]
+    return {v: sorted(d) for v, d in doms.items()}
+
+
 def progression_formula(a, b, d):
     lits = tuple(Literal(1, 0, Cmp.EQ, c) for c in range(a, b + 1, d))
     return Formula(Or(lits))

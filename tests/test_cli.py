@@ -186,6 +186,36 @@ def test_solve_window_below_one_exits_2(capsys, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [("--modulus=-2",), ("--modulus", "0")],
+                         ids=["minus_2", "zero"])
+def test_solve_modulus_below_one_exits_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(FIXTURES / "maxrel.dtl"),
+              str(FIXTURES / "maxinst.dti"), "--method", "modmax", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "modulus must be an integer of at least 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("f.dtl", "chain.dti", "--modulus", "3"),
+     "--modulus does not apply to method horn"),
+    (("t2.dtl", "t2.dti", "--modulus", "3"),
+     "--modulus does not apply to method modmax here: the verdict "
+     "MODMAX_CLOSED(2) fixes the modulus"),
+    (("maxrel.dtl", "maxinst.dti", "--method", "bt", "--modulus", "2"),
+     "--modulus does not apply to method bt"),
+], ids=["auto_horn", "auto_modmax", "forced_bt"])
+def test_solve_modulus_unused_exits_2(capsys, argv, message):
+    language, instance, *flags = argv
+    code, out, err = run(capsys, "solve", FIXTURES / language,
+                         FIXTURES / instance, *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("argv", [
     ("big.dtl", "big.dti", "--method", "brute", "--window", "500"),
     ("cnf_blowup.dtl", "cnf_blowup.dti", "--method", "horn"),
@@ -200,12 +230,14 @@ def test_solve_budget_error_exits_3(capsys, argv):
 
 def test_solve_table_budget_exits_3(capsys, monkeypatch):
     # the window {0, ..., 17} gives M/4 tables of 18^4 cells
+    # by auto routing to bound propagation, and by forced backtracking
     monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
-    code, out, err = run(capsys, "solve", FIXTURES / "ring4.dtl",
-                         FIXTURES / "ring4.dti")
-    assert code == 3
-    assert out == ""
-    assert "relation M" in err and "budget" in err
+    for flags in ((), ("--method", "bt")):
+        code, out, err = run(capsys, "solve", FIXTURES / "ring4.dtl",
+                             FIXTURES / "ring4.dti", *flags)
+        assert code == 3, flags
+        assert out == ""
+        assert "relation M" in err and "budget" in err
 
 
 def test_solve_forced_modmax_without_modulus(capsys):

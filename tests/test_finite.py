@@ -10,7 +10,6 @@ from dtcsp import (
     ArityError,
     BudgetExceeded,
     VerdictClass,
-    DomainStore,
     Instance,
     ParseError,
     arc_consistency,
@@ -33,6 +32,7 @@ from helpers import (
     modular_language,
     naive_bounds,
     random_mixed_language,
+    tuple_arc_consistency,
 )
 
 ORDER_LANG = parse_language(
@@ -73,28 +73,46 @@ def test_bounded_window_examples():
 # arc consistency
 
 
+@st.composite
+def _backtracking_cases(draw):
+    """Random mixed language, up to 4 variables, arguments drawn with
+    repetition, and a default, offset or non-contiguous window."""
+    lang = random_mixed_language(draw(st.integers(0, 10**6)), nrels=2,
+                                 arity_max=3, q_max=2)
+    vs = tuple(f"v{i}" for i in range(draw(st.integers(1, 4))))
+    cons = []
+    for _ in range(draw(st.integers(0, 5))):
+        rel = draw(st.sampled_from(lang.relations))
+        args = draw(st.lists(st.sampled_from(vs), min_size=rel.arity,
+                             max_size=rel.arity))
+        cons.append((rel.name, tuple(args)))
+    window = draw(st.sampled_from([None, range(2, 7), [0, 2, 5]]))
+    return lang, Instance(vs, tuple(cons)), window
+
+
 def test_ac_wipeout():
     inst = Instance(("a", "b"),
                     (("Le", ("a", "b")), ("Le", ("b", "a")),
                      ("S1", ("a", "b"))))
-    store = DomainStore.from_window(inst, bounded_window(ORDER_LANG, inst))
-    assert arc_consistency(ORDER_LANG, inst, store) is None
+    window = list(bounded_window(ORDER_LANG, inst))
+    domains = {v: window for v in inst.variables}
+    assert arc_consistency(ORDER_LANG, inst, domains) is None
     oracle = brute_solve(ORDER_LANG, inst, bounded_window(ORDER_LANG, inst))
     assert oracle.status == "UNSAT"
 
 
 def test_ac_successor_domains():
     inst = Instance(("a", "b"), (("S1", ("a", "b")),))
-    store = DomainStore.from_window(inst, range(4))
-    fixed = arc_consistency(ORDER_LANG, inst, store)
-    assert fixed.domains == {"a": [0, 1, 2], "b": [1, 2, 3]}
+    domains = {v: [0, 1, 2, 3] for v in inst.variables}
+    fixed = arc_consistency(ORDER_LANG, inst, domains)
+    assert fixed == {"a": [0, 1, 2], "b": [1, 2, 3]}
 
 
 def test_ac_no_constraints_is_fixpoint():
     inst = Instance(("a", "b"), ())
-    store = DomainStore.from_window(inst, range(3))
-    fixed = arc_consistency(ORDER_LANG, inst, store)
-    assert fixed.domains == store.domains
+    domains = {v: [0, 1, 2] for v in inst.variables}
+    fixed = arc_consistency(ORDER_LANG, inst, domains)
+    assert fixed == domains
 
 
 def test_ac_never_deletes_solution_values():
@@ -102,8 +120,8 @@ def test_ac_never_deletes_solution_values():
         lang = random_mixed_language(seed, nrels=2, arity_max=3, q_max=2)
         inst = capped_instance(lang, seed, nmax=4)
         window = bounded_window(lang, inst)
-        store = DomainStore.from_window(inst, window)
-        fixed = arc_consistency(lang, inst, store)
+        domains = {v: list(window) for v in inst.variables}
+        fixed = arc_consistency(lang, inst, domains)
         solution_values = {v: set() for v in inst.variables}
         order = list(inst.variables)
         fns = [(lang.relation(nm).formula.compiled(),
@@ -116,7 +134,24 @@ def test_ac_never_deletes_solution_values():
         if any(solution_values.values()):
             assert fixed is not None
             for v in order:
-                assert solution_values[v] <= set(fixed.domains[v])
+                assert solution_values[v] <= set(fixed[v])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_backtracking_cases(), data=st.data())
+def test_ac_matches_tuple_reference(case, data):
+    # random domains with holes; the fixpoint and the revision count must
+    # equal those of arc-consistency over explicit tuple lists
+    lang, inst, window = case
+    window = sorted(bounded_window(lang, inst) if window is None else window)
+    domains = {v: sorted(data.draw(st.sets(st.sampled_from(window),
+                                           min_size=1)))
+               for v in inst.variables}
+    got_stats, want_stats = {}, {}
+    got = arc_consistency(lang, inst, domains, stats=got_stats)
+    want = tuple_arc_consistency(lang, inst, domains, want_stats)
+    assert got == want
+    assert got_stats == want_stats
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +307,19 @@ def _ring4(n):
 
 def test_decide_table_cell_budget(monkeypatch):
     # n = 6 gives the window {0, ..., 17}, so M's tables span 18^4 cells
+    # for bound propagation and for backtracking, which share the grids
     inst = _ring4(6)
-    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4)
-    assert decide_max_closed(RING4, inst).sat
-    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
-    with pytest.raises(BudgetExceeded) as exc:
-        decide_max_closed(RING4, inst)
-    message = str(exc.value)
-    assert "bound tables" in message
-    assert "relation M" in message
-    assert str(18**4) in message
+    for solve, phase in ((decide_max_closed, "bound tables"),
+                         (backtracking_solve, "arc-consistency grids")):
+        monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4)
+        assert solve(RING4, inst).sat
+        monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
+        with pytest.raises(BudgetExceeded) as exc:
+            solve(RING4, inst)
+        message = str(exc.value)
+        assert phase in message
+        assert "relation M" in message
+        assert str(18**4) in message
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +352,18 @@ def test_backtracking_deterministic():
     first = backtracking_solve(ORDER_LANG, inst)
     second = backtracking_solve(ORDER_LANG, inst)
     assert first.assignment == second.assignment
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_backtracking_cases())
+def test_backtracking_matches_brute_force(case):
+    # both return the lexicographically smallest solution on the window
+    lang, inst, window = case
+    got = backtracking_solve(lang, inst, window=window)
+    window = bounded_window(lang, inst) if window is None else window
+    want = brute_solve(lang, inst, window)
+    assert got.status == want.status
+    assert got.assignment == want.assignment
 
 
 def test_solution_survives_translation():
