@@ -3,7 +3,6 @@
 The decision tree mirrors the dichotomy for languages definable over the
 integers with order and successor:
 
-* a cheap extensional check for the distance-1 / distance-5 pair (hard),
 * order-dialect languages: preservation by plain max or min decides between
   arc-consistency tractability and hardness,
 * successor-dialect, all-positive languages: search for a modulus d whose
@@ -14,8 +13,9 @@ integers with order and successor:
 Preservation is tested inside a bounded window: any violating pair of tuples
 can be gap-compressed, preserving literal truth values and residues mod d,
 until it fits in ``[-B, B]^arity`` with ``B = (q + d + 1) * 2 * arity``.
-Hardness verdicts always carry concrete violating tuple pairs that can be
-re-checked by evaluation.
+Each candidate operation is tested relation by relation and dropped at the
+first violation.  Hardness verdicts always carry concrete violating tuple
+pairs that can be re-checked by evaluation.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ from .formula import (
     Cmp,
     ConstraintLanguage,
     Dialect,
-    Formula,
-    Literal,
-    Or,
     RelationDef,
-    equivalent,
+    equivalent,  # noqa: F401 - perfbench/tracing.py patches it here
     reduce,
     to_cnf,
     to_dnf,
@@ -388,19 +385,6 @@ class ComplexityVerdict:
                                 VerdictClass.DEGENERATE_OR_UNKNOWN)
 
 
-def _dist_formula(i):
-    return Formula(Or((Literal(0, 1, Cmp.EQ, i), Literal(0, 1, Cmp.EQ, -i))))
-
-
-def _extensionally_equal(rel: RelationDef, target: Formula) -> bool:
-    if rel.arity != 2:
-        return False
-    try:
-        return equivalent(rel.formula, target, 2)
-    except BudgetExceeded:
-        return False
-
-
 def _candidate_moduli(profiles, cap=16):
     """Moduli worth testing: 1..max finite spread (capped) plus divisors of
     each finite profile's gap gcd."""
@@ -424,11 +408,18 @@ def _candidate_moduli(profiles, cap=16):
     return sorted(out)
 
 
-def _first_violation(results):
-    for res in results:
+def _test_op(lang, op):
+    """Test ``op`` on every relation in order, stopping at the first
+    violation: ``(passing lines, None)`` if all are preserved, else
+    ``(None, witness)``."""
+    passing = []
+    for rel in lang.relations:
+        res = preserved_by(rel, op)
         if not res.preserved:
-            return res.witness
-    return None
+            return None, res.witness
+        passing.append(f"{rel.name} preserved by {op.describe()} "
+                       f"(window {res.halfwidth})")
+    return tuple(passing), None
 
 
 def classify(lang: ConstraintLanguage) -> ComplexityVerdict:
@@ -450,26 +441,6 @@ def classify(lang: ConstraintLanguage) -> ComplexityVerdict:
 
 
 def _classify(lang, notes):
-    # Shortcut: an extensional distance-1 plus distance-5 pair is hard.
-    dist1 = next((r for r in lang.relations
-                  if _extensionally_equal(r, _dist_formula(1))), None)
-    dist5 = next((r for r in lang.relations
-                  if _extensionally_equal(r, _dist_formula(5))), None)
-    if dist1 is not None and dist5 is not None:
-        notes.append(
-            f"{dist1.name} and {dist5.name} are the distance-1/distance-5 "
-            f"pair (hard by the distance-pair rule)")
-        witnesses = []
-        for rel in (dist1, dist5):
-            for op in (MAX, MIN):
-                res = preserved_by(rel, op)
-                if not res.preserved:
-                    witnesses.append(res.witness)
-                    break
-        return ComplexityVerdict(VerdictClass.NP_HARD,
-                                 witnesses=tuple(witnesses),
-                                 notes=tuple(notes))
-
     order_dialect = [r.name for r in lang.relations
                      if r.dialect is Dialect.ORDER]
     profiles = {}
@@ -502,49 +473,34 @@ def _classify(lang, notes):
 
 
 def _classify_order(lang, notes):
-    max_results = [preserved_by(r, MAX) for r in lang.relations]
-    if all(res.preserved for res in max_results):
-        passing = tuple(f"{r.name} preserved by max (window {res.halfwidth})"
-                        for r, res in zip(lang.relations, max_results))
-        return ComplexityVerdict(VerdictClass.MAX_CLOSED, passing=passing,
-                                 notes=tuple(notes))
-    min_results = [preserved_by(r, MIN) for r in lang.relations]
-    if all(res.preserved for res in min_results):
-        passing = tuple(f"{r.name} preserved by min (window {res.halfwidth})"
-                        for r, res in zip(lang.relations, min_results))
-        return ComplexityVerdict(VerdictClass.MIN_CLOSED, passing=passing,
-                                 notes=tuple(notes))
-    wmax = _first_violation(max_results)
-    wmin = _first_violation(min_results)
+    witnesses = []
+    for op, verdict in ((MAX, VerdictClass.MAX_CLOSED),
+                        (MIN, VerdictClass.MIN_CLOSED)):
+        passing, witness = _test_op(lang, op)
+        if passing is not None:
+            return ComplexityVerdict(verdict, passing=passing,
+                                     notes=tuple(notes))
+        witnesses.append(witness)
     notes.append("neither max nor min preserves every relation")
-    return ComplexityVerdict(VerdictClass.NP_HARD,
-                             witnesses=tuple(w for w in (wmax, wmin) if w),
+    return ComplexityVerdict(VerdictClass.NP_HARD, witnesses=tuple(witnesses),
                              notes=tuple(notes))
 
 
 def _classify_positive(lang, profiles, notes):
     candidates = _candidate_moduli(profiles.values())
     notes.append("candidate moduli: " + ", ".join(map(str, candidates)))
-    first_max_violation = None
-    first_min_violation = None
-    for kind, ctor, verdict in ((OpKind.MODMAX, modmax, VerdictClass.MODMAX_CLOSED),
-                                (OpKind.MODMIN, modmin, VerdictClass.MODMIN_CLOSED)):
+    witnesses = []
+    for ctor, verdict in ((modmax, VerdictClass.MODMAX_CLOSED),
+                          (modmin, VerdictClass.MODMIN_CLOSED)):
         for d in candidates:
-            op = ctor(d)
-            results = [preserved_by(r, op) for r in lang.relations]
-            if all(res.preserved for res in results):
-                passing = tuple(
-                    f"{r.name} preserved by {op.describe()} (window {res.halfwidth})"
-                    for r, res in zip(lang.relations, results))
+            passing, witness = _test_op(lang, ctor(d))
+            if passing is not None:
                 return ComplexityVerdict(verdict, d=d, passing=passing,
                                          notes=tuple(notes))
-            if d == 1 and kind is OpKind.MODMAX and first_max_violation is None:
-                first_max_violation = _first_violation(results)
-            if d == 1 and kind is OpKind.MODMIN and first_min_violation is None:
-                first_min_violation = _first_violation(results)
+            if d == 1:
+                witnesses.append(witness)
     notes.append("no candidate modular max or min preserves every relation")
-    witnesses = tuple(w for w in (first_max_violation, first_min_violation) if w)
-    return ComplexityVerdict(VerdictClass.NP_HARD, witnesses=witnesses,
+    return ComplexityVerdict(VerdictClass.NP_HARD, witnesses=tuple(witnesses),
                              notes=tuple(notes))
 
 

@@ -2,20 +2,20 @@
 
 An instance over a language with qe-degree q and n variables is satisfiable
 over the integers iff it is satisfiable over ``{0, ..., (q + 1) * n - 1}``, so
-every solver here works on such a window.  Both finite solvers share one
-table core: each relation's ``grids.grid_eval`` grid over the window, folded
-onto each constraint's distinct arguments (``_window_grids``).  On it run
-one bound per variable, propagated to a fixpoint for max- or min-closed
+every solver here works on such a window.  All solvers share one table
+core: each relation's ``grids.grid_eval`` grid over a window, folded onto
+each constraint's distinct arguments (``_window_grids``).  On it run one
+bound per variable, propagated to a fixpoint for max- or min-closed
 languages (Jeavons & Cooper, "Tractable constraints on ordered domains",
-1995), and complete backtracking with generalized arc-consistency on
-boolean domain masks as the universal fallback.  A residue/quotient
-pipeline handles languages preserved by a modular maximum or minimum; its
-quotient instances go to the bound fixpoint.
+1995), and one complete search, generalized arc-consistency on boolean
+domain masks at every node, which is the universal fallback.  Languages
+preserved by a modular maximum or minimum run that same search over
+residues mod d, on the folds reduced to residue grids, and hand each
+residue vector's quotient instance to the bound fixpoint.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -164,7 +164,8 @@ def _domain_grids(lang, inst, domains):
                                    "arc-consistency grids"))
 
 
-def arc_consistency(lang, inst, domains, stats=None, tables=None):
+def arc_consistency(lang, inst, domains, stats=None, tables=None,
+                    changed=None):
     """Generalized arc-consistency fixpoint, or None when a domain empties.
 
     ``domains`` maps each variable to its sorted candidate values; the
@@ -175,9 +176,12 @@ def arc_consistency(lang, inst, domains, stats=None, tables=None):
     domains (``np.ix_`` of the masks' set positions, the outer product of
     the masks without the cells outside it), and each variable's support
     is an ``any`` over the other axes.  The queue starts with all
-    constraints in declaration order; a constraint re-enters when one of
-    its variables loses a value.  Within a constraint, variables are
-    revised in argument order.
+    constraints in declaration order or, when ``domains`` is a fixpoint
+    but for the domain of the variable ``changed``, with just that
+    variable's constraints; a constraint re-enters when one of its
+    variables loses a value.  Within a constraint, variables are revised
+    in argument order.  ``lang`` and ``inst`` are only read when
+    ``tables`` is not given.
     """
     if tables is None:
         tables = _domain_grids(lang, inst, domains)
@@ -191,8 +195,11 @@ def arc_consistency(lang, inst, domains, stats=None, tables=None):
     for ci, (distinct, _) in enumerate(constraints):
         for v in distinct:
             watchers.setdefault(v, []).append(ci)
-    queue = deque(range(len(constraints)))
-    queued = [True] * len(constraints)
+    queue = deque(range(len(constraints)) if changed is None
+                  else watchers.get(changed, ()))
+    queued = [False] * len(constraints)
+    for ci in queue:
+        queued[ci] = True
     while queue:
         ci = queue.popleft()
         queued[ci] = False
@@ -317,6 +324,51 @@ def decide_max_closed(lang, inst, mode="max", window=None,
 # ---------------------------------------------------------------------------
 # Complete backtracking search
 
+def _solutions(inst, domains, tables, stats, phase):
+    """Every solution within ``domains``, in lexicographic order.
+
+    Variables follow declaration order and values ascend.  GAC over
+    ``tables`` (as ``arc_consistency`` takes them) runs at the root and at
+    every child; a child starts its queue from the constraints of the
+    variable just fixed, as its parent is a fixpoint.  Each node that
+    survives AC counts in ``stats["branches"]``; past
+    ``DEFAULT_BRANCH_BUDGET`` nodes, ``BudgetExceeded`` naming ``phase`` is
+    raised.
+    """
+    budget = DEFAULT_BRANCH_BUDGET
+    order = inst.variables
+    nodes = 0
+
+    def children(node, var):
+        for val in node[var]:
+            child = dict(node)
+            child[var] = [val]
+            fixed = arc_consistency(None, inst, child, stats=stats,
+                                    tables=tables, changed=var)
+            if fixed is not None:
+                yield fixed
+
+    root = arc_consistency(None, inst, domains, stats=stats, tables=tables)
+    if root is None:
+        return
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        nodes += 1
+        stats["branches"] = stats.get("branches", 0) + 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"{phase} exceeded the budget of {budget} search nodes")
+        depth = len(stack) - 1
+        if depth == len(order):
+            yield {v: node[v][0] for v in order}
+        else:
+            stack.append(children(node, order[depth]))
+
+
 def backtracking_solve(lang, inst, domains=None, window=None,
                        stats=None) -> SolveResult:
     """Complete search over the window with AC propagation at every node.
@@ -324,8 +376,8 @@ def backtracking_solve(lang, inst, domains=None, window=None,
     ``domains`` maps each variable to its sorted candidate values; by
     default every variable takes the values of ``window`` (any iterable of
     ints, by default the bounded window).  The window grids are built once
-    per call.  Variables follow declaration order, values ascending, so the
-    first solution found is the lexicographically smallest one.
+    per call.  The result is the first solution of ``_solutions``, the
+    lexicographically smallest one.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
@@ -335,29 +387,8 @@ def backtracking_solve(lang, inst, domains=None, window=None,
         values = sorted(window)
         domains = {v: values for v in inst.variables}
     tables = _domain_grids(lang, inst, domains)
-    root = arc_consistency(lang, inst, domains, stats=stats, tables=tables)
-    if root is None:
-        return SolveResult("UNSAT", stats=stats)
-    order = list(inst.variables)
-
-    def search(domains, depth):
-        stats["branches"] = stats.get("branches", 0) + 1
-        if depth == len(order):
-            return {v: domains[v][0] for v in order}
-        var = order[depth]
-        for val in domains[var]:
-            child = dict(domains)
-            child[var] = [val]
-            fixed = arc_consistency(lang, inst, child, stats=stats,
-                                    tables=tables)
-            if fixed is None:
-                continue
-            found = search(fixed, depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    found = search(root, 0)
+    found = next(_solutions(inst, domains, tables, stats, "backtracking"),
+                 None)
     if found is None:
         return SolveResult("UNSAT", stats=stats)
     if not satisfies(lang, inst, found):
@@ -368,18 +399,27 @@ def backtracking_solve(lang, inst, domains=None, window=None,
 # ---------------------------------------------------------------------------
 # Modular max/min pipeline
 
-def _residue_patterns(rel: RelationDef, d):
-    """Residue tuples r such that some relation tuple is componentwise = r mod d."""
-    k = rel.arity
-    q = rel.formula.qe_degree
-    span = (k - 1) * (q + d) + d
-    grid = grids.grid_eval(rel.formula, k, 0, span)
-    out = set()
-    for pattern in itertools.product(range(d), repeat=k):
-        sub = grid[tuple(slice(p, None, d) for p in pattern)]
-        if sub.any():
-            out.add(pattern)
-    return out
+def _residue_tables(lang, inst, d):
+    """The window grids reduced mod d, as ``arc_consistency`` takes them.
+
+    Cell r of a constraint's residue grid is set iff some tuple of its
+    folded grid is componentwise congruent to r.  The window is complete:
+    a folded tuple with m distinct coordinates keeps its literal truth
+    values and residues when a gap of more than q + d between consecutive
+    sorted coordinates shrinks by a multiple of d to at most q + d (gap
+    compression keeps equal coordinates equal), and then a shift by a
+    multiple of d puts it in ``[0, (m - 1) * (q + d) + d)``.  The span
+    takes q = ``lang.q`` and m the largest applied arity, rounded up to a
+    multiple of d; a larger window only adds genuine tuples.
+    """
+    arity = max((lang.relation(name).arity for name, _ in inst.constraints),
+                default=1)
+    span = -(-((arity - 1) * (lang.q + d) + d) // d) * d
+    constraints, folds = _window_grids(lang, inst, 0, span, "residue grids")
+    residues = [fold.reshape((span // d, d) * fold.ndim)
+                .any(axis=tuple(range(0, 2 * fold.ndim, 2)))
+                for fold in folds]
+    return 0, d, constraints, residues
 
 
 def _quotient_literal(lit: Literal, r_lhs, r_rhs, d):
@@ -407,71 +447,33 @@ def _quotient_node(node, residues, d):
     return Or(tuple(_quotient_node(p, residues, d) for p in node.parts))
 
 
-def _residue_solutions(inst, constraint_patterns, d, budget, stats):
-    """Deterministic backtracking over residue assignments in (Z/dZ)^n."""
-    order = list(inst.variables)
-    index = {v: i for i, v in enumerate(order)}
-    checks = []
-    for (name, args), patterns in zip(inst.constraints, constraint_patterns):
-        depth = max(index[a] for a in args)
-        checks.append((depth, args, patterns))
-    by_depth = {}
-    for depth, args, patterns in checks:
-        by_depth.setdefault(depth, []).append((args, patterns))
-
-    assignment = {}
-
-    def rec(depth):
-        if depth == len(order):
-            yield dict(assignment)
-            return
-        var = order[depth]
-        for r in range(d):
-            stats["branches"] = stats.get("branches", 0) + 1
-            if stats["branches"] > budget:
-                raise BudgetExceeded(
-                    f"residue search exceeded {budget} branches")
-            assignment[var] = r
-            ok = all(tuple(assignment[a] for a in args) in patterns
-                     for args, patterns in by_depth.get(depth, ()))
-            if ok:
-                yield from rec(depth + 1)
-        del assignment[var]
-
-    yield from rec(0)
-
-
-def solve_mod_max(lang, inst, d, mode="max",
-                  branch_budget=DEFAULT_BRANCH_BUDGET,
-                  stats=None) -> SolveResult:
+def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
     """Two-phase decision for languages preserved by a d-modular max or min.
 
-    Phase one enumerates residue assignments modulo d that every constraint
-    supports.  Phase two substitutes ``v = d * v' + residue(v)`` into each
-    constraint formula (offsets floor-divide; equalities require
-    divisibility), producing a quotient instance handled by the max-closed
-    decision procedure.  Any satisfiable branch reconstructs and re-verifies a
-    witness; if all branches fail the instance is unsatisfiable.
+    Phase one is the search of ``backtracking_solve`` over residue
+    assignments mod d (domains ``range(d)``, residue grids from
+    ``_residue_tables``), so a residue vector some constraint cannot take
+    is pruned by arc-consistency; its quotient would be unsatisfiable.
+    Phase two substitutes ``v = d * v' + residue(v)`` into each constraint
+    formula (offsets floor-divide; equalities require divisibility),
+    producing a quotient instance handled by the max-closed decision
+    procedure.  The first residue vector, in lexicographic order, whose
+    quotient is satisfiable gives the witness, which is re-verified; if
+    there is none the instance is unsatisfiable.
     """
     stats = stats if stats is not None else {}
     if d < 1:
         raise ValueError("modulus must be positive")
     if not inst.variables:
         return SolveResult("SAT", {}, stats=stats)
-    pattern_cache = {}
-    constraint_patterns = []
-    for name, args in inst.constraints:
-        rel = lang.relation(name)
-        if name not in pattern_cache:
-            pattern_cache[name] = _residue_patterns(rel, d)
-        constraint_patterns.append(pattern_cache[name])
+    tables = _residue_tables(lang, inst, d)
+    domains = {v: list(range(d)) for v in inst.variables}
 
     quotient_rel_cache = {}
-    for rho in _residue_solutions(inst, constraint_patterns, d,
-                                  branch_budget, stats):
+    for rho in _solutions(inst, domains, tables, stats, "residue search"):
         qrels = []
         qconstraints = []
-        for ci, (name, args) in enumerate(inst.constraints):
+        for name, args in inst.constraints:
             rel = lang.relation(name)
             residues = tuple(rho[a] for a in args)
             key = (name, residues)

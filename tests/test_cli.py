@@ -240,6 +240,16 @@ def test_solve_table_budget_exits_3(capsys, monkeypatch):
         assert "relation M" in err and "budget" in err
 
 
+def test_solve_search_budget_exits_3(capsys, monkeypatch):
+    # one D1 edge takes three search nodes: root, a, b
+    monkeypatch.setattr(finite, "DEFAULT_BRANCH_BUDGET", 2)
+    code, out, err = run(capsys, "solve", FIXTURES / "dist15.dtl",
+                         FIXTURES / "pair.dti", "--method", "bt")
+    assert code == 3
+    assert out == ""
+    assert "backtracking exceeded the budget of 2 search nodes" in err
+
+
 def test_solve_forced_modmax_without_modulus(capsys):
     code, _, err = run(capsys, "solve", FIXTURES / "maxrel.dtl",
                        FIXTURES / "maxinst.dti", "--method", "modmax")

@@ -154,6 +154,23 @@ def test_ac_matches_tuple_reference(case, data):
     assert got_stats == want_stats
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_backtracking_cases(), data=st.data())
+def test_ac_queue_from_changed_variable(case, data):
+    # narrowing one variable of a fixpoint and queueing only its constraints
+    # reaches the fixpoint that a queue of all constraints reaches
+    lang, inst, window = case
+    window = sorted(bounded_window(lang, inst) if window is None else window)
+    root = arc_consistency(lang, inst, {v: window for v in inst.variables})
+    if root is None:
+        return
+    var = data.draw(st.sampled_from(inst.variables))
+    child = dict(root)
+    child[var] = [data.draw(st.sampled_from(root[var]))]
+    assert arc_consistency(lang, inst, child, changed=var) == \
+        arc_consistency(lang, inst, child)
+
+
 # ---------------------------------------------------------------------------
 # max-closed decision
 
@@ -366,6 +383,26 @@ def test_backtracking_matches_brute_force(case):
     assert got.assignment == want.assignment
 
 
+def test_search_node_budget(monkeypatch):
+    # each search counts its own nodes, whatever stats["branches"] holds;
+    # both instances need three: root, first variable, second variable
+    edge = Instance(("a", "b"), (("D1", ("a", "b")),))
+    cong = Instance(("x", "y"), (("Le2", ("x", "y")), ("Lt", ("x", "y")),
+                                 ("Even6", ("x", "y"))))
+    for solve, phase in ((lambda stats: backtracking_solve(
+                              ORDER_LANG, edge, stats=stats), "backtracking"),
+                         (lambda stats: solve_mod_max(
+                              CONG_LANG, cong, 2, stats=stats),
+                          "residue search")):
+        monkeypatch.setattr(finite, "DEFAULT_BRANCH_BUDGET", 3)
+        assert solve({"branches": 10**9}).sat
+        monkeypatch.setattr(finite, "DEFAULT_BRANCH_BUDGET", 2)
+        with pytest.raises(BudgetExceeded) as exc:
+            solve({})
+        assert str(exc.value) == \
+            f"{phase} exceeded the budget of 2 search nodes"
+
+
 def test_solution_survives_translation():
     inst = Instance(("a", "b"), (("D1", ("a", "b")), ("Le", ("a", "b"))))
     res = backtracking_solve(ORDER_LANG, inst)
@@ -401,6 +438,51 @@ def test_parity_conflict_unsat():
         "rel S1/2 := x2 = x1 + 1")
     inst = Instance(("x", "y"), (("Even6", ("x", "y")), ("S1", ("x", "y"))))
     assert solve_mod_max(lang, inst, 2).status == "UNSAT"
+
+
+def test_residue_search_prunes_folded_diagonal():
+    # D(v, v) has no tuple on the diagonal, so its residue grid is empty and
+    # arc-consistency ends the search at the root: no node, no quotient,
+    # however many free P pairs the instance has
+    lang = parse_language("rel P/2 := x2 = x1 - 2 | x2 = x1 | x2 = x1 + 2\n"
+                          "rel D/2 := x2 = x1 + 2")
+    vs = tuple(f"v{i}" for i in range(26))
+    cons = [("D", (vs[-1], vs[-1]))]
+    cons += [("P", (vs[2 * i], vs[2 * i + 1])) for i in range(12)]
+    stats = {}
+    res = solve_mod_max(lang, Instance(vs, tuple(cons)), 2, stats=stats)
+    assert res.status == "UNSAT"
+    assert stats.get("branches", 0) == 0
+
+
+@st.composite
+def _modular_cases(draw):
+    """A d-modular-max language, mirrored for mode "min", on up to 4
+    variables with arguments drawn with repetition."""
+    d = draw(st.sampled_from([2, 3]))
+    mode = draw(st.sampled_from(["max", "min"]))
+    lang = modular_language(draw(st.integers(0, 10**6)), d)
+    if mode == "min":
+        lang = mirror_language(lang)
+    vs = tuple(f"v{i}" for i in range(draw(st.integers(1, 4))))
+    cons = []
+    for _ in range(draw(st.integers(0, 5))):
+        rel = draw(st.sampled_from(lang.relations))
+        args = draw(st.lists(st.sampled_from(vs), min_size=rel.arity,
+                             max_size=rel.arity))
+        cons.append((rel.name, tuple(args)))
+    return lang, Instance(vs, tuple(cons)), d, mode
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_modular_cases())
+def test_solve_mod_max_matches_brute_force(case):
+    lang, inst, d, mode = case
+    got = solve_mod_max(lang, inst, d, mode=mode)
+    want = brute_solve(lang, inst, bounded_window(lang, inst))
+    assert got.status == want.status
+    if got.sat:
+        assert satisfies(lang, inst, got.assignment)
 
 
 def test_modulus_one_degenerates_to_max_decision():
