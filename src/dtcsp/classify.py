@@ -13,14 +13,20 @@ integers with order and successor:
 Preservation is tested inside a bounded window: any violating pair of tuples
 can be gap-compressed, preserving literal truth values and residues mod d,
 until it fits in ``[-B, B]^arity`` with ``B = (q + d + 1) * 2 * arity``.
-Each candidate operation is tested relation by relation and dropped at the
-first violation.  Hardness verdicts always carry concrete violating tuple
-pairs that can be re-checked by evaluation.
+Only a PRESERVED answer needs that window.  A violation is a certificate at
+any window, because its pair of tuples and their image re-check over Z by
+evaluation; so each test first scans the small window ``q + d + 1`` and
+sweeps the full one only when the small window shows no violation.  The
+verdict class is therefore the full window's.  Each candidate operation is
+tested relation by relation and dropped at the first violation.  Hardness
+verdicts always carry concrete violating tuple pairs that can be re-checked
+by evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,10 +150,27 @@ def preserved_by(rel: RelationDef, op: OperationSpec, halfwidth=None,
     argument sets are nonempty; those sets factor per coordinate into
     "equals u_i" / "at most u_i in the same residue class" / "any other
     residue class" conditions, each a cumulative transform of the relation's
-    window grid.  VIOLATED comes with a concrete, re-checkable pair;
-    PRESERVED is sound for the whole of Z by gap compression.
+    window grid.
+
+    A violation is a certificate at any window: its pair of tuples and their
+    image re-check over Z by evaluation.  Only PRESERVED needs the window of
+    half-width ``default_halfwidth``, where gap compression makes it sound
+    for the whole of Z.  So without an explicit ``halfwidth`` the test first
+    scans the small window ``q + d + 1`` and returns a violation found there
+    (with that ``halfwidth``); otherwise it scans the full window.  An
+    explicit ``halfwidth`` scans that window only.
     """
-    B = default_halfwidth(rel, op) if halfwidth is None else halfwidth
+    if halfwidth is None:
+        small = rel.formula.qe_degree + op.d + 1
+        res = _scan_window(rel, op, small, cell_budget, op_budget)
+        if not res.preserved:
+            return res
+        halfwidth = default_halfwidth(rel, op)
+    return _scan_window(rel, op, halfwidth, cell_budget, op_budget)
+
+
+def _scan_window(rel, op, B, cell_budget, op_budget):
+    """The preservation test on the window ``[-B, B]^arity``."""
     k = rel.arity
     d = op.d
     W = 2 * B + 1
@@ -388,7 +411,6 @@ class ComplexityVerdict:
 def _candidate_moduli(profiles, cap=16):
     """Moduli worth testing: 1..max finite spread (capped) plus divisors of
     each finite profile's gap gcd."""
-    import math
     out = {1}
     spread_max = 0
     for prof in profiles:

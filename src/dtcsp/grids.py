@@ -56,13 +56,15 @@ def grid_eval(formula, arity, lo, hi):
 
 
 def accumulate_leq_mod(arr, axis, d):
-    """OR over all same-residue positions at or below each index, per axis."""
+    """OR over all same-residue positions at or below each index, per axis.
+
+    A running OR over whole slabs: slab i takes in slab i - d, which already
+    holds every lower slab of its residue class.  Each step is one
+    vectorised pass over a whole (k-1)-dimensional slab."""
     out = arr.copy()
-    moved = np.moveaxis(out, axis, -1)
-    width = moved.shape[-1]
-    for phase in range(min(d, width)):
-        sub = moved[..., phase::d]
-        np.logical_or.accumulate(sub, axis=-1, out=sub)
+    slabs = np.moveaxis(out, axis, 0)
+    for i in range(d, slabs.shape[0]):
+        slabs[i] |= slabs[i - d]
     return out
 
 

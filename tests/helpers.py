@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import numpy as np
+
 from dtcsp import (
     And,
     Cmp,
@@ -169,6 +171,18 @@ def tuple_arc_consistency(lang, inst, domains, stats):
             queue += [cj for cj, (other, _, _) in enumerate(entries)
                       if v in other and cj not in queue]
     return {v: sorted(d) for v, d in doms.items()}
+
+
+def strided_accumulate_leq_mod(arr, axis, d):
+    """Reference for ``grids.accumulate_leq_mod``: one OR-accumulate along
+    the axis per residue phase, over the strided view of that phase."""
+    out = arr.copy()
+    moved = np.moveaxis(out, axis, -1)
+    width = moved.shape[-1]
+    for phase in range(min(d, width)):
+        sub = moved[..., phase::d]
+        np.logical_or.accumulate(sub, axis=-1, out=sub)
+    return out
 
 
 def progression_formula(a, b, d):

@@ -1,6 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dtcsp import (
     MAX,
@@ -21,10 +25,18 @@ from dtcsp import (
     modmin,
     parse_language,
     preserved_by,
+    random_relation,
 )
+from dtcsp import grids
+from dtcsp.classify import default_halfwidth
 from dtcsp.formula import Formula, Literal, Cmp, parse_expression
 
-from helpers import equivalent_rewrites, random_mixed_language
+from conftest import FIXTURES
+from helpers import (
+    equivalent_rewrites,
+    random_mixed_language,
+    strided_accumulate_leq_mod,
+)
 
 F_LANG = parse_language(
     "rel F/4 := (x2 = x1 + 1 -> x4 = x3 + 1) & (x4 = x3 + 1 -> x2 = x1 + 1)")
@@ -140,7 +152,8 @@ def test_window_stability_small():
         lang = random_mixed_language(seed, nrels=1, arity_max=2, q_max=3)
         rel = lang.relations[0]
         base = preserved_by(rel, MAX)
-        wide = preserved_by(rel, MAX, halfwidth=2 * base.halfwidth)
+        wide = preserved_by(rel, MAX,
+                            halfwidth=2 * default_halfwidth(rel, MAX))
         assert base.preserved == wide.preserved
 
 
@@ -174,6 +187,45 @@ def test_preservation_matches_naive_pair_scan():
         for op in (MAX, modmax(2)):
             got = preserved_by(rel, op, halfwidth=4).preserved
             assert got == naive_preserved(rel, op, 4), (seed, op)
+
+
+_OPS = [MAX, MIN] + [ctor(d) for ctor in (modmax, modmin) for d in (1, 2, 3)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), arity=st.integers(2, 3),
+       q=st.integers(0, 2), op=st.sampled_from(_OPS), data=st.data())
+def test_preserved_by_random_windows_match_naive_pair_scan(seed, arity, q,
+                                                          op, data):
+    # an explicit window is scanned exactly; the default call refutes in a
+    # small window first but must answer as the full window does
+    rel = random_relation(arity, q, seed)
+    B = data.draw(st.integers(1, 6 if arity == 2 else 3))
+    assert (preserved_by(rel, op, halfwidth=B).preserved
+            == naive_preserved(rel, op, B))
+    full_B = default_halfwidth(rel, op)
+    res = preserved_by(rel, op)
+    assert res.preserved == preserved_by(rel, op, halfwidth=full_B).preserved
+    if res.preserved:
+        assert res.halfwidth == full_B
+    else:
+        assert res.witness.revalidates(rel)
+        assert res.halfwidth <= full_B
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arr=hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
+                                             min_side=1, max_side=7)),
+       d=st.integers(1, 9))
+def test_accumulate_leq_mod_matches_strided_reference(arr, d):
+    # widths up to 7 against moduli up to 9: widths not divisible by d and
+    # d wider than the axis both occur
+    before = arr.copy()
+    for axis in range(arr.ndim):
+        got = grids.accumulate_leq_mod(arr, axis, d)
+        assert got.dtype == arr.dtype
+        assert np.array_equal(got, strided_accumulate_leq_mod(arr, axis, d))
+    assert np.array_equal(arr, before)
 
 
 def test_preserved_by_budget():
@@ -290,6 +342,17 @@ def test_classify_nonpositive_non_horn_hard():
         "rel D2/2 := x1 = x2 + 2 | x1 = x2 - 2")
     verdict = classify(lang)
     assert verdict.cls is VerdictClass.NP_HARD
+    for w in verdict.witnesses:
+        assert w.revalidates(lang.relation(w.relation))
+
+
+def test_classify_big_fixture_hard_from_small_window():
+    # the full 129^4 window is over the cell budget; the violations of both
+    # max and min show in the small window and re-check over Z
+    lang = parse_language((FIXTURES / "big.dtl").read_text())
+    verdict = classify(lang)
+    assert verdict.cls is VerdictClass.NP_HARD
+    assert len(verdict.witnesses) == 2
     for w in verdict.witnesses:
         assert w.revalidates(lang.relation(w.relation))
 
