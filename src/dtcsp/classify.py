@@ -17,10 +17,18 @@ Only a PRESERVED answer needs that window.  A violation is a certificate at
 any window, because its pair of tuples and their image re-check over Z by
 evaluation; so each test first scans the small window ``q + d + 1`` and
 sweeps the full one only when the small window shows no violation.  The
-verdict class is therefore the full window's.  Each candidate operation is
-tested relation by relation and dropped at the first violation.  Hardness
-verdicts always carry concrete violating tuple pairs that can be re-checked
-by evaluation.
+verdict class is therefore the full window's.  Within a window the test
+walks a case tree depth first: at each axis either the first argument
+supplies the image's coordinate or the second does, each choice a
+cumulative transform of one argument's grid.  Each side condition is a
+product of per-axis conditions, so the existential quantifier over the
+arguments distributes over each axis's choices, and the 2^arity leaves
+reach exactly the images of all pairs; the walk stops at the first leaf
+with an image outside the relation.  For plain max and min the root's two
+subtrees mirror each other, and only one is walked.  Each candidate
+operation is tested relation by relation and dropped at the first
+violation.  Hardness verdicts always carry concrete violating tuple pairs
+that can be re-checked by evaluation.
 """
 
 from __future__ import annotations
@@ -130,27 +138,27 @@ def default_halfwidth(rel: RelationDef, op: OperationSpec) -> int:
     return (rel.formula.qe_degree + op.d + 1) * 2 * rel.arity
 
 
-# Per-coordinate cases of max_d(s_i, t_i) = u_i, keyed by the constraints they
-# impose on s_i and t_i relative to u_i:
-#   "mf": residues agree and s wins:  s_i = u_i,            t_i <= u_i same mod
-#   "ms": residues agree and t wins:  s_i <= u_i same mod,  t_i = u_i
-#   "x":  residues differ:            s_i = u_i,            t_i in another class
-_SIDE_CODES = {"mf": ("eq", "le"), "ms": ("le", "eq"), "x": ("eq", "ne")}
-
-
 def preserved_by(rel: RelationDef, op: OperationSpec, halfwidth=None,
                  cell_budget=DEFAULT_CELL_BUDGET,
                  op_budget=DEFAULT_OP_BUDGET) -> PreservationResult:
     """Window-complete preservation test.
 
     Rather than scanning all pairs of relation tuples, the test computes the
-    set of componentwise op-images reachable from pairs inside the window.
-    A candidate image u is reachable iff for some per-coordinate case split
-    (which argument supplies u_i, and whether the residues agree) both
-    argument sets are nonempty; those sets factor per coordinate into
-    "equals u_i" / "at most u_i in the same residue class" / "any other
-    residue class" conditions, each a cumulative transform of the relation's
-    window grid.
+    set of componentwise op-images reachable from pairs (s, t) inside the
+    window.  In each coordinate either s supplies u_i (s_i = u_i, and t_i is
+    at most u_i in the same residue class or lies in another class) or t
+    does (t_i = u_i, and s_i is at most u_i in the same class).  The
+    conditions on s and on t are products of per-coordinate conditions, so
+    "some t exists" distributes over the per-coordinate OR of "at most u_i,
+    same class" and "another class": the two cases where s supplies u_i
+    need one transform of t's grid, not one each.  A case tree that takes
+    the two choices axis by axis, applying each choice's cumulative
+    transform to the argument grids, therefore reaches at its 2^k leaves
+    exactly the images that the 3^k per-coordinate case patterns reach.  A
+    leaf whose two argument grids meet outside the relation holds a
+    violation, and the depth-first walk stops at the first one.  For plain
+    max and min (d = 1) the root's two subtrees mirror each other (swap s
+    and t), so only one is walked.
 
     A violation is a certificate at any window: its pair of tuples and their
     image re-check over Z by evaluation.  Only PRESERVED needs the window of
@@ -158,7 +166,9 @@ def preserved_by(rel: RelationDef, op: OperationSpec, halfwidth=None,
     for the whole of Z.  So without an explicit ``halfwidth`` the test first
     scans the small window ``q + d + 1`` and returns a violation found there
     (with that ``halfwidth``); otherwise it scans the full window.  An
-    explicit ``halfwidth`` scans that window only.
+    explicit ``halfwidth`` scans that window only.  ``op_budget`` bounds
+    the cell passes of a full walk: each transform and each leaf test is
+    one pass over the window's cells.
     """
     if halfwidth is None:
         small = rel.formula.qe_degree + op.d + 1
@@ -169,62 +179,37 @@ def preserved_by(rel: RelationDef, op: OperationSpec, halfwidth=None,
     return _scan_window(rel, op, halfwidth, cell_budget, op_budget)
 
 
+def _tree_passes(k, d):
+    """Transforms plus leaf tests of a full walk of the case tree: an inner
+    node takes three transforms (two when d = 1), and for d = 1 only one
+    half of the tree is walked."""
+    if d == 1:
+        return (2**k - 1) + 2 ** (k - 1)
+    return 3 * (2**k - 1) + 2**k
+
+
 def _scan_window(rel, op, B, cell_budget, op_budget):
     """The preservation test on the window ``[-B, B]^arity``."""
     k = rel.arity
     d = op.d
     W = 2 * B + 1
     cells = W**k
-    cases = ("mf", "ms") if d == 1 else ("mf", "ms", "x")
-    npatterns = len(cases) ** k
-    if cells > cell_budget or npatterns * k * cells > op_budget:
+    passes = _tree_passes(k, d)
+    if cells > cell_budget or passes * cells > op_budget:
         raise BudgetExceeded(
-            f"preservation window {W}^{k} with {npatterns} patterns "
+            f"preservation window {W}^{k} with {passes} cell passes "
             f"exceeds the work budget")
 
     flipped = op.kind in (OpKind.MIN, OpKind.MODMIN)
     R = grids.grid_eval(rel.formula, k, -B, B + 1)
     if flipped:
         R = R[(slice(None, None, -1),) * k].copy()
-    if not R.any():
+    hit = _first_violation(R, d)
+    if hit is None:
         return PreservationResult(True, halfwidth=B)
-
-    # memoizing every side array is only worth the memory on small grids
-    memo = {} if cells <= 4_000_000 else None
-
-    def side(codes):
-        arr = memo.get(codes) if memo is not None else None
-        if arr is None:
-            arr = R
-            for axis, code in enumerate(codes):
-                if code == "le":
-                    arr = grids.accumulate_leq_mod(arr, axis, d)
-                elif code == "ne":
-                    arr = grids.other_residue_any(arr, axis, d)
-            if memo is not None:
-                memo[codes] = arr
-        return arr
-
-    patterns = list(itertools.product(cases, repeat=k))
-    reachable = np.zeros_like(R)
-    for p in patterns:
-        s_codes = tuple(_SIDE_CODES[c][0] for c in p)
-        t_codes = tuple(_SIDE_CODES[c][1] for c in p)
-        reachable |= side(s_codes) & side(t_codes)
-    bad = reachable & ~R
-    if not bad.any():
-        return PreservationResult(True, halfwidth=B)
-
-    u_idx = tuple(int(x) for x in np.argwhere(bad)[0])
-    for p in patterns:
-        s_codes = tuple(_SIDE_CODES[c][0] for c in p)
-        t_codes = tuple(_SIDE_CODES[c][1] for c in p)
-        if side(s_codes)[u_idx] and side(t_codes)[u_idx]:
-            s_idx = _first_member(R, u_idx, s_codes, d)
-            t_idx = _first_member(R, u_idx, t_codes, d)
-            break
-    else:  # pragma: no cover - reachable set and pattern scan disagree
-        raise InternalError("no pattern explains the violating image")
+    u_idx, s_codes, t_codes = hit
+    s_idx = _first_member(R, u_idx, s_codes, d)
+    t_idx = _first_member(R, u_idx, t_codes, d)
 
     def val(idx):
         return tuple(i - B for i in idx)
@@ -241,22 +226,63 @@ def _scan_window(rel, op, B, cell_budget, op_budget):
     return PreservationResult(False, witness, halfwidth=B)
 
 
+def _first_violation(R, d):
+    """First cell of the first leaf of the case tree whose image lies
+    outside ``R``, as ``(u_idx, s_codes, t_codes)``, or None.
+
+    ``s_codes`` and ``t_codes`` give each axis's condition on the arguments
+    relative to u_i, in the terms of ``_first_member``."""
+    if not R.any():
+        return None
+    return _walk(~R, R, R, d, ())
+
+
+# The per-axis conditions on (s_i, t_i) of the two choices of the case tree.
+_CHOICE_CODES = {"s": ("eq", "le_or_other"), "t": ("le", "eq")}
+
+
+def _walk(outside, S, T, d, choices):
+    """Depth-first walk of the case tree below the node ``choices`` (one
+    choice per axis fixed so far).  A module-level function rather than a
+    closure calling itself: such a closure is a reference cycle, whose
+    grids would wait for the cyclic garbage collector."""
+    axis = len(choices)
+    if axis == outside.ndim:
+        bad = S & T
+        bad &= outside
+        if not bad.any():
+            return None
+        u_idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return (tuple(int(x) for x in u_idx),
+                tuple(_CHOICE_CODES[c][0] for c in choices),
+                tuple(_CHOICE_CODES[c][1] for c in choices))
+    T_s = grids.accumulate_leq_mod(T, axis, d)
+    if d > 1:
+        T_s |= grids.other_residue_any(T, axis, d)
+    hit = _walk(outside, S, T_s, d, choices + ("s",))
+    del T_s  # not needed by the other branch
+    if hit is not None or (d == 1 and axis == 0):
+        return hit
+    return _walk(outside, grids.accumulate_leq_mod(S, axis, d), T, d,
+                 choices + ("t",))
+
+
 def _first_member(R, u_idx, codes, d):
-    """Lexicographically first relation tuple meeting per-axis constraints."""
+    """Lexicographically first relation tuple meeting per-axis constraints
+    relative to ``u_idx``: "eq" (equal), "le" (at most, same residue class)
+    or "le_or_other" (at most in the same class, or in another class)."""
     k = R.ndim
-    W = R.shape[0]
     masked = R
     for axis, code in enumerate(codes):
-        mask = np.zeros(W, dtype=bool)
+        W = R.shape[axis]
+        index = np.arange(W)
         u = u_idx[axis]
         if code == "eq":
-            mask[u] = True
+            mask = index == u
         elif code == "le":
-            mask[u % d::d] = True
-            mask[u + 1:] = False
+            mask = (index <= u) & (index % d == u % d)
         else:
-            mask[:] = True
-            mask[u % d::d] = False
+            mask = (index <= u) | (index % d != u % d)
         shape = [1] * k
         shape[axis] = W
         masked = masked & mask.reshape(shape)
@@ -327,8 +353,28 @@ class DifferenceProfile:
     tag: ProfileTag
 
 
+def _profile_window(rel, halfwidth):
+    """``(tau, B, span)``: the fringe start, the reported half-width and the
+    side of the window ``[0, span)^arity`` a profile is read from."""
+    q = rel.formula.qe_degree
+    tau = q * (rel.arity - 1)
+    B = tau + 2 if halfwidth is None else halfwidth
+    return tau, B, (max(q, B, tau + 2) + 1) * rel.arity
+
+
+def _profile_grid(rel: RelationDef, halfwidth=None,
+                 cell_budget=DEFAULT_CELL_BUDGET):
+    """The relation's grid over the window ``difference_profile`` reads."""
+    k = rel.arity
+    span = _profile_window(rel, halfwidth)[2]
+    if span**k > cell_budget:
+        raise BudgetExceeded(f"projection window {span}^{k} exceeds budget")
+    return grids.grid_eval(rel.formula, k, 0, span)
+
+
 def difference_profile(rel: RelationDef, i: int, j: int, halfwidth=None,
-                       cell_budget=DEFAULT_CELL_BUDGET) -> DifferenceProfile:
+                       cell_budget=DEFAULT_CELL_BUDGET, *,
+                       _grid=None) -> DifferenceProfile:
     """Profile of the binary projection onto coordinates (i, j).
 
     A difference delta is achievable iff the relation formula conjoined with
@@ -336,17 +382,17 @@ def difference_profile(rel: RelationDef, i: int, j: int, halfwidth=None,
     size ``(max(q, band) + 1) * arity``.  Offsets can compound through
     projected-out coordinates, so membership is only guaranteed constant
     beyond ``q * (arity - 1)`` per side; the tag reads the fringe there.
+    ``_grid`` is that window's grid from ``_profile_grid`` when the caller
+    has it already: ``_classify`` evaluates it once per relation, not once
+    per pair of coordinates.
     """
     k = rel.arity
     if k < 2 or i == j or not (0 <= i < k and 0 <= j < k):
         raise ValueError("difference_profile needs two distinct coordinates")
-    q = rel.formula.qe_degree
-    tau = q * (k - 1)
-    B = tau + 2 if halfwidth is None else halfwidth
-    span = (max(q, B, tau + 2) + 1) * k
-    if span**k > cell_budget:
-        raise BudgetExceeded(f"projection window {span}^{k} exceeds budget")
-    grid = grids.grid_eval(rel.formula, k, 0, span)
+    tau, B, _ = _profile_window(rel, halfwidth)
+    grid = _grid
+    if grid is None:
+        grid = _profile_grid(rel, halfwidth, cell_budget)
     other_axes = tuple(a for a in range(k) if a not in (i, j))
     proj = grid.any(axis=other_axes) if other_axes else grid
     if i > j:
@@ -470,8 +516,9 @@ def _classify(lang, notes):
     for rel in lang.relations:
         if rel.arity < 2:
             continue
+        grid = _profile_grid(rel)
         for i, j in itertools.permutations(range(rel.arity), 2):
-            prof = difference_profile(rel, i, j)
+            prof = difference_profile(rel, i, j, _grid=grid)
             profiles[(rel.name, i, j)] = prof
             if prof.tag in (ProfileTag.ONE_SIDED_INFINITE, ProfileTag.MIXED):
                 order_profiled.append(rel.name)

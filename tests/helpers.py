@@ -185,6 +185,45 @@ def strided_accumulate_leq_mod(arr, axis, d):
     return out
 
 
+def naive_other_residue_any(arr, axis, d):
+    """Reference for ``grids.other_residue_any``, cell by cell: does any
+    position along the axis whose index residue mod d differs from the
+    cell's own hold a True?"""
+    out = np.zeros_like(arr)
+    for cell in np.ndindex(arr.shape):
+        for j in range(arr.shape[axis]):
+            if j % d != cell[axis] % d:
+                other = cell[:axis] + (j,) + cell[axis + 1:]
+                out[cell] |= arr[other]
+    return out
+
+
+def pattern_reachable(R, d):
+    """Reference for the case tree of ``classify``: the images under the
+    d-modular max of all pairs of cells of ``R``, as the union over all 3^k
+    per-axis case patterns of the intersection of the two argument grids.
+    The cases of an axis: s supplies u_i and t_i is at most u_i in the same
+    class ("mf"), t supplies u_i and s_i is at most u_i in the same class
+    ("ms"), or s supplies u_i and t_i lies in another class ("x").  Index
+    space is value space shifted, which leaves the operation's residue
+    classes and order intact."""
+    def transform(codes):
+        arr = R
+        for axis, code in enumerate(codes):
+            if code == "le":
+                arr = strided_accumulate_leq_mod(arr, axis, d)
+            elif code == "ne":
+                arr = naive_other_residue_any(arr, axis, d)
+        return arr
+
+    side_codes = {"mf": ("eq", "le"), "ms": ("le", "eq"), "x": ("eq", "ne")}
+    reachable = np.zeros_like(R)
+    for pattern in itertools.product(side_codes, repeat=R.ndim):
+        reachable |= (transform([side_codes[c][0] for c in pattern])
+                      & transform([side_codes[c][1] for c in pattern]))
+    return reachable
+
+
 def progression_formula(a, b, d):
     lits = tuple(Literal(1, 0, Cmp.EQ, c) for c in range(a, b + 1, d))
     return Formula(Or(lits))

@@ -28,12 +28,19 @@ from dtcsp import (
     random_relation,
 )
 from dtcsp import grids
-from dtcsp.classify import default_halfwidth
+from dtcsp.classify import (
+    _first_member,
+    _first_violation,
+    _profile_grid,
+    default_halfwidth,
+)
 from dtcsp.formula import Formula, Literal, Cmp, parse_expression
 
 from conftest import FIXTURES
 from helpers import (
     equivalent_rewrites,
+    naive_other_residue_any,
+    pattern_reachable,
     random_mixed_language,
     strided_accumulate_leq_mod,
 )
@@ -228,10 +235,65 @@ def test_accumulate_leq_mod_matches_strided_reference(arr, d):
     assert np.array_equal(arr, before)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arr=hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
+                                             min_side=1, max_side=7)),
+       d=st.integers(1, 9))
+def test_other_residue_any_matches_per_cell_reference(arr, d):
+    before = arr.copy()
+    for axis in range(arr.ndim):
+        got = grids.other_residue_any(arr, axis, d)
+        assert got.dtype == arr.dtype
+        assert np.array_equal(got, naive_other_residue_any(arr, axis, d))
+    assert np.array_equal(arr, before)
+
+
+def _closure(R, d):
+    # smallest superset of R that is closed under the d-modular max
+    while True:
+        grown = R | pattern_reachable(R, d)
+        if np.array_equal(grown, R):
+            return R
+        R = grown
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(R=hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
+                                           min_side=1, max_side=7)),
+       d=st.integers(1, 5))
+def test_case_tree_matches_pattern_enumeration(R, d):
+    # the 2^k-leaf case tree reaches exactly the images of the 3^k patterns
+    before = R.copy()
+    bad = pattern_reachable(R, d) & ~R
+    hit = _first_violation(R, d)
+    assert np.array_equal(R, before)
+    assert (hit is not None) == bool(bad.any())
+    if hit is not None:
+        u, s_codes, t_codes = hit
+        assert bad[u]
+        s = _first_member(R, u, s_codes, d)
+        t = _first_member(R, u, t_codes, d)
+        assert R[s] and R[t]
+        assert tuple(apply_operation(modmax(d), a, b)
+                     for a, b in zip(s, t)) == u
+    assert _first_violation(_closure(R, d), d) is None
+
+
 def test_preserved_by_budget():
     rel = T2_LANG.relation("T2")
     with pytest.raises(BudgetExceeded):
         preserved_by(rel, MAX, cell_budget=100)
+
+
+@pytest.mark.parametrize("op, passes", [(MAX, 7 + 4), (modmax(2), 21 + 8)])
+def test_preserved_by_op_budget_boundary(op, passes):
+    # arity 3 on the window [-2, 2]: 125 cells, each passed over once per
+    # transform and per leaf of the case tree (half the tree when d = 1)
+    rel = T2_LANG.relation("T2")
+    work = passes * 5**3
+    preserved_by(rel, op, halfwidth=2, op_budget=work)
+    with pytest.raises(BudgetExceeded, match=rf"5\^3 with {passes} cell "):
+        preserved_by(rel, op, halfwidth=2, op_budget=work - 1)
 
 
 def test_empty_relation_is_preserved():
@@ -298,6 +360,16 @@ def test_profile_offsets_compound_through_projection():
     prof = difference_profile(lang.relation("Chain"), 0, 1)
     assert prof.tag is ProfileTag.FINITE
     assert prof.values == (6,)
+
+
+def test_profile_from_shared_grid_matches_own_grid():
+    # _classify evaluates each relation's profile window once for all pairs
+    for seed in range(30):
+        for rel in random_mixed_language(seed).relations:
+            grid = _profile_grid(rel)
+            for i, j in itertools.permutations(range(rel.arity), 2):
+                assert (difference_profile(rel, i, j, _grid=grid)
+                        == difference_profile(rel, i, j)), (seed, rel.name)
 
 
 # ---------------------------------------------------------------------------

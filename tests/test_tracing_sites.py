@@ -1,19 +1,73 @@
 """perfbench's tracer replaces functions at the call sites listed in
 ``perfbench/tracing.py``; a refactor that drops one of those names would
-break ``perfbench/run.py --trace 1`` without failing anything else."""
+break ``perfbench/run.py --trace 1`` without failing anything else, and one
+that stops calling a name that stays defined would zero its per-layer
+metric without failing anything else."""
 
 import importlib
 import importlib.util
 import pathlib
+from collections import Counter
+
+import pytest
+
+from dtcsp import parse_language
+
+from conftest import FIXTURES
 
 TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+_spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
 
 
 def test_traced_call_sites_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     missing = [f"{module}.{attr}" for module, attr, _ in tracing.CALL_SITES
                if not callable(getattr(importlib.import_module(module), attr,
                                        None))]
     assert tracing.CALL_SITES and not missing, missing
+
+
+_CLASSIFY_SITES = [(module, attr) for module, attr, _ in tracing.CALL_SITES
+                   if module in ("dtcsp.classify", "dtcsp.grids")]
+# classify never calls `equivalent`; it only keeps the name importable
+_NEVER_CALLED = {("dtcsp.classify", "equivalent")}
+
+
+@pytest.fixture(scope="module")
+def classify_site_calls():
+    # t2.dtl (MODMAX_CLOSED(2)) runs profiles, positivity and both grid
+    # kernels of the preservation test; f.dtl (HORN_TRACTABLE) the Horn test
+    calls = Counter()
+    saved = []
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr in _CLASSIFY_SITES:
+        mod = importlib.import_module(module)
+        saved.append((mod, attr, getattr(mod, attr)))
+        setattr(mod, attr, counting((module, attr), getattr(mod, attr)))
+    try:
+        classify_module = importlib.import_module("dtcsp.classify")
+        verdicts = [classify_module.classify(parse_language(
+            (FIXTURES / name).read_text())).describe()
+            for name in ("t2.dtl", "f.dtl")]
+    finally:
+        for mod, attr, original in reversed(saved):
+            setattr(mod, attr, original)
+    assert verdicts == ["MODMAX_CLOSED(2)", "HORN_TRACTABLE"]
+    return calls
+
+
+@pytest.mark.parametrize("site", [
+    pytest.param(site, marks=pytest.mark.xfail(
+        strict=True, reason="classify never calls it, so perfbench's "
+        "formula.equivalent_ms reads 0"))
+    if site in _NEVER_CALLED else site
+    for site in _CLASSIFY_SITES], ids=".".join)
+def test_traced_classify_sites_are_called(classify_site_calls, site):
+    assert classify_site_calls[site] > 0
