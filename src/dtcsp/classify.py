@@ -11,16 +11,18 @@ integers with order and successor:
   relation decides between unit-resolution tractability and hardness.
 
 Preservation is tested inside a bounded window: any violating pair of tuples
-can be gap-compressed, preserving literal truth values and residues mod d,
-until it fits in ``[-B, B]^arity`` with ``B = (q + d + 1) * 2 * arity``.
-Only a PRESERVED answer needs that window.  A violation is a certificate at
-any window, because its pair of tuples and their image re-check over Z by
-evaluation; so each test first scans the small window ``q + d + 1`` and
-sweeps the full one only when the small window shows no violation.  The
-verdict class is therefore the full window's.  Within a window the test
-walks a case tree depth first: at each axis either the first argument
-supplies the image's coordinate or the second does, each choice a
-cumulative transform of one argument's grid.  Each side condition is a
+can be gap-compressed, preserving literal truth values, residues mod d and
+order, until it fits in ``[-B, B]^arity`` with
+``B = ceil(((2 * arity - 1) * (q + d) + d - 1) / 2)`` (``default_halfwidth``
+gives the argument).  Only a PRESERVED answer needs that window.  A
+violation is a certificate at any window, because its pair of tuples and
+their image re-check over Z by evaluation; so each test first scans the
+small window ``q + d + 1`` when it is narrower, and sweeps the full one
+only when the small window shows no violation.  The verdict class is
+therefore the full window's.  Within a window the test walks a case tree
+depth first: at each axis either the first argument supplies the image's
+coordinate or the second does, each choice a cumulative transform of one
+argument's grid.  Each side condition is a
 product of per-axis conditions, so the existential quantifier over the
 arguments distributes over each axis's choices, and the 2^arity leaves
 reach exactly the images of all pairs; the walk stops at the first leaf
@@ -135,7 +137,29 @@ class PreservationResult:
 
 
 def default_halfwidth(rel: RelationDef, op: OperationSpec) -> int:
-    return (rel.formula.qe_degree + op.d + 1) * 2 * rel.arity
+    """Half-width B of a window in which preservation is decided for Z:
+    ``B = ceil(((2k - 1)(q + d) + d - 1) / 2)`` for arity k, largest offset
+    q and modulus d.
+
+    A violation (s, t, u = op(s, t) outside R) takes at most 2k distinct
+    values, as every u_i is s_i or t_i.  Shrink each gap between
+    consecutive values that exceeds q + d by a multiple of d into
+    (q, q + d].  A literal compares a difference of two values with an
+    offset of at most q, so its truth depends only on that difference when
+    it is at most q in absolute value, and only on its sign otherwise.  A
+    difference of at most q is a sum of gaps of at most q, which stay put;
+    a larger one keeps its sign and stays above q, as it spans either an
+    unchanged stretch or a gap that still exceeds q.  So every literal
+    keeps its truth value, in s, t and u alike.  Every value keeps its
+    residue mod d, and the order between values is unchanged, so op
+    commutes with the compression and the image is still outside R.
+    The compressed violation spans at most (2k - 1)(q + d).  A shift by a
+    multiple of d, which changes nothing either, puts its least value in
+    [-B, -B + d), so its greatest is at most -B + d - 1 + (2k - 1)(q + d),
+    which is at most B when 2B >= (2k - 1)(q + d) + d - 1.
+    """
+    q, d, k = rel.formula.qe_degree, op.d, rel.arity
+    return -(-((2 * k - 1) * (q + d) + d - 1) // 2)
 
 
 def preserved_by(rel: RelationDef, op: OperationSpec, halfwidth=None,
@@ -164,18 +188,20 @@ def preserved_by(rel: RelationDef, op: OperationSpec, halfwidth=None,
     image re-check over Z by evaluation.  Only PRESERVED needs the window of
     half-width ``default_halfwidth``, where gap compression makes it sound
     for the whole of Z.  So without an explicit ``halfwidth`` the test first
-    scans the small window ``q + d + 1`` and returns a violation found there
-    (with that ``halfwidth``); otherwise it scans the full window.  An
-    explicit ``halfwidth`` scans that window only.  ``op_budget`` bounds
-    the cell passes of a full walk: each transform and each leaf test is
-    one pass over the window's cells.
+    scans the small window ``q + d + 1``, when that is narrower than the
+    full one, and returns a violation found there (with that
+    ``halfwidth``); otherwise it scans the full window, which answers both
+    questions.  An explicit ``halfwidth`` scans that window only.
+    ``op_budget`` bounds the cell passes of a full walk: each transform and
+    each leaf test is one pass over the window's cells.
     """
     if halfwidth is None:
-        small = rel.formula.qe_degree + op.d + 1
-        res = _scan_window(rel, op, small, cell_budget, op_budget)
-        if not res.preserved:
-            return res
         halfwidth = default_halfwidth(rel, op)
+        small = rel.formula.qe_degree + op.d + 1
+        if small < halfwidth:
+            res = _scan_window(rel, op, small, cell_budget, op_budget)
+            if not res.preserved:
+                return res
     return _scan_window(rel, op, halfwidth, cell_budget, op_budget)
 
 

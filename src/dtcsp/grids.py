@@ -76,15 +76,12 @@ def other_residue_any(arr, axis, d):
     width = moved.shape[-1]
     nphases = min(d, width)
     anys = [moved[..., p::d].any(axis=-1) for p in range(nphases)]
-    total = np.zeros_like(anys[0])
+    # another phase holds a cell iff more phases do than this one alone
+    count = np.zeros(anys[0].shape, dtype=np.min_scalar_type(nphases))
     for a in anys:
-        total = total | a
+        count += a
     out = np.empty_like(arr)
     out_moved = np.moveaxis(out, axis, -1)
     for p in range(nphases):
-        others = np.zeros_like(anys[p])
-        for q in range(nphases):
-            if q != p:
-                others = others | anys[q]
-        out_moved[..., p::d] = others[..., None]
+        out_moved[..., p::d] = (count > anys[p])[..., None]
     return out

@@ -83,6 +83,13 @@ def max_closed_language(seed, nrels=3, off_max=3):
     return ConstraintLanguage(tuple(rels))
 
 
+def legacy_halfwidth(rel, op):
+    """The proof window's former half-width, ``(q + d + 1) * 2k``.  It is at
+    least ``classify.default_halfwidth``, and every window that wide is
+    complete, so preservation must come out the same on both."""
+    return (rel.formula.qe_degree + op.d + 1) * 2 * rel.arity
+
+
 def _mirror_node(node):
     if isinstance(node, Literal):
         return Literal(node.rhs, node.lhs, node.cmp, node.offset)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -39,6 +40,7 @@ from dtcsp.formula import Formula, Literal, Cmp, parse_expression
 from conftest import FIXTURES
 from helpers import (
     equivalent_rewrites,
+    legacy_halfwidth,
     naive_other_residue_any,
     pattern_reachable,
     random_mixed_language,
@@ -152,6 +154,61 @@ def test_modmax1_matches_max_statuswise():
                 == preserved_by(rel, modmax(1)).preserved)
         assert (preserved_by(rel, MIN).preserved
                 == preserved_by(rel, modmin(1)).preserved)
+
+
+def _offset_relation(arity, q):
+    # arity k, largest offset q
+    return RelationDef("G", arity, Formula(Literal(0, arity - 1, Cmp.LEQ, q)))
+
+
+@pytest.mark.parametrize("arity,q,d,expected", [
+    (3, 4, 4, 22), (2, 0, 1, 2), (4, 6, 1, 25), (1, 0, 1, 1), (1, 3, 5, 6)])
+def test_default_halfwidth_is_the_gap_compression_bound(arity, q, d,
+                                                        expected):
+    # ceil(((2k - 1)(q + d) + d - 1) / 2)
+    op = MAX if d == 1 else modmax(d)
+    assert default_halfwidth(_offset_relation(arity, q), op) == expected
+
+
+@pytest.mark.parametrize("arity,q,windows", [
+    (2, 0, [2]), (2, 1, [3]), (2, 2, [4, 5]), (1, 0, [1]), (3, 0, [2, 3])])
+def test_preserved_proof_prescans_only_a_narrower_window(monkeypatch, arity,
+                                                         q, windows):
+    # x1 <= xk + q is max-closed; its proof scans the small window q + 2
+    # first only when that is narrower than the full one.  (The package
+    # exports the function classify under the module's name.)
+    classify_mod = importlib.import_module("dtcsp.classify")
+    scanned = []
+    scan = classify_mod._scan_window
+
+    def spy(rel, op, B, *budgets):
+        scanned.append(B)
+        return scan(rel, op, B, *budgets)
+
+    monkeypatch.setattr(classify_mod, "_scan_window", spy)
+    rel = _offset_relation(arity, q)
+    assert preserved_by(rel, MAX).preserved
+    assert scanned == windows
+    assert windows[-1] == default_halfwidth(rel, MAX)
+
+
+_ALL_OPS = [MAX, MIN] + [ctor(d) for ctor in (modmax, modmin)
+                         for d in range(1, 6)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), arity=st.integers(1, 3),
+       q=st.integers(0, 3),
+       dialect=st.sampled_from(["mixed", "successor", "order"]),
+       op=st.sampled_from(_ALL_OPS))
+def test_default_window_matches_legacy_window(seed, arity, q, dialect, op):
+    # the tight window must answer as the former, wider complete window
+    rel = random_relation(arity, q, seed, dialect=dialect)
+    res = preserved_by(rel, op)
+    wide = preserved_by(rel, op, halfwidth=legacy_halfwidth(rel, op))
+    assert res.preserved == wide.preserved, (seed, arity, q, dialect, op)
+    if not res.preserved:
+        assert res.witness.revalidates(rel)
 
 
 def test_window_stability_small():

@@ -49,12 +49,29 @@ def test_classify_parse_error(capsys):
     assert "error" in err
 
 
-# bigmax.dtl is max-closed, so proving it needs the full 129^4 window
-@pytest.mark.parametrize("language", ["bigmax.dtl", "cnf_blowup.dtl"])
+# bigmod.dtl: Gap is preserved only by modmax(16), and proving Pairs/4
+# preserved by it needs the full 129^4 window
+@pytest.mark.parametrize("language", ["bigmod.dtl", "cnf_blowup.dtl"])
 def test_classify_budget_downgrade_exits_3(capsys, language):
     code, out, _ = run(capsys, "classify", FIXTURES / language)
     assert code == 3
     assert "DEGENERATE_OR_UNKNOWN" in out
+
+
+def test_classify_budget_trips_in_the_preservation_proof(capsys):
+    # the profiles and the small 35^4 window fit; only the proof does not
+    code, out, _ = run(capsys, "classify", FIXTURES / "bigmod.dtl")
+    assert code == 3
+    assert "candidate moduli: " + ", ".join(map(str, range(1, 17))) in out
+    assert "preservation window 129^4" in out
+
+
+def test_classify_bigmax_max_closed(capsys):
+    # two gaps of offset 6 in arity 4: proved at half-width 25, 51^4 cells
+    code, out, _ = run(capsys, "classify", FIXTURES / "bigmax.dtl")
+    assert code == 0
+    assert "MAX_CLOSED" in out
+    assert "Big preserved by max (window 25)" in out
 
 
 def test_classify_json(capsys):
