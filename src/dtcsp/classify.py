@@ -1,12 +1,13 @@
 """Complexity classification of constraint languages.
 
 The decision tree mirrors the dichotomy for languages definable over the
-integers with order and successor:
+integers with order and successor, and picks its branch by dialect alone:
 
 * order-dialect languages: preservation by plain max or min decides between
   arc-consistency tractability and hardness,
 * successor-dialect, all-positive languages: search for a modulus d whose
-  d-modular max (or min) preserves every relation,
+  d-modular max (or min) preserves every relation, among the candidates
+  read from the relations' difference profiles,
 * successor-dialect, non-positive languages: Horn definability of every
   relation decides between unit-resolution tractability and hardness.
 
@@ -379,59 +380,46 @@ class DifferenceProfile:
     tag: ProfileTag
 
 
-def _profile_window(rel, halfwidth):
-    """``(tau, B, span)``: the fringe start, the reported half-width and the
-    side of the window ``[0, span)^arity`` a profile is read from."""
-    q = rel.formula.qe_degree
-    tau = q * (rel.arity - 1)
-    B = tau + 2 if halfwidth is None else halfwidth
-    return tau, B, (max(q, B, tau + 2) + 1) * rel.arity
-
-
-def _profile_grid(rel: RelationDef, halfwidth=None,
-                 cell_budget=DEFAULT_CELL_BUDGET):
+def _profile_grid(rel: RelationDef):
     """The relation's grid over the window ``difference_profile`` reads."""
     k = rel.arity
-    span = _profile_window(rel, halfwidth)[2]
-    if span**k > cell_budget:
+    span = (rel.formula.qe_degree * (k - 1) + 3) * k
+    if span**k > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(f"projection window {span}^{k} exceeds budget")
     return grids.grid_eval(rel.formula, k, 0, span)
 
 
-def difference_profile(rel: RelationDef, i: int, j: int, halfwidth=None,
-                       cell_budget=DEFAULT_CELL_BUDGET, *,
+def difference_profile(rel: RelationDef, i: int, j: int, *,
                        _grid=None) -> DifferenceProfile:
     """Profile of the binary projection onto coordinates (i, j).
 
     A difference delta is achievable iff the relation formula conjoined with
-    ``x_i = x_j + delta`` is satisfiable, which is decided over a window of
-    size ``(max(q, band) + 1) * arity``.  Offsets can compound through
-    projected-out coordinates, so membership is only guaranteed constant
-    beyond ``q * (arity - 1)`` per side; the tag reads the fringe there.
-    ``_grid`` is that window's grid from ``_profile_grid`` when the caller
-    has it already: ``_classify`` evaluates it once per relation, not once
-    per pair of coordinates.
+    ``x_i = x_j + delta`` is satisfiable, which is decided over the window
+    ``[0, (tau + 3) * arity)^arity`` with ``tau = q * (arity - 1)``.
+    Offsets can compound through projected-out coordinates, so membership
+    is only guaranteed constant beyond tau per side; the profile lists the
+    differences up to ``tau + 2`` per side and the tag reads the fringe
+    beyond tau.  ``_grid`` is that window's grid from ``_profile_grid``
+    when the caller has it already: ``_classify_positive`` evaluates it
+    once per relation, not once per pair of coordinates.
     """
     k = rel.arity
     if k < 2 or i == j or not (0 <= i < k and 0 <= j < k):
         raise ValueError("difference_profile needs two distinct coordinates")
-    tau, B, _ = _profile_window(rel, halfwidth)
-    grid = _grid
-    if grid is None:
-        grid = _profile_grid(rel, halfwidth, cell_budget)
+    tau = rel.formula.qe_degree * (k - 1)
+    B = tau + 2
+    grid = _profile_grid(rel) if _grid is None else _grid
     other_axes = tuple(a for a in range(k) if a not in (i, j))
     proj = grid.any(axis=other_axes) if other_axes else grid
     if i > j:
         proj = proj.T
 
-    top = max(B, tau + 2)
-
     def achievable(delta):
         return bool(np.diagonal(proj, offset=-delta).any())
 
-    members = {delta: achievable(delta) for delta in range(-top, top + 1)}
-    pos_fringe = [members[delta] for delta in range(tau + 1, top + 1)]
-    neg_fringe = [members[-delta] for delta in range(tau + 1, top + 1)]
+    members = {delta: achievable(delta) for delta in range(-B, B + 1)}
+    pos_fringe = [members[delta] for delta in range(tau + 1, B + 1)]
+    neg_fringe = [members[-delta] for delta in range(tau + 1, B + 1)]
     if len(set(pos_fringe)) > 1 or len(set(neg_fringe)) > 1:
         tag = ProfileTag.MIXED
     else:
@@ -442,7 +430,7 @@ def difference_profile(rel: RelationDef, i: int, j: int, halfwidth=None,
             tag = ProfileTag.ONE_SIDED_INFINITE
         else:
             tag = ProfileTag.FINITE
-    values = tuple(delta for delta in range(-B, B + 1) if members.get(delta))
+    values = tuple(delta for delta in range(-B, B + 1) if members[delta])
     return DifferenceProfile(i, j, B, values, tag)
 
 
@@ -535,33 +523,31 @@ def classify(lang: ConstraintLanguage) -> ComplexityVerdict:
 
 
 def _classify(lang, notes):
-    order_dialect = [r.name for r in lang.relations
-                     if r.dialect is Dialect.ORDER]
-    profiles = {}
-    order_profiled = []
-    for rel in lang.relations:
-        if rel.arity < 2:
-            continue
-        grid = _profile_grid(rel)
-        for i, j in itertools.permutations(range(rel.arity), 2):
-            prof = difference_profile(rel, i, j, _grid=grid)
-            profiles[(rel.name, i, j)] = prof
-            if prof.tag in (ProfileTag.ONE_SIDED_INFINITE, ProfileTag.MIXED):
-                order_profiled.append(rel.name)
+    """Pick the branch by dialect alone.
 
-    if order_dialect or order_profiled:
-        if order_dialect:
-            notes.append("order dialect: " + ", ".join(sorted(set(order_dialect))))
-        if order_profiled:
-            notes.append("order-expressive projections: "
-                         + ", ".join(sorted(set(order_profiled))))
+    Difference profiles of a successor relation R (arity k, largest offset
+    q) are never one-sided or mixed, so they add nothing to the dialect.
+    Take a tuple of R whose coordinates i and j lie more than ``q(k - 1)``
+    apart, and split its sorted coordinates into clusters wherever two
+    neighbours lie more than q apart.  A cluster spans at most ``q(k - 1)``,
+    so i and j fall in different clusters, and every gap between clusters
+    exceeds q.  Every literal between two clusters is therefore a false EQ
+    or a true NEQ, so the clusters can be moved apart or swapped freely
+    while the gaps stay above q: the projection onto (i, j) is symmetric
+    and constant beyond ``q(k - 1)``, and its profile FINITE or COFINITE.
+    The placements it reads fit in the profile window.
+    """
+    order_dialect = sorted({r.name for r in lang.relations
+                            if r.dialect is Dialect.ORDER})
+    if order_dialect:
+        notes.append("order dialect: " + ", ".join(order_dialect))
         return _classify_order(lang, notes)
 
     notes.append("successor dialect throughout")
     positivity = {r.name: is_positive(r) for r in lang.relations}
     if all(positivity.values()):
         notes.append("all relations positive (reduced DNF free of negated atoms)")
-        return _classify_positive(lang, profiles, notes)
+        return _classify_positive(lang, notes)
     negatives = [n for n, pos in positivity.items() if not pos]
     notes.append("non-positive relations: " + ", ".join(sorted(negatives)))
     return _classify_nonpositive(lang, notes)
@@ -581,8 +567,15 @@ def _classify_order(lang, notes):
                              notes=tuple(notes))
 
 
-def _classify_positive(lang, profiles, notes):
-    candidates = _candidate_moduli(profiles.values())
+def _classify_positive(lang, notes):
+    profiles = []
+    for rel in lang.relations:
+        if rel.arity < 2:
+            continue
+        grid = _profile_grid(rel)
+        for i, j in itertools.permutations(range(rel.arity), 2):
+            profiles.append(difference_profile(rel, i, j, _grid=grid))
+    candidates = _candidate_moduli(profiles)
     notes.append("candidate moduli: " + ", ".join(map(str, candidates)))
     witnesses = []
     for ctor, verdict in ((modmax, VerdictClass.MODMAX_CLOSED),

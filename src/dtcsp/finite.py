@@ -125,7 +125,7 @@ def _window_grids(lang, inst, lo, hi, phase):
     of them, ``BudgetExceeded`` naming ``phase`` is raised before anything
     is allocated.
     """
-    width = hi - lo
+    _check_cells(lang, inst, hi - lo, phase)
     relation_grids = {}
     fold_index = {}
     folds = []
@@ -137,12 +137,6 @@ def _window_grids(lang, inst, lo, hi, phase):
         if key not in fold_index:
             if name not in relation_grids:
                 rel = lang.relation(name)
-                cells = width**rel.arity
-                if cells > DEFAULT_TABLE_CELLS:
-                    raise BudgetExceeded(
-                        f"{phase}: relation {name} needs {width}^{rel.arity}"
-                        f" = {cells} window cells, over the budget of "
-                        f"{DEFAULT_TABLE_CELLS}")
                 relation_grids[name] = grids.grid_eval(rel.formula, rel.arity,
                                                        lo, hi)
             fold_index[key] = len(folds)
@@ -150,6 +144,19 @@ def _window_grids(lang, inst, lo, hi, phase):
                                    list(range(len(distinct)))))
         constraints.append((distinct, fold_index[key]))
     return constraints, folds
+
+
+def _check_cells(lang, inst, width, phase):
+    """Raise ``BudgetExceeded`` naming ``phase`` when a relation applied in
+    ``inst`` spans more than ``DEFAULT_TABLE_CELLS`` cells of a window
+    ``width`` values wide."""
+    for name in dict.fromkeys(name for name, _ in inst.constraints):
+        arity = lang.relation(name).arity
+        cells = width**arity
+        if cells > DEFAULT_TABLE_CELLS:
+            raise BudgetExceeded(
+                f"{phase}: relation {name} needs {width}^{arity} = {cells} "
+                f"window cells, over the budget of {DEFAULT_TABLE_CELLS}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +391,15 @@ def backtracking_solve(lang, inst, domains=None, window=None,
         return SolveResult("SAT", {}, stats=stats)
     if domains is None:
         window = bounded_window(lang, inst) if window is None else window
+        if isinstance(window, range) and window:
+            # sized from its ends before any list is built: len() overflows
+            # on a huge range, and every domain mask spans the window too
+            width = abs(window[-1] - window[0]) + 1
+            _check_cells(lang, inst, width, "arc-consistency grids")
+            if width > DEFAULT_TABLE_CELLS:
+                raise BudgetExceeded(
+                    f"arc-consistency grids: domains of {width} values, over "
+                    f"the budget of {DEFAULT_TABLE_CELLS}")
         values = sorted(window)
         domains = {v: values for v in inst.variables}
     tables = _domain_grids(lang, inst, domains)

@@ -30,17 +30,26 @@ class TupleSet:
     tuples: tuple
 
 
+def _window_size(window):
+    """Number of values of ``window``, a ``range`` or a sized collection of
+    ints.  A ``range`` is counted from its ends: ``len`` overflows on a
+    huge one, and no list of its values is built before a budget check."""
+    if isinstance(window, range):
+        return (window[-1] - window[0]) // window.step + 1 if window else 0
+    return len(window)
+
+
 def brute_solve(lang: ConstraintLanguage, inst: Instance, window,
                 budget=DEFAULT_ENUM_BUDGET, stats=None) -> SolveResult:
     """First satisfying assignment over window^n in lexicographic order."""
     stats = stats if stats is not None else {}
-    values = sorted(window)
     n = len(inst.variables)
-    if n > 0 and len(values) ** n > budget:
-        raise BudgetExceeded(
-            f"{len(values)}^{n} assignments exceed budget {budget}")
     if n == 0:
         return SolveResult("SAT", {}, stats=stats)
+    size = _window_size(window)
+    if size**n > budget:
+        raise BudgetExceeded(f"{size}^{n} assignments exceed budget {budget}")
+    values = sorted(window)
     order = list(inst.variables)
     index = {v: i for i, v in enumerate(order)}
     grouped = [[] for _ in range(n)]
@@ -78,10 +87,11 @@ def brute_solve(lang: ConstraintLanguage, inst: Instance, window,
 
 def materialize(rel: RelationDef, window, budget=DEFAULT_ENUM_BUDGET) -> TupleSet:
     """All tuples of the relation inside window^arity."""
-    values = sorted(window)
-    if len(values) ** rel.arity > budget:
+    size = _window_size(window)
+    if size**rel.arity > budget:
         raise BudgetExceeded(
-            f"{len(values)}^{rel.arity} tuples exceed budget {budget}")
+            f"{size}^{rel.arity} tuples exceed budget {budget}")
+    values = sorted(window)
     rows = tuple(t for t in itertools.product(values, repeat=rel.arity)
                  if rel.formula.evaluate(t))
     return TupleSet(rel.arity, tuple(values), rows)

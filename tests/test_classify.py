@@ -429,8 +429,42 @@ def test_profile_from_shared_grid_matches_own_grid():
                         == difference_profile(rel, i, j)), (seed, rel.name)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(arity=st.integers(2, 4), q=st.integers(0, 3),
+       seed=st.integers(0, 10**6))
+def test_successor_profiles_are_finite_or_cofinite(arity, q, seed):
+    # _classify routes by dialect alone: a successor relation never has a
+    # one-sided or mixed projection (the argument is in its docstring)
+    rel = random_relation(arity, q, seed, dialect="successor")
+    grid = _profile_grid(rel)
+    for i, j in itertools.permutations(range(arity), 2):
+        assert difference_profile(rel, i, j, _grid=grid).tag in (
+            ProfileTag.FINITE, ProfileTag.COFINITE), (i, j)
+
+
 # ---------------------------------------------------------------------------
 # classify
+
+
+@pytest.mark.parametrize("language, profiled", [
+    ("maxrel.dtl", False), ("f.dtl", False), ("t2.dtl", True)])
+def test_profiles_run_only_for_positive_languages(monkeypatch, language,
+                                                  profiled):
+    # the profiles only give the modular branch its candidate moduli
+    classify_module = importlib.import_module("dtcsp.classify")
+    calls = []
+    for name in ("difference_profile", "_profile_grid"):
+        original = getattr(classify_module, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(classify_module, name, counting)
+    classify(parse_language((FIXTURES / language).read_text()))
+    if profiled:
+        assert set(calls) == {"difference_profile", "_profile_grid"}
+    else:
+        assert calls == []
 
 
 def test_classify_f_is_horn():

@@ -74,6 +74,15 @@ def test_classify_bigmax_max_closed(capsys):
     assert "Big preserved by max (window 25)" in out
 
 
+def test_classify_bigorder_max_closed(capsys):
+    # an order language builds no profile grid, so only the 71^4-cell proof
+    # window counts against the budget, not the 120^4 profile window
+    code, out, _ = run(capsys, "classify", FIXTURES / "bigorder.dtl")
+    assert code == 0
+    assert "MAX_CLOSED" in out
+    assert "Big preserved by max (window 35)" in out
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", FIXTURES / "t2.dtl", "--json")
     assert code == 0
@@ -244,6 +253,25 @@ def test_solve_budget_error_exits_3(capsys, argv):
                        FIXTURES / instance, *flags)
     assert code == 3
     assert "budget" in err.lower()
+
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ("maxrel.dtl", "maxinst.dti", "--method", "bt", "--window", HUGE),
+    ("maxrel.dtl", "maxinst.dti", "--method", "brute", "--window", HUGE),
+    ("hugeoffset.dtl", "hugeoffset.dti"),
+], ids=["bt_window", "brute_window", "auto_offset"])
+def test_solve_huge_window_exits_3_before_listing_it(capsys, argv):
+    # the window is checked against the budget from its ends, so no list of
+    # 10^20 values (or of the offset's window) is built
+    language, instance, *flags = argv
+    code, out, err = run(capsys, "solve", FIXTURES / language,
+                         FIXTURES / instance, *flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
 
 
 def test_solve_table_budget_exits_3(capsys, monkeypatch):

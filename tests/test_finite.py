@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,21 @@ def test_decide_max_closed_empty_window_unsat():
     inst = Instance(("a",), ())
     assert decide_max_closed(ORDER_LANG, inst, window=range(0)).status == "UNSAT"
     assert backtracking_solve(ORDER_LANG, inst, window=range(0)).status == "UNSAT"
+
+
+@pytest.mark.parametrize("constraints, message", [
+    ((), "domains of 9999999999999999999999 values"),
+    ((("Le", ("a", "a")),), "relation Le needs 9999999999999999999999^2"),
+], ids=["unconstrained", "constrained"])
+def test_search_budgets_huge_ranges_from_their_ends(constraints, message):
+    # len() of such a range overflows, and its value list would not fit:
+    # the search budgets the span it covers, brute force the values it holds
+    inst = Instance(("a",), constraints)
+    window = range(-10**22, 0, 2)
+    with pytest.raises(BudgetExceeded, match=re.escape(message)):
+        backtracking_solve(ORDER_LANG, inst, window=window)
+    with pytest.raises(BudgetExceeded, match=re.escape("5" + "0" * 21 + "^1 ")):
+        brute_solve(ORDER_LANG, inst, window)
 
 
 def test_decide_max_closed_needs_contiguous_range():

@@ -74,6 +74,9 @@ def test_materialize_restriction_consistent():
 def test_materialize_budget():
     with pytest.raises(BudgetExceeded):
         materialize(LANG.relation("F"), range(40), budget=10**4)
+    # counted from the ends: len() of this range overflows
+    with pytest.raises(BudgetExceeded):
+        materialize(LANG.relation("D1"), range(10**20))
 
 
 def test_generators_deterministic():
