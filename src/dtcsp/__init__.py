@@ -64,6 +64,7 @@ from .formula import (
 )
 from .horn import (
     HornClause,
+    HornClauses,
     OffsetUnionFind,
     compile_horn_instance,
     extract_assignment,

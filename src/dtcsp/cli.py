@@ -19,6 +19,9 @@ import json
 import re
 import sys
 import time
+from itertools import repeat
+
+import numpy as np
 
 from .classify import VerdictClass, classify
 from .errors import BudgetExceeded, DtcspError, NotHornError, ParseError
@@ -44,65 +47,126 @@ from .horn import solve_horn_csp
 from .oracle import brute_solve, random_horn_relation, random_instance, random_relation
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_APPLY_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*$")
-_SUGAR_RE = re.compile(
-    r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(<=|<|!=|=)\s*([A-Za-z_][A-Za-z0-9_]*)"
-    r"\s*(?:([+-])\s*(\d+))?\s*$")
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_WS = r"[^\S\n]*"  # whitespace within a line
+# The first line with text before any '#': the declaration.
+_HEAD_RE = re.compile(r"^[^\S\n]*([^#\s][^#\n]*)", re.M)
+# One match per line: an application R(a, b) (groups 1-2), a difference
+# literal b = a + 2 (groups 3-7), nothing, or (group 8) anything else; each
+# may be followed by a comment.
+_LINE_RE = re.compile(
+    rf"^{_WS}(?:({_ID}){_WS}\(([^)#\n]*)\)"
+    rf"|({_ID}){_WS}(<=|<|!=|=){_WS}({_ID})(?:{_WS}([+-]){_WS}(\d+))?)?"
+    rf"{_WS}(?:#.*)?$|^(.+)$", re.M)
 
 _CMP_FROM_TEXT = {"<=": Cmp.LEQ, "<": Cmp.LT, "=": Cmp.EQ, "!=": Cmp.NEQ}
 _CMP_SLUG = {Cmp.LEQ: "leq", Cmp.LT: "lt", Cmp.EQ: "eq", Cmp.NEQ: "neq"}
+_SLUG_TEXT = {"leq": "<=", "lt": "<", "eq": "=", "neq": "!="}
+_IMPLICIT_RE = re.compile(r"^_(leq|lt|eq|neq)([+-]\d+)$")
 
 
 def parse_instance(text: str, lang: ConstraintLanguage):
     """Parse a .dti document; returns (instance, language with implicit
-    relations for any sugar literals appended)."""
-    variables = None
-    constraints = []
-    implicit = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if variables is None:
-            parts = line.split()
-            if parts[0] != "var" or len(parts) < 2:
-                raise ParseError("expected a 'var a b c' declaration", lineno)
-            for v in parts[1:]:
-                if not _IDENT_RE.match(v):
-                    raise ParseError(f"bad variable name {v!r}", lineno)
-            variables = tuple(parts[1:])
-            continue
-        m = _APPLY_RE.match(line)
-        if m:
-            name = m.group(1)
-            args = tuple(a.strip() for a in m.group(2).split(",")) \
-                if m.group(2).strip() else ()
-            constraints.append((name, args))
-            continue
-        m = _SUGAR_RE.match(line)
-        if m:
-            lhs, cmp_text, rhs, sign, digits = m.groups()
-            offset = int(digits) * (-1 if sign == "-" else 1) if digits else 0
-            cmp = _CMP_FROM_TEXT[cmp_text]
-            key = (cmp, offset)
-            if key not in implicit:
-                rel_name = f"_{_CMP_SLUG[cmp]}{offset:+d}"
-                implicit[key] = RelationDef(
-                    rel_name, 2, Formula(Literal(0, 1, cmp, offset)))
-            constraints.append((implicit[key].name, (lhs, rhs)))
-            continue
-        raise ParseError(f"cannot parse constraint {line!r}", lineno)
-    if variables is None:
+    relations for any sugar literals appended).
+
+    Lines end as ``str.splitlines`` ends them.  One pattern matches every
+    line of the text at once; the arguments of all applications are split
+    in one pass and mapped to variable ids through one dict, and each
+    relation's applications become an id matrix (``Instance.groups``).
+    Errors name the first offending line; validation errors follow
+    ``validate_instance``.
+    """
+    body = "\n".join(text.splitlines())
+    head = _HEAD_RE.search(body)
+    if head is None:
         raise ParseError("instance file declares no variables")
+    parts = head.group(1).split()
+    lineno = body.count("\n", 0, head.start()) + 1
+    if parts[0] != "var" or len(parts) < 2:
+        raise ParseError("expected a 'var a b c' declaration", lineno)
+    for v in parts[1:]:
+        if not _IDENT_RE.match(v):
+            raise ParseError(f"bad variable name {v!r}", lineno)
+    variables = tuple(parts[1:])
+    start = body.find("\n", head.end()) + 1
+    rows = _LINE_RE.findall(body, start) if start else []
+    names, arg_texts, *_, bad = zip(*rows) if rows else [()] * 8
+    if any(bad):
+        for m in _LINE_RE.finditer(body, start):
+            if m.group(8):
+                line = m.group(8).split("#", 1)[0].strip()
+                raise ParseError(f"cannot parse constraint {line!r}",
+                                 body.count("\n", 0, m.start()) + 1)
+    implicit = {}
+    if not all(names):  # difference literals or blank lines
+        names, arg_texts = [], []
+        for name, args, lhs, cmp_text, rhs, sign, digits, _ in rows:
+            if lhs:
+                offset = int(digits) * (-1 if sign == "-" else 1) if digits else 0
+                cmp = _CMP_FROM_TEXT[cmp_text]
+                rel = implicit.get((cmp, offset))
+                if rel is None:
+                    rel = implicit[cmp, offset] = RelationDef(
+                        f"_{_CMP_SLUG[cmp]}{offset:+d}", 2,
+                        Formula(Literal(0, 1, cmp, offset)))
+                name, args = rel.name, f"{lhs},{rhs}"
+            if name:
+                names.append(name)
+                arg_texts.append(args)
     extended = lang.extended(implicit.values()) if implicit else lang
-    inst = Instance(variables, tuple(constraints))
+    inst = Instance.from_groups(variables, *_group_arguments(
+        variables, names, arg_texts))
     validate_instance(extended, inst)
     return inst, extended
 
 
+def _group_arguments(variables, names, arg_texts):
+    """``(names, groups)`` of ``Instance.from_groups`` for applications
+    given as relation names and argument texts (``"a, b"``)."""
+    ids = {v: i for i, v in enumerate(dict.fromkeys(variables))}
+    count = len(arg_texts)
+    commas = np.fromiter(map(str.count, arg_texts, repeat(",")),
+                         dtype=np.int64, count=count)
+    tokens = list(map(str.strip, ",".join(arg_texts).split(","))) \
+        if count else []
+    args = np.fromiter(map(ids.get, tokens, repeat(-1)), dtype=np.int32,
+                       count=len(tokens))
+    starts = np.concatenate(([0], np.cumsum(commas + 1)[:-1]))
+    arity = commas + 1
+    for t in np.flatnonzero(args < 0).tolist():
+        row = int(np.searchsorted(starts, t, "right")) - 1
+        if tokens[t] == "" and commas[row] == 0:
+            arity[row] = 0  # R(): no arguments
+        else:  # undeclared: new ids, which validation rejects
+            args[t] = ids.setdefault(tokens[t], len(ids))
+    relations = dict.fromkeys(names)
+    for i, name in enumerate(relations):
+        relations[name] = i
+    code = np.fromiter(map(relations.__getitem__, names), dtype=np.int64,
+                       count=count)
+    groups = []
+    for i, name in enumerate(relations):
+        order = np.flatnonzero(code == i)
+        for k in dict.fromkeys(arity[order].tolist()):
+            rows = order[arity[order] == k]
+            groups.append((name, args[starts[rows, None] + np.arange(k)],
+                           rows))
+    return tuple(ids), groups
+
+
 def write_instance(inst: Instance) -> str:
+    """The .dti text of an instance.  Implicit relations (named like
+    ``_eq+2``, as ``parse_instance`` names difference literals) are written
+    back as difference literals, so the text parses to an equal instance."""
     lines = ["var " + " ".join(inst.variables)]
-    lines.extend(f"{name}({', '.join(args)})" for name, args in inst.constraints)
+    for name, args in inst.constraints:
+        m = _IMPLICIT_RE.match(name)
+        if m and len(args) == 2:
+            offset = int(m.group(2))
+            tail = f" {'+' if offset > 0 else '-'} {abs(offset)}" if offset else ""
+            lines.append(f"{args[0]} {_SLUG_TEXT[m.group(1)]} {args[1]}{tail}")
+        else:
+            lines.append(f"{name}({', '.join(args)})")
     return "\n".join(lines) + "\n"
 
 

@@ -30,35 +30,142 @@ DEFAULT_BRANCH_BUDGET = 10**6
 DEFAULT_TABLE_CELLS = 10**8
 
 
-@dataclass(frozen=True)
 class Instance:
-    """Variables plus relation applications; the CSP input."""
+    """Variables plus relation applications; the CSP input.
 
-    variables: tuple
-    constraints: tuple  # of (relation name, tuple of variable names)
+    The constraints have two views, each built from the other on first use:
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(
-            self, "constraints",
-            tuple((name, tuple(args)) for name, args in self.constraints))
+    * ``constraints``: ``(relation name, tuple of variable names)`` pairs in
+      declaration order;
+    * ``groups``: one ``(relation name, args, order)`` triple per relation
+      and arity, in order of first application.  ``args`` is an int32
+      matrix with one row of argument ids per application, and ``order``
+      holds the ascending positions of those applications in
+      ``constraints``.
+
+    A variable's id is its position in ``names``: the distinct declared
+    variables in declaration order, then any undeclared argument in order of
+    first use (``validate_instance`` rejects those).  Equality and hashing go
+    by ``variables`` and ``constraints``.
+    """
+
+    __slots__ = ("variables", "_constraints", "_names", "_groups")
+
+    def __init__(self, variables, constraints):
+        self.variables = tuple(variables)
+        self._constraints = tuple((name, tuple(args))
+                                  for name, args in constraints)
+        self._names = self._groups = None
+
+    @classmethod
+    def from_groups(cls, variables, names, groups):
+        """An instance given by its id view (see the class docstring)."""
+        inst = cls.__new__(cls)
+        inst.variables = tuple(variables)
+        inst._constraints = None
+        inst._names = tuple(names)
+        inst._groups = tuple(groups)
+        return inst
+
+    @property
+    def constraints(self):
+        if self._constraints is None:
+            names = self._names
+            out = [None] * sum(len(order) for _, _, order in self._groups)
+            for name, args, order in self._groups:
+                for i, row in zip(order.tolist(), args.tolist()):
+                    out[i] = (name, tuple([names[a] for a in row]))
+            self._constraints = tuple(out)
+        return self._constraints
+
+    @property
+    def names(self):
+        if self._names is None:
+            self._index()
+        return self._names
+
+    @property
+    def groups(self):
+        if self._groups is None:
+            self._index()
+        return self._groups
+
+    def _index(self):
+        ids = {v: i for i, v in enumerate(dict.fromkeys(self.variables))}
+        rows = {}
+        for ci, (name, args) in enumerate(self._constraints):
+            group = rows.get((name, len(args)))
+            if group is None:
+                group = rows[name, len(args)] = ([], [])
+            group[0].append([ids.setdefault(a, len(ids)) for a in args])
+            group[1].append(ci)
+        self._names = tuple(ids)
+        self._groups = tuple(
+            (name, np.array(args, dtype=np.int32).reshape(len(order), k),
+             np.array(order, dtype=np.int64))
+            for (name, k), (args, order) in rows.items())
+
+    def constraint(self, i):
+        """``constraints[i]``, without building ``constraints``."""
+        if self._constraints is not None:
+            return self._constraints[i]
+        for name, args, order in self._groups:
+            pos = int(np.searchsorted(order, i))
+            if pos < len(order) and order[pos] == i:
+                return name, tuple(self._names[a] for a in args[pos].tolist())
+        raise IndexError(i)
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.variables == other.variables
+                and self.constraints == other.constraints)
+
+    def __hash__(self):
+        return hash((self.variables, self.constraints))
+
+    def __repr__(self):
+        return (f"Instance(variables={self.variables!r}, "
+                f"constraints={self.constraints!r})")
 
 
 def validate_instance(lang: ConstraintLanguage, inst: Instance):
+    """Raise the error of the first invalid constraint, in declaration order.
+
+    Duplicate declarations are reported first.  The groups locate the first
+    constraint with an unknown relation, a wrong argument count or an
+    undeclared argument (an id past the declared ones); only that
+    constraint is looked at by name.
+    """
     declared = set(inst.variables)
     if len(declared) != len(inst.variables):
         raise ParseError("duplicate variable declaration")
-    for name, args in inst.constraints:
+    first = None
+    for name, args, order in inst.groups:
         try:
-            rel = lang.relation(name)
+            fits = lang.relation(name).arity == args.shape[1]
         except KeyError:
-            raise ParseError(f"unknown relation {name!r}") from None
-        if len(args) != rel.arity:
-            raise ArityError(
-                f"{name} expects {rel.arity} arguments, got {len(args)}")
-        for a in args:
-            if a not in declared:
-                raise ParseError(f"undeclared variable {a!r}")
+            fits = False
+        if fits:
+            rows = np.flatnonzero((args >= len(declared)).any(axis=1))
+            if not len(rows):
+                continue
+            at = int(order[rows[0]])
+        else:
+            at = int(order[0])
+        first = at if first is None else min(first, at)
+    if first is None:
+        return
+    name, args = inst.constraint(first)
+    try:
+        rel = lang.relation(name)
+    except KeyError:
+        raise ParseError(f"unknown relation {name!r}") from None
+    if len(args) != rel.arity:
+        raise ArityError(f"{name} expects {rel.arity} arguments, got {len(args)}")
+    for a in args:
+        if a not in declared:
+            raise ParseError(f"undeclared variable {a!r}")
 
 
 @dataclass
@@ -80,25 +187,25 @@ _INT64_MAX = 2**63 - 1
 def satisfies(lang: ConstraintLanguage, inst: Instance, assignment) -> bool:
     """Check a full assignment against every constraint of the instance.
 
-    Constraints are grouped by relation, and each relation's formula is
-    evaluated once over columns holding its applications' argument values
-    (``grids.eval_node``).  The columns are int64 when every value plus the
-    relation's largest offset fits, else object arrays of Python ints, so
-    the check is exact for any integers.
+    The assignment becomes one value vector over the instance's variable
+    ids, and each group's argument matrix indexes it, so each relation's
+    formula is evaluated once over columns holding its applications'
+    argument values (``grids.eval_node``).  The columns are int64 when every
+    value plus the relation's largest offset fits, else object arrays of
+    Python ints, so the check is exact for any integers.
     """
-    groups = {}
-    for name, args in inst.constraints:
-        groups.setdefault(name, []).append([assignment[a] for a in args])
-    for name, rows in groups.items():
+    values = [assignment[v] for v in inst.names]
+    try:
+        vector = np.array(values, dtype=np.int64)
+    except OverflowError:
+        vector = None
+    for name, args, _ in inst.groups:
         formula = lang.relation(name).formula
         limit = _INT64_MAX - formula.qe_degree
-        try:
-            table = np.array(rows, dtype=np.int64)
-            exact = table.max() <= limit and table.min() >= -limit
-        except OverflowError:
-            exact = False
-        if not exact:
-            table = np.array(rows, dtype=object)
+        table = vector[args] if vector is not None else None
+        if table is None or (table.size and (table.max() > limit
+                                             or table.min() < -limit)):
+            table = np.array(values, dtype=object)[args]
         columns = [table[:, i] for i in range(table.shape[1])]
         if not np.all(grids.eval_node(formula.root, columns)):
             return False

@@ -380,11 +380,13 @@ def to_dnf(f: Formula, budget=DEFAULT_CLAUSE_BUDGET) -> Formula:
 # Equivalence and reduction
 
 
-def _window(nvars, q, budget):
-    """Side of the ``{0, ..., (q + 1) * nvars - 1}`` window, budget-checked."""
+def _window(nvars, q, budget, phase):
+    """Side of the ``{0, ..., (q + 1) * nvars - 1}`` window, budget-checked;
+    the error names ``phase``."""
     size = max(1, (q + 1) * nvars)
     if nvars > 0 and size**nvars > budget:
-        raise BudgetExceeded(f"{size}^{nvars} assignments exceed budget {budget}")
+        raise BudgetExceeded(f"{phase} window: {size}^{nvars} assignments "
+                             f"exceed budget {budget}")
     return size
 
 
@@ -402,7 +404,8 @@ def equivalent(f: Formula, g: Formula, nvars: int,
         if vs and max(vs) >= nvars:
             raise MissingVariableError(
                 f"formula uses x{max(vs) + 1} but nvars={nvars}")
-    size = _window(nvars, max(f.qe_degree, g.qe_degree), budget)
+    size = _window(nvars, max(f.qe_degree, g.qe_degree), budget,
+                   "equivalent")
     return bool(np.array_equal(grids.grid_eval(f, nvars, 0, size),
                                grids.grid_eval(g, nvars, 0, size)))
 
@@ -457,7 +460,7 @@ def reduce(f: Formula, budget=DEFAULT_ENUM_BUDGET) -> Formula:
         raise ValueError("reduce needs a formula with a CNF or DNF view")
     view = f.view
     nv = max(1, f.nvars)
-    size = _window(nv, f.qe_degree, budget)
+    size = _window(nv, f.qe_degree, budget, "reduce")
     clause_truth = _clause_truth_bits(view, nv, size)
     points = size**nv
     work = 0

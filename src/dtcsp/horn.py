@@ -11,12 +11,20 @@ two endpoints and is looked at again only when one of them is merged away.
 At a conflict-free fixpoint a concrete solution is read off by spacing the
 components far enough apart that the atom under every surviving negated
 equality comes out false.
+
+Everything runs on integer variable ids (``Instance.names``): the compiled
+clauses are arrays (``HornClauses``), the union-find keeps lists indexed by
+id, and the witness is one value vector.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .classify import is_horn, reduced_cnf
 from .errors import InternalError, NotHornError
@@ -27,92 +35,106 @@ OK = "ok"
 CONFLICT = "conflict"
 
 
-class OffsetUnionFind:
-    """Disjoint sets with integer offsets to the representative.
+def _ints(values):
+    """An int64 array of Python ints, or an object array when one does not
+    fit, so that arithmetic on it stays exact."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
-    ``find(v)`` returns ``(root, offset)`` with the contract that in every
-    model of the asserted facts ``value(v) = value(root) + offset``.  Every
-    component keeps an explicit member list, and a merge relabels each member
-    of the smaller component (on a tie, the component of the fact's second
-    variable) into the larger one.  A variable is therefore relabelled at
-    most log2(n) times, and ``find`` is two dict lookups.  After the first
-    contradiction the structure stays in the conflicted state.
+
+class OffsetUnionFind:
+    """Disjoint sets of variable ids with integer offsets to the
+    representative.
+
+    Id v stands for ``names[v]``.  ``root[v]`` and ``offset[v]`` say that in
+    every model of the asserted facts ``value(v) = value(root[v]) +
+    offset[v]``; each root keeps its component's ids in ``members`` (None
+    for the other ids).  A merge relabels each member of the smaller
+    component (on a tie, the component of the fact's second variable) into
+    the larger one, so an id is relabelled at most log2(n) times and a find
+    is two list reads.  After the first contradiction the structure stays
+    in the conflicted state, and ``conflict`` is ``(x, y, p, implied
+    offset)`` with the fact's variable names.  ``assert_fact`` and
+    ``implied_offset`` take names, and add an unseen one as a singleton.
     """
 
     def __init__(self, variables=()):
-        self._root = {}
-        self._offset = {}
-        self._members = {}
+        self.names = []
+        self.root = []
+        self.offset = []
+        self.members = []
         self.conflict = None
+        self._ids = {}
         for v in variables:
-            self.add(v)
+            self.id(v)
 
-    def add(self, v):
-        if v not in self._root:
-            self._root[v] = v
-            self._offset[v] = 0
-            self._members[v] = [v]
+    @classmethod
+    def singletons(cls, names):
+        """One singleton per name; id v is ``names[v]``."""
+        uf = cls()
+        n = len(names)
+        uf.names = list(names)
+        uf.root = list(range(n))
+        uf.offset = [0] * n
+        uf.members = [[v] for v in range(n)]
+        uf._ids = None
+        return uf
 
-    def find(self, v):
-        if v not in self._root:
-            self.add(v)
-        return self._root[v], self._offset[v]
+    def id(self, v):
+        """The id of name v, added as a singleton when unseen."""
+        if self._ids is None:
+            self._ids = {}
+            for i, name in enumerate(self.names):
+                self._ids.setdefault(name, i)
+        i = self._ids.get(v)
+        if i is None:
+            i = self._ids[v] = len(self.names)
+            self.names.append(v)
+            self.root.append(i)
+            self.offset.append(0)
+            self.members.append([i])
+        return i
 
     def assert_fact(self, x, y, p) -> str:
         """Record ``value(x) = value(y) + p``; idempotent on repeats."""
-        self.union(x, y, p)
+        self.merge(self.id(x), self.id(y), p)
         return OK if self.conflict is None else CONFLICT
 
-    def union(self, x, y, p):
-        """``assert_fact`` that reports the merge it made: ``(absorbed,
-        survivor)`` roots when two components became one, else None (the
-        fact was known, or it contradicts the facts and ``conflict`` is
-        set)."""
+    def merge(self, x, y, p):
+        """Record ``value(x) = value(y) + p`` for ids x and y, and report the
+        merge it made: ``(absorbed, survivor)`` roots when two components
+        became one, else None (the fact was known, or it contradicts the
+        facts and ``conflict`` is set)."""
         if self.conflict is not None:
             return None
-        rx, ox = self.find(x)
-        ry, oy = self.find(y)
+        root, offset = self.root, self.offset
+        rx, ry = root[x], root[y]
         if rx == ry:
-            if ox - oy != p:
-                self.conflict = (x, y, p, ox - oy)
+            if offset[x] - offset[y] != p:
+                self.conflict = (self.names[x], self.names[y], p,
+                                 offset[x] - offset[y])
             return None
         # value(rx) = value(ry) + shift
-        shift = oy + p - ox
-        if len(self._members[rx]) < len(self._members[ry]):
+        shift = offset[y] + p - offset[x]
+        members = self.members
+        if len(members[rx]) < len(members[ry]):
             rx, ry, shift = ry, rx, -shift
-        root, offset = self._root, self._offset
-        moved = self._members.pop(ry)
+        moved = members[ry]
+        members[ry] = None
         for m in moved:
             root[m] = rx
             offset[m] -= shift
-        self._members[rx].extend(moved)
+        members[rx].extend(moved)
         return ry, rx
 
     def implied_offset(self, x, y):
         """value(x) - value(y) if x and y share a component, else None."""
-        rx, ox = self.find(x)
-        ry, oy = self.find(y)
-        if rx != ry:
+        x, y = self.id(x), self.id(y)
+        if self.root[x] != self.root[y]:
             return None
-        return ox - oy
-
-    def components(self, variables):
-        """Component partition ordered by first-seen variable.
-
-        Each component lists ``(v, offset)`` pairs in first-seen order, with
-        offsets taken from the component's first variable, so the result
-        does not depend on the order in which facts were merged.
-        """
-        groups = {}
-        order = []
-        for v in variables:
-            root, off = self.find(v)
-            group = groups.get(root)
-            if group is None:
-                group = groups[root] = (off, [])
-                order.append(root)
-            group[1].append((v, off - group[0]))
-        return [groups[root][1] for root in order]
+        return self.offset[x] - self.offset[y]
 
 
 class HornClause(NamedTuple):
@@ -123,6 +145,94 @@ class HornClause(NamedTuple):
     origin: str = ""
 
 
+class HornClauses(Sequence):
+    """Horn clauses as arrays over variable ids.
+
+    Clause c has the negated equalities ``not(value(neg_x[k]) =
+    value(neg_y[k]) + neg_p[k])`` for k in ``range(starts[c], starts[c +
+    1])``, in literal order, and the positive equality ``value(pos_x[c]) =
+    value(pos_y[c]) + pos_p[c]``, or none when ``pos_x[c]`` is -1.  Id v
+    stands for ``names[v]``.  Indexing and iteration build the clauses'
+    ``HornClause`` tuples of names on demand, so a store compares equal to
+    the list of them; ``origin(c)`` is the text of the constraint that
+    clause c comes from.
+    """
+
+    def __init__(self, names, starts, negatives, positives, origin):
+        self.names = tuple(names)
+        self.starts = starts
+        self.neg_x, self.neg_y, self.neg_p = negatives
+        self.pos_x, self.pos_y, self.pos_p = positives
+        self.origin = origin
+
+    @classmethod
+    def pack(cls, clauses, variables):
+        """Store a sequence of ``HornClause``; ids follow ``variables``,
+        then the other names in order of first use."""
+        ids = {}
+        for v in variables:
+            ids.setdefault(v, len(ids))
+        starts = [0]
+        neg = ([], [], [])
+        pos = ([], [], [])
+        origins = []
+        for cl in clauses:
+            for x, y, p in cl.negatives:
+                neg[0].append(ids.setdefault(x, len(ids)))
+                neg[1].append(ids.setdefault(y, len(ids)))
+                neg[2].append(p)
+            starts.append(len(neg[0]))
+            x, y, p = -1, -1, 0
+            if cl.positive is not None:
+                x, y, p = cl.positive
+                x, y = ids.setdefault(x, len(ids)), ids.setdefault(y, len(ids))
+            for column, value in zip(pos, (x, y, p)):
+                column.append(value)
+            origins.append(cl.origin)
+        return cls(ids, np.array(starts, dtype=np.int64),
+                   (np.array(neg[0], dtype=np.int64),
+                    np.array(neg[1], dtype=np.int64), _ints(neg[2])),
+                   (np.array(pos[0], dtype=np.int64),
+                    np.array(pos[1], dtype=np.int64), _ints(pos[2])),
+                   origins.__getitem__)
+
+    def select(self, index):
+        """The clauses at the ascending positions ``index``, over the same
+        ids."""
+        counts = np.diff(self.starts)
+        chosen = np.zeros(len(self), dtype=bool)
+        chosen[index] = True
+        lits = np.repeat(chosen, counts)
+        return HornClauses(
+            self.names, np.concatenate(([0], np.cumsum(counts[index]))),
+            (self.neg_x[lits], self.neg_y[lits], self.neg_p[lits]),
+            (self.pos_x[index], self.pos_y[index], self.pos_p[index]),
+            lambda c: self.origin(index[c]))
+
+    def __len__(self):
+        return len(self.pos_x)
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return [self[i] for i in range(len(self))[c]]
+        c = range(len(self))[c]
+        names = self.names
+        lo, hi = int(self.starts[c]), int(self.starts[c + 1])
+        negatives = tuple(
+            (names[x], names[y], p) for x, y, p in zip(
+                self.neg_x[lo:hi].tolist(), self.neg_y[lo:hi].tolist(),
+                self.neg_p[lo:hi].tolist()))
+        x, y, p = (a[c:c + 1].tolist()[0]
+                   for a in (self.pos_x, self.pos_y, self.pos_p))
+        positive = None if x < 0 else (names[x], names[y], p)
+        return HornClause(negatives, positive, self.origin(c))
+
+    def __eq__(self, other):
+        if isinstance(other, (HornClauses, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def _templates(rel) -> list:
     """The relation's reduced Horn CNF as ``(i, j, is_eq, offset)`` tuples,
     one tuple of argument positions per clause."""
@@ -131,79 +241,127 @@ def _templates(rel) -> list:
             for clause in reduced_cnf(rel)]
 
 
+def _columns(parts, width):
+    """Concatenate parallel tuples of arrays column by column."""
+    if not parts:
+        return [np.zeros(0, dtype=np.int64)] * width
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
 def compile_horn_instance(lang: ConstraintLanguage,
-                          inst: Instance) -> list:
+                          inst: Instance) -> HornClauses:
     """Instantiate each constraint's reduced Horn CNF with its arguments.
 
     Each relation is looked up, tested for Horn definability and turned into
-    clause templates once, at its first application.  Literals whose two
-    variables coincide are constants: a true literal discharges its clause,
-    a false one is dropped.  Raises NotHornError when some applied relation
-    has no Horn definition.
+    clause templates once, at its first application.  Every template clause
+    is then instantiated for all of the relation's applications at once,
+    by indexing the columns of its argument matrix.  Literals whose two
+    variables coincide are constants, found by masks: a true literal
+    discharges its clause, a false one is dropped.  The clauses are sorted
+    back into (constraint, template) order.  Raises NotHornError when some
+    applied relation has no Horn definition.
     """
     templates = {}
-    clauses = []
-    for name, args in inst.constraints:
+    clauses = []  # (constraint, template, pos_x, pos_y, pos_p, negatives)
+    literals = []  # (constraint, template, position, x, y, p)
+    for name, args, order in inst.groups:
         cnf = templates.get(name)
         if cnf is None:
             rel = lang.relation(name)
             if not is_horn(rel):
                 raise NotHornError(name)
             cnf = templates[name] = _templates(rel)
-        origin = None
-        for clause in cnf:
-            negatives = []
-            positive = None
+        for t, clause in enumerate(cnf):
+            kept = np.ones(len(order), dtype=bool)
             for i, j, is_eq, offset in clause:
-                x, y = args[i], args[j]
-                if x == y:
-                    if (offset == 0) == is_eq:
-                        break  # constant-true literal: clause discharged
-                    continue
+                if (offset == 0) == is_eq:  # true when its variables coincide
+                    kept &= args[:, i] != args[:, j]
+            rows, con = args[kept], order[kept]
+            n = len(con)
+            pos = (np.full(n, -1), np.full(n, -1), np.zeros(n, dtype=np.int64))
+            negatives = np.zeros(n, dtype=np.int64)
+            for k, (i, j, is_eq, offset) in enumerate(clause):
+                x, y = rows[:, i], rows[:, j]
+                distinct = x != y
                 if is_eq:
-                    positive = (x, y, offset)
+                    pos = (np.where(distinct, x, -1), np.where(distinct, y, -1),
+                           np.full(n, offset))
                 else:
-                    negatives.append((x, y, offset))
-            else:
-                if origin is None:
-                    origin = f"{name}({', '.join(args)})"
-                clauses.append(HornClause(tuple(negatives), positive, origin))
-    return clauses
+                    negatives += distinct
+                    m = int(distinct.sum())
+                    literals.append((con[distinct], np.full(m, t),
+                                     np.full(m, k), x[distinct], y[distinct],
+                                     np.full(m, offset)))
+            clauses.append((con, np.full(n, t), *pos, negatives))
+
+    con, tmpl, pos_x, pos_y, pos_p, counts = _columns(clauses, 6)
+    order = np.lexsort((tmpl, con))
+    lit_con, lit_tmpl, lit_pos, neg_x, neg_y, neg_p = _columns(literals, 6)
+    lit_order = np.lexsort((lit_pos, lit_tmpl, lit_con))
+    constraint = con[order]
+    return HornClauses(
+        inst.names, np.concatenate(([0], np.cumsum(counts[order]))),
+        (neg_x[lit_order], neg_y[lit_order], neg_p[lit_order]),
+        (pos_x[order], pos_y[order], pos_p[order]),
+        lambda c: _origin(inst, int(constraint[c])))
+
+
+def _origin(inst, ci):
+    name, args = inst.constraint(ci)
+    return f"{name}({', '.join(args)})"
 
 
 def solve_horn(clauses, variables, stats=None) -> SolveResult:
     """Run positive unit resolution to a fixpoint.
 
-    A queue holds the clauses whose negated equalities are all gone; each is
-    asserted as a fact in turn, and a contradiction, or such a clause without
-    a positive part, refutes the instance.  A negated equality is decided
-    once its endpoints share a component: the facts force its atom true (the
-    literal is deleted) or false (the negation holds and the clause is
-    satisfied).  Until then it is watched on both endpoints' components;
-    when a merge relabels the smaller component into the larger, only the
-    literals watched on the smaller one are looked at again, and those still
-    undecided move to the larger one's watch list.  Every watch entry thus
-    moves at most log2(n) times, so the whole run costs O((n + L) log n) for
-    n variables and L literals.  The input's unit clauses are asserted
-    before any literal is watched.  At the fixpoint the instance is
-    satisfiable and a witness is extracted.  ``stats["facts"]`` counts the
-    facts asserted, one per unit clause, repeats included.
+    ``clauses`` is a ``HornClauses`` store whose first ids are
+    ``variables``, or a sequence of ``HornClause``, which is packed into
+    one.  A queue holds the clauses whose negated equalities are all gone;
+    each is asserted as a fact in turn, and a contradiction, or such a
+    clause without a positive part, refutes the instance.  A negated
+    equality is decided once its endpoints share a component: the facts
+    force its atom true (the literal is deleted) or false (the negation
+    holds and the clause is satisfied).  Until then it is watched on both
+    endpoints' components; when a merge relabels the smaller component into
+    the larger, only the literals watched on the smaller one are looked at
+    again, and those still undecided move to the larger one's watch list.
+    Every watch entry thus moves at most log2(n) times, so the whole run
+    costs O((n + L) log n) for n variables and L literals.  The input's
+    unit clauses are asserted before any literal is watched; then every
+    literal is decided or watched at once, with array operations, exactly
+    as a pass over the clauses in order would.  At the fixpoint the
+    instance is satisfiable and a witness is extracted.
+    ``stats["facts"]`` counts the facts asserted, one per unit clause,
+    repeats included.
     """
     stats = stats if stats is not None else {}
-    for cl in clauses:
-        if not cl.negatives and cl.positive is None:
-            return SolveResult("UNSAT",
-                               reason=f"empty clause from {cl.origin or 'input'}",
-                               stats=stats)
+    variables = tuple(variables)
+    if not (isinstance(clauses, HornClauses)
+            and clauses.names[:len(variables)] == variables):
+        clauses = HornClauses.pack(clauses, variables)
+    counts = np.diff(clauses.starts)
+    empty = np.flatnonzero((counts == 0) & (clauses.pos_x < 0))
+    if len(empty):
+        origin = clauses.origin(empty[0]) or "input"
+        return SolveResult("UNSAT", reason=f"empty clause from {origin}",
+                           stats=stats)
 
-    uf = OffsetUnionFind(variables)
-    find = uf.find
+    names = clauses.names
+    uf = OffsetUnionFind.singletons(names)
+    root, offset, merge = uf.root, uf.offset, uf.merge
+    pos_x, pos_y, pos_p = (a.tolist() for a in
+                           (clauses.pos_x, clauses.pos_y, clauses.pos_p))
+    lit_clause = np.repeat(np.arange(len(counts)), counts)
+    lit_of = lit_clause.tolist()
+    lit_x, lit_y, lit_p = (a.tolist() for a in
+                           (clauses.neg_x, clauses.neg_y, clauses.neg_p))
     # undecided negated literals per clause; -1 once the clause is satisfied
-    undecided = [len(cl.negatives) for cl in clauses]
-    literals = []  # (clause index, x, y, p) of every watched literal
-    live = bytearray()  # per watched literal: still undecided
-    watch = {}
-    units = deque(ci for ci, cl in enumerate(clauses) if not cl.negatives)
+    undecided = counts.tolist()
+    live = bytearray()  # per literal: watched and undecided
+    # the literals watched on root r: watched[begin[r]:end[r]], then moved[r]
+    watched, begin, end = [], [0] * len(names), [0] * len(names)
+    moved = {}
+    units = deque(np.flatnonzero(counts == 0).tolist())
     facts = 0
 
     def settle(ci, forced_true):
@@ -214,8 +372,8 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
             return None
         undecided[ci] -= 1
         if undecided[ci] == 0:
-            if clauses[ci].positive is None:
-                return f"empty clause from {clauses[ci].origin}"
+            if pos_x[ci] < 0:
+                return f"empty clause from {clauses.origin(ci)}"
             units.append(ci)
         return None
 
@@ -223,28 +381,29 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
         """Assert queued units until none is left; a message on refutation."""
         nonlocal facts
         while units:
-            cl = clauses[units.popleft()]
-            x, y, p = cl.positive
+            ci = units.popleft()
+            x, y, p = pos_x[ci], pos_y[ci], pos_p[ci]
             facts += 1
-            merged = uf.union(x, y, p)
+            merged = merge(x, y, p)
             if uf.conflict is not None:
-                return (f"{cl.origin or 'fact'} needs {x} = {y} + {p} but "
-                        f"the facts imply offset {uf.conflict[3]}")
+                return (f"{clauses.origin(ci) or 'fact'} needs {names[x]} = "
+                        f"{names[y]} + {p} but the facts imply offset "
+                        f"{uf.conflict[3]}")
             if merged is None:
                 continue
             absorbed, survivor = merged
-            kept = watch.setdefault(survivor, [])
-            for li in watch.pop(absorbed, ()):
-                ci, a, b, q = literals[li]
-                if not live[li] or undecided[ci] < 0:
+            kept = moved.setdefault(survivor, [])
+            for li in chain(watched[begin[absorbed]:end[absorbed]],
+                            moved.pop(absorbed, ())):
+                cj = lit_of[li]
+                if not live[li] or undecided[cj] < 0:
                     continue
-                ra, oa = find(a)
-                rb, ob = find(b)
-                if ra != rb:
+                a, b = lit_x[li], lit_y[li]
+                if root[a] != root[b]:
                     kept.append(li)
                     continue
                 live[li] = 0
-                failed = settle(ci, oa - ob == q)
+                failed = settle(cj, offset[a] - offset[b] == lit_p[li])
                 if failed is not None:
                     return failed
         return None
@@ -257,31 +416,43 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
     failed = propagate()
     if failed is not None:
         return finish("UNSAT", failed)
-    for ci, cl in enumerate(clauses):
-        for x, y, p in cl.negatives:
-            if undecided[ci] < 0:
-                break
-            rx, ox = find(x)
-            ry, oy = find(y)
-            if rx != ry:
-                watch.setdefault(rx, []).append(len(literals))
-                watch.setdefault(ry, []).append(len(literals))
-                literals.append((ci, x, y, p))
-                live.append(1)
-                continue
-            failed = settle(ci, ox - oy == p)
-            if failed is not None:
-                return finish("UNSAT", failed)
+    # Decide or watch every literal.  A literal whose endpoints share a
+    # component is forced true (deleted) or false (its clause is satisfied,
+    # and the clause's other literals are never looked at again); the
+    # others are watched on both endpoints' roots, in literal order.
+    roots, offsets = np.array(root), _ints(offset)
+    nx, ny = clauses.neg_x, clauses.neg_y
+    same = roots[nx] == roots[ny]
+    forced = same & np.asarray(offsets[nx] - offsets[ny] == clauses.neg_p,
+                               dtype=bool)
+    satisfied = np.zeros(len(counts), dtype=bool)
+    satisfied[lit_clause[same & ~forced]] = True
+    done = counts - np.bincount(lit_clause[forced], minlength=len(counts))
+    full = (counts > 0) & (done == 0) & ~satisfied
+    empty = np.flatnonzero(full & (clauses.pos_x < 0))
+    if len(empty):
+        return finish("UNSAT", f"empty clause from {clauses.origin(empty[0])}")
+    units.extend(np.flatnonzero(full).tolist())
+    undecided = np.where(satisfied, -1, done).tolist()
+    watch = ~same & ~satisfied[lit_clause]
+    live = bytearray(watch.tobytes())
+    watch = np.flatnonzero(watch)
+    keys = np.concatenate((roots[nx[watch]], roots[ny[watch]]))
+    lits = np.concatenate((watch, watch))
+    by_root = np.lexsort((lits, keys))
+    watched = lits[by_root].tolist()
+    bounds = np.searchsorted(keys[by_root], np.arange(len(names) + 1))
+    begin, end = bounds[:-1].tolist(), bounds[1:].tolist()
     failed = propagate()
     if failed is not None:
         return finish("UNSAT", failed)
 
-    residual = [cl for ci, cl in enumerate(clauses) if undecided[ci] > 0]
-    q_inst = max(
-        [abs(p) for cl in clauses for (_, _, p) in cl.negatives]
-        + [abs(cl.positive[2]) for cl in clauses if cl.positive] + [1])
-    return finish("SAT", assignment=extract_assignment(uf, residual, variables,
-                                                       q_inst))
+    residual = np.flatnonzero(np.array(undecided) > 0)
+    q_inst = max(int(np.abs(clauses.neg_p).max(initial=0)),
+                 int(np.abs(clauses.pos_p[clauses.pos_x >= 0]).max(initial=0)),
+                 1)
+    return finish("SAT", assignment=extract_assignment(
+        uf, clauses.select(residual), variables, q_inst))
 
 
 def extract_assignment(uf: OffsetUnionFind, residual, variables,
@@ -295,24 +466,46 @@ def extract_assignment(uf: OffsetUnionFind, residual, variables,
     ``q_inst * (nvars - 1)`` in magnitude, so values in different components
     stay more than ``q_inst`` apart and every surviving negated equality
     (whose endpoints always straddle components at the fixpoint) comes out
-    true.  Residual clauses may keep their decided literals, whose atoms
-    hold; the check needs one true literal per clause.
+    true.  The values form one vector over the union-find's ids; the
+    witness lists the variables component by component.  ``residual``, a
+    ``HornClauses`` store over the same ids or a sequence of
+    ``HornClause``, is checked against that vector: residual clauses may
+    keep their decided literals, whose atoms hold, so the check needs one
+    true literal per clause.
     """
+    variables = tuple(variables)
+    if tuple(uf.names[:len(variables)]) == variables:
+        ids = np.arange(len(variables))
+    else:
+        ids = np.array([uf.id(v) for v in variables], dtype=np.int64)
+    if not isinstance(residual, HornClauses):
+        residual = HornClauses.pack(residual, uf.names)
     spacing = 2 * max(1, q_inst) * len(set(variables)) + 1
-    assignment = {}
-    for k, members in enumerate(uf.components(variables)):
-        base = k * spacing
-        for v, off in members:
-            assignment[v] = base + off
-    for cl in residual:
-        ok = any(assignment[x] != assignment[y] + p
-                 for x, y, p in cl.negatives)
-        if not ok and cl.positive is not None:
-            x, y, p = cl.positive
-            ok = assignment[x] == assignment[y] + p
-        if not ok:
-            raise InternalError(f"extracted assignment misses clause "
-                                f"from {cl.origin or 'input'}")
+    root, offset = np.array(uf.root, dtype=np.int64), _ints(uf.offset)
+    # first-seen order: the variables, then every id
+    seen = np.concatenate((ids, np.arange(len(root)))).astype(np.int64)
+    _, first, comp = np.unique(root[seen], return_index=True,
+                               return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    anchor = offset[seen[first]]
+    comp = comp[len(ids):]
+    value = rank[comp] * spacing + offset - anchor[comp]
+    layout = np.argsort(rank[comp[ids]], kind="stable")
+    assignment = dict(zip([variables[i] for i in layout.tolist()],
+                          value[ids[layout]].tolist()))
+
+    counts = np.diff(residual.starts)
+    ok = np.zeros(len(counts), dtype=bool)
+    holds = value[residual.neg_x] != value[residual.neg_y] + residual.neg_p
+    ok[np.repeat(np.arange(len(counts)), counts)[np.asarray(holds, bool)]] = True
+    has = residual.pos_x >= 0
+    px, py = np.where(has, residual.pos_x, 0), np.where(has, residual.pos_y, 0)
+    ok |= has & np.asarray(value[px] == value[py] + residual.pos_p, bool)
+    missed = np.flatnonzero(~ok)
+    if len(missed):
+        raise InternalError(f"extracted assignment misses clause from "
+                            f"{residual.origin(missed[0]) or 'input'}")
     return assignment
 
 

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 
 from dtcsp import (
     And,
+    ArityError,
     Cmp,
     ConstraintLanguage,
     Formula,
@@ -14,6 +16,7 @@ from dtcsp import (
     Literal,
     Not,
     Or,
+    ParseError,
     RelationDef,
     random_horn_relation,
     random_instance,
@@ -368,3 +371,80 @@ def naive_unit_resolution(clauses):
                 return "UNSAT", facts, store
         active = remaining
     return "SAT", facts, store
+
+
+# ---------------------------------------------------------------------------
+# .dti reference parser: the line-by-line parser and the constraint-by-
+# constraint validation that dtcsp.cli.parse_instance replaced.
+
+_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_APPLY_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*$")
+_SUGAR_RE = re.compile(
+    r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(<=|<|!=|=)\s*([A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*(?:([+-])\s*(\d+))?\s*$")
+_CMP_FROM_TEXT = {"<=": Cmp.LEQ, "<": Cmp.LT, "=": Cmp.EQ, "!=": Cmp.NEQ}
+_CMP_SLUG = {Cmp.LEQ: "leq", Cmp.LT: "lt", Cmp.EQ: "eq", Cmp.NEQ: "neq"}
+
+
+def naive_validate_instance(lang, inst):
+    declared = set(inst.variables)
+    if len(declared) != len(inst.variables):
+        raise ParseError("duplicate variable declaration")
+    for name, args in inst.constraints:
+        try:
+            rel = lang.relation(name)
+        except KeyError:
+            raise ParseError(f"unknown relation {name!r}") from None
+        if len(args) != rel.arity:
+            raise ArityError(
+                f"{name} expects {rel.arity} arguments, got {len(args)}")
+        for a in args:
+            if a not in declared:
+                raise ParseError(f"undeclared variable {a!r}")
+
+
+def naive_parse_instance(text, lang):
+    """Parse a .dti document line by line; returns (instance, language with
+    implicit relations for any sugar literals appended)."""
+    variables = None
+    constraints = []
+    implicit = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if variables is None:
+            parts = line.split()
+            if parts[0] != "var" or len(parts) < 2:
+                raise ParseError("expected a 'var a b c' declaration", lineno)
+            for v in parts[1:]:
+                if not _IDENT_RE.match(v):
+                    raise ParseError(f"bad variable name {v!r}", lineno)
+            variables = tuple(parts[1:])
+            continue
+        m = _APPLY_RE.match(line)
+        if m:
+            name = m.group(1)
+            args = tuple(a.strip() for a in m.group(2).split(",")) \
+                if m.group(2).strip() else ()
+            constraints.append((name, args))
+            continue
+        m = _SUGAR_RE.match(line)
+        if m:
+            lhs, cmp_text, rhs, sign, digits = m.groups()
+            offset = int(digits) * (-1 if sign == "-" else 1) if digits else 0
+            cmp = _CMP_FROM_TEXT[cmp_text]
+            key = (cmp, offset)
+            if key not in implicit:
+                rel_name = f"_{_CMP_SLUG[cmp]}{offset:+d}"
+                implicit[key] = RelationDef(
+                    rel_name, 2, Formula(Literal(0, 1, cmp, offset)))
+            constraints.append((implicit[key].name, (lhs, rhs)))
+            continue
+        raise ParseError(f"cannot parse constraint {line!r}", lineno)
+    if variables is None:
+        raise ParseError("instance file declares no variables")
+    extended = lang.extended(implicit.values()) if implicit else lang
+    inst = Instance(variables, tuple(constraints))
+    naive_validate_instance(extended, inst)
+    return inst, extended

@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtcsp import finite
 from dtcsp.cli import main, parse_instance, write_instance
-from dtcsp import Instance, parse_language
+from dtcsp import ArityError, DtcspError, Instance, ParseError, parse_language
 
 from conftest import FIXTURES
+from helpers import naive_parse_instance
 
 
 def run(capsys, *argv):
@@ -255,6 +258,15 @@ def test_solve_budget_error_exits_3(capsys, argv):
     assert "budget" in err.lower()
 
 
+def test_solve_horn_reduce_window_budget_names_the_phase(capsys):
+    # the Horn test reduces R's CNF over a window of (q + 1) * 2 values a side
+    code, out, err = run(capsys, "solve", FIXTURES / "hugeoffset.dtl",
+                         FIXTURES / "hugeoffset.dti", "--method", "horn")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: reduce window: ") and "budget" in err
+
+
 HUGE = str(10**20)
 
 
@@ -408,3 +420,168 @@ def test_instance_undeclared_variable():
     from dtcsp import ParseError
     with pytest.raises(ParseError):
         parse_instance("var a\nLe(a, b)\n", lang)
+
+
+INSTANCE_LANG = parse_language(
+    "rel Le/2 := x1 <= x2\n"
+    "rel S/2 := x2 = x1 + 1\n"
+    "rel T/3 := x1 <= x2 | x3 = x1 + 1\n")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("", ParseError, "instance file declares no variables"),
+    ("# only a comment\n\t\n", ParseError,
+     "instance file declares no variables"),
+    ("\nvars a b\n", ParseError,
+     "expected a 'var a b c' declaration (line 2)"),
+    ("var # a b\n", ParseError, "expected a 'var a b c' declaration (line 1)"),
+    ("var a 1b\n", ParseError, "bad variable name '1b' (line 1)"),
+    ("var a b\r\nLe(a, b)\r\n\r\nLe(a # b)\n", ParseError,
+     "cannot parse constraint 'Le(a' (line 4)"),
+    ("var a b\na == b\n", ParseError,
+     "cannot parse constraint 'a == b' (line 2)"),
+    ("var a b\nvar c\n", ParseError,
+     "cannot parse constraint 'var c' (line 2)"),
+    ("var a a\nLe(a, a)\n", ParseError, "duplicate variable declaration"),
+    ("var a b\nNope(a)\n", ParseError, "unknown relation 'Nope'"),
+    ("var a b\nLe(a, b, a)\n", ArityError, "Le expects 2 arguments, got 3"),
+    ("var a b\nLe()\n", ArityError, "Le expects 2 arguments, got 0"),
+    ("var a\nLe(a, b)\n", ParseError, "undeclared variable 'b'"),
+    ("var a\nLe(a, )\n", ParseError, "undeclared variable ''"),
+    # a syntax error anywhere wins over a duplicate declaration, which wins
+    # over validation errors, which come in constraint order
+    ("var a a\nNope(b)\nLe(a\n", ParseError,
+     "cannot parse constraint 'Le(a' (line 3)"),
+    ("var a a\nNope(b)\n", ParseError, "duplicate variable declaration"),
+    ("var a\nLe(a, a)\nLe(a, b)\nNope(a)\n", ParseError,
+     "undeclared variable 'b'"),
+    ("var a b\nS(a, b)\nLe(a, a, a)\nLe(a, c)\n", ArityError,
+     "Le expects 2 arguments, got 3"),
+    ("var a b\nS(a, b)\nLe(a, c)\nNope(a)\nLe(b)\n", ParseError,
+     "undeclared variable 'c'"),
+])
+def test_instance_parse_errors(text, error, message):
+    with pytest.raises(error) as info:
+        parse_instance(text, INSTANCE_LANG)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _relations(lang):
+    return [(r.name, r.arity, r.formula.root) for r in lang.relations]
+
+
+def test_write_instance_round_trips_difference_literals():
+    text = ("var a b c\nLe(a, b)\nb = a + 2\nb = a\nc <= a - 1\nc < b + 3\n"
+            "a != c - 4\nb != c\nc <= b + 0\na < c - 0\nb = a + 2\n")
+    inst, ext = parse_instance(text, INSTANCE_LANG)
+    written = write_instance(inst)
+    assert written.splitlines()[1:5] == [
+        "Le(a, b)", "b = a + 2", "b = a", "c <= a - 1"]
+    back, back_ext = parse_instance(written, INSTANCE_LANG)
+    assert back == inst
+    assert _relations(back_ext) == _relations(ext)
+
+
+# ---------------------------------------------------------------------------
+# the one-pattern parser against the line-by-line reference
+
+_DTI_NAMES = ("a", "b", "c", "_d", "x1", "var", "Le")
+_ARITY = {"Le": 2, "S": 2, "T": 3}
+_WS = st.sampled_from(["", "", "", " ", " ", "  ", "\t", " \t", "\u00a0"])
+_GARBAGE = ("Le(a", "a == b", "a >= b", "(", "Le(a)(b)", "Le(a # b)",
+            "var a b", "a = b +", "1a = b", "Le[a, b]", "a = b + c", "a b",
+            "Le(a, b) x", "a = b + 2 + 1", "a <= 3")
+
+
+@st.composite
+def _dti_line(draw, declared, flawed):
+    """One line; a flawed one may name an unknown relation, get the arity
+    wrong, use an undeclared variable or not parse at all."""
+    def ws():
+        return draw(_WS)
+
+    def var():
+        return draw(st.sampled_from(declared + (("zz", "") if flawed else ())))
+
+    kinds = ["apply"] * 4 + ["sugar"] * 2 + ["blank", "comment"]
+    kind = draw(st.sampled_from(kinds + ["garbage"] * 3 if flawed else kinds))
+    if kind == "apply":
+        name = draw(st.sampled_from(sorted(_ARITY)
+                                    + (["Nope", "le"] if flawed else [])))
+        n = _ARITY.get(name, 1)
+        if flawed:
+            n = draw(st.sampled_from([n, n, 0, n + 1, n - 1]))
+        inner = ",".join(ws() + var() + ws() for _ in range(n)) or ws()
+        line = f"{ws()}{name}{ws()}({inner}){ws()}"
+    elif kind == "sugar":
+        op = draw(st.sampled_from(["<=", "<", "=", "!="]))
+        tail = ""
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from("+-"))
+            digits = draw(st.sampled_from(["0", "1", "2", "07", "12"]))
+            tail = f"{ws()}{sign}{ws()}{digits}"
+        line = f"{ws()}{var()}{ws()}{op}{ws()}{var()}{tail}{ws()}"
+    elif kind == "blank":
+        line = ws()
+    elif kind == "comment":
+        line = f"{ws()}# {draw(st.sampled_from(['note', 'Le(a, b)', 'var x']))}"
+    else:
+        line = draw(st.sampled_from(_GARBAGE))
+    if kind != "comment" and draw(st.integers(0, 4)) == 0:
+        line += f"{ws()}#{draw(st.sampled_from(['', ' c', 'Le(a)']))}"
+    return line
+
+
+@st.composite
+def dti_texts(draw):
+    """Instance text over INSTANCE_LANG.  Half of the texts are valid: known
+    relations with their arity over declared variables.  In the others,
+    about one line in four is flawed (see ``_dti_line``), and the
+    declaration may repeat a variable or be malformed or missing."""
+    valid = draw(st.booleans())
+    declared = tuple(draw(st.lists(st.sampled_from(_DTI_NAMES), min_size=1,
+                                   max_size=5, unique=True)))
+    names = declared
+    if not valid and draw(st.integers(0, 4)) == 0:
+        names += (draw(st.sampled_from(declared)),)
+    head = "var " + " ".join(names)
+    if not valid and draw(st.integers(0, 4)) == 0:
+        head = draw(st.sampled_from(["var", "vars a", "var a 1b", "Le(a, b)",
+                                     ""]))
+    lines = [draw(st.sampled_from(["", "# header", "  "]))
+             for _ in range(draw(st.integers(0, 2)))]
+    lines.append(head)
+    for _ in range(draw(st.integers(0, 12))):
+        flawed = not valid and draw(st.integers(0, 3)) == 0
+        lines.append(draw(_dti_line(declared, flawed)))
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b"])
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n\x0b")
+
+
+def _parsed(parse, text):
+    try:
+        inst, lang = parse(text, INSTANCE_LANG)
+    except DtcspError as exc:
+        return type(exc), str(exc)
+    return inst, _relations(lang)
+
+
+def _group_rows(inst):
+    return sorted((name, args.tolist(), order.tolist())
+                  for name, args, order in inst.groups)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(dti_texts())
+def test_parse_instance_matches_line_parser(text):
+    got = _parsed(parse_instance, text)
+    assert got == _parsed(naive_parse_instance, text)
+    inst = got[0]
+    if isinstance(inst, Instance):
+        # the id view agrees with the one built from names
+        by_names = Instance(inst.variables, inst.constraints)
+        assert inst.names == by_names.names
+        assert _group_rows(inst) == _group_rows(by_names)
+        assert _parsed(parse_instance, write_instance(inst)) == got
