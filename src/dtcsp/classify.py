@@ -163,9 +163,8 @@ def default_halfwidth(rel: RelationDef, op: OperationSpec) -> int:
     return -(-((2 * k - 1) * (q + d) + d - 1) // 2)
 
 
-def preserved_by(rel: RelationDef, op: OperationSpec, halfwidth=None,
-                 cell_budget=DEFAULT_CELL_BUDGET,
-                 op_budget=DEFAULT_OP_BUDGET) -> PreservationResult:
+def preserved_by(rel: RelationDef, op: OperationSpec,
+                 halfwidth=None) -> PreservationResult:
     """Window-complete preservation test.
 
     Rather than scanning all pairs of relation tuples, the test computes the
@@ -193,17 +192,17 @@ def preserved_by(rel: RelationDef, op: OperationSpec, halfwidth=None,
     full one, and returns a violation found there (with that
     ``halfwidth``); otherwise it scans the full window, which answers both
     questions.  An explicit ``halfwidth`` scans that window only.
-    ``op_budget`` bounds the cell passes of a full walk: each transform and
-    each leaf test is one pass over the window's cells.
+    ``DEFAULT_CELL_BUDGET`` bounds a window's cells and ``DEFAULT_OP_BUDGET``
+    a full walk's cell passes, one per transform and per leaf test.
     """
     if halfwidth is None:
         halfwidth = default_halfwidth(rel, op)
         small = rel.formula.qe_degree + op.d + 1
         if small < halfwidth:
-            res = _scan_window(rel, op, small, cell_budget, op_budget)
+            res = _scan_window(rel, op, small)
             if not res.preserved:
                 return res
-    return _scan_window(rel, op, halfwidth, cell_budget, op_budget)
+    return _scan_window(rel, op, halfwidth)
 
 
 def _tree_passes(k, d):
@@ -215,14 +214,14 @@ def _tree_passes(k, d):
     return 3 * (2**k - 1) + 2**k
 
 
-def _scan_window(rel, op, B, cell_budget, op_budget):
+def _scan_window(rel, op, B):
     """The preservation test on the window ``[-B, B]^arity``."""
     k = rel.arity
     d = op.d
     W = 2 * B + 1
     cells = W**k
     passes = _tree_passes(k, d)
-    if cells > cell_budget or passes * cells > op_budget:
+    if cells > DEFAULT_CELL_BUDGET or passes * cells > DEFAULT_OP_BUDGET:
         raise BudgetExceeded(
             f"preservation window {W}^{k} with {passes} cell passes "
             f"exceeds the work budget")
@@ -380,44 +379,39 @@ class DifferenceProfile:
     tag: ProfileTag
 
 
-def _profile_grid(rel: RelationDef):
-    """The relation's grid over the window ``difference_profile`` reads."""
-    k = rel.arity
-    span = (rel.formula.qe_degree * (k - 1) + 3) * k
-    if span**k > DEFAULT_CELL_BUDGET:
-        raise BudgetExceeded(f"projection window {span}^{k} exceeds budget")
-    return grids.grid_eval(rel.formula, k, 0, span)
-
-
-def difference_profile(rel: RelationDef, i: int, j: int, *,
-                       _grid=None) -> DifferenceProfile:
+def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
     """Profile of the binary projection onto coordinates (i, j).
 
     A difference delta is achievable iff the relation formula conjoined with
-    ``x_i = x_j + delta`` is satisfiable, which is decided over the window
-    ``[0, (tau + 3) * arity)^arity`` with ``tau = q * (arity - 1)``.
-    Offsets can compound through projected-out coordinates, so membership
-    is only guaranteed constant beyond tau per side; the profile lists the
-    differences up to ``tau + 2`` per side and the tag reads the fringe
-    beyond tau.  ``_grid`` is that window's grid from ``_profile_grid``
-    when the caller has it already: ``_classify_positive`` evaluates it
-    once per relation, not once per pair of coordinates.
+    ``x_i = x_j + delta`` is satisfiable.  Offsets can compound through
+    projected-out coordinates, so membership is only guaranteed constant
+    beyond ``tau = q * (arity - 1)`` per side; the profile lists the
+    differences up to ``B = tau + 2`` per side and the tag reads the fringe
+    beyond tau.
+
+    They are read off the grid pinned at x_j (``grids.pinned_grid``) with
+    half-width ``R = B + (arity - 2)(q + 1)``.  Take a tuple of the relation
+    with ``x_i - x_j = delta``, ``|delta| <= B``, translated to x_j = 0, and
+    shrink each gap above q + 1 that lies outside the stretch from x_j to
+    x_i down to q + 1.  Every literal keeps its truth value (the gap
+    compression of ``formula._window``) and delta is unchanged.  A
+    coordinate inside the stretch lies within B of x_j; outside it at most
+    ``arity - 2`` coordinates lie, at most q + 1 apart, so each lies within
+    ``(arity - 2)(q + 1)`` of x_j or of x_i: the tuple is in the grid.
     """
     k = rel.arity
     if k < 2 or i == j or not (0 <= i < k and 0 <= j < k):
         raise ValueError("difference_profile needs two distinct coordinates")
-    tau = rel.formula.qe_degree * (k - 1)
+    q = rel.formula.qe_degree
+    tau = q * (k - 1)
     B = tau + 2
-    grid = _profile_grid(rel) if _grid is None else _grid
-    other_axes = tuple(a for a in range(k) if a not in (i, j))
-    proj = grid.any(axis=other_axes) if other_axes else grid
-    if i > j:
-        proj = proj.T
-
-    def achievable(delta):
-        return bool(np.diagonal(proj, offset=-delta).any())
-
-    members = {delta: achievable(delta) for delta in range(-B, B + 1)}
+    R = B + (k - 2) * (q + 1)
+    if (2 * R + 1) ** (k - 1) > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"projection window {2 * R + 1}^{k - 1} exceeds budget")
+    grid = grids.pinned_grid(rel.formula, k, j, R)
+    row = grid.any(axis=tuple(a for a in range(k) if a != i))
+    members = {delta: bool(row[R + delta]) for delta in range(-B, B + 1)}
     pos_fringe = [members[delta] for delta in range(tau + 1, B + 1)]
     neg_fringe = [members[-delta] for delta in range(tau + 1, B + 1)]
     if len(set(pos_fringe)) > 1 or len(set(neg_fringe)) > 1:
@@ -462,15 +456,10 @@ class ComplexityVerdict:
             return f"{self.cls.value}({self.d})"
         return self.cls.value
 
-    @property
-    def tractable(self):
-        return self.cls not in (VerdictClass.NP_HARD,
-                                VerdictClass.DEGENERATE_OR_UNKNOWN)
 
-
-def _candidate_moduli(profiles, cap=16):
-    """Moduli worth testing: 1..max finite spread (capped) plus divisors of
-    each finite profile's gap gcd."""
+def _candidate_moduli(profiles):
+    """Moduli worth testing: 1..max finite spread (capped at 16) plus
+    divisors of each finite profile's gap gcd."""
     out = {1}
     spread_max = 0
     for prof in profiles:
@@ -478,7 +467,7 @@ def _candidate_moduli(profiles, cap=16):
             continue
         vals = sorted(prof.values)
         spread = vals[-1] - vals[0]
-        spread_max = max(spread_max, min(spread, cap))
+        spread_max = max(spread_max, min(spread, 16))
         if len(vals) >= 2:
             g = 0
             for a, b in zip(vals, vals[1:]):
@@ -570,11 +559,8 @@ def _classify_order(lang, notes):
 def _classify_positive(lang, notes):
     profiles = []
     for rel in lang.relations:
-        if rel.arity < 2:
-            continue
-        grid = _profile_grid(rel)
         for i, j in itertools.permutations(range(rel.arity), 2):
-            profiles.append(difference_profile(rel, i, j, _grid=grid))
+            profiles.append(difference_profile(rel, i, j))
     candidates = _candidate_moduli(profiles)
     notes.append("candidate moduli: " + ", ".join(map(str, candidates)))
     witnesses = []

@@ -3,13 +3,13 @@
 A literal compares two variables up to an integer offset:
 ``x <= y + c``, ``x < y + c``, ``x = y + c`` or ``x != y + c``.
 Formulas are trees of AND / OR / NOT nodes over such literals; relations and
-whole constraint languages are built on top of them.  Equivalence of two
-formulas is decidable by enumerating assignments over a bounded window
-``{0, ..., (q + 1) * nvars - 1}`` where ``q`` is the largest absolute offset:
-any separating assignment can be gap-compressed into that window because
-literal truth only depends on variable differences clipped at magnitude q.
+whole constraint languages are built on top of them.  Literal truth only
+depends on variable differences, so equivalence of two formulas is decided
+on the assignments with x1 = 0 and the other variables in ``[-R, R]``,
+``R = (q + 1) * (nvars - 1)`` for q the largest absolute offset, into which
+any separating assignment translates and gap-compresses (``_window``).
 Truth tables over that window (``equivalent``, ``reduce``) come from
-``grids.grid_eval``; ``Formula.evaluate`` checks single points.
+``grids.pinned_grid``; ``Formula.evaluate`` checks single points.
 """
 
 from __future__ import annotations
@@ -240,18 +240,18 @@ class Formula:
                                     {"__builtins__": {}})
         return self._fn
 
-    def cnf(self, budget=DEFAULT_CLAUSE_BUDGET):
+    def cnf(self):
         if self._cnf is None:
             with self._lock:
                 if self._cnf is None:
-                    self._cnf = _normal_form(self.root, "cnf", budget)
+                    self._cnf = _normal_form(self.root, "cnf")
         return self._cnf
 
-    def dnf(self, budget=DEFAULT_CLAUSE_BUDGET):
+    def dnf(self):
         if self._dnf is None:
             with self._lock:
                 if self._dnf is None:
-                    self._dnf = _normal_form(self.root, "dnf", budget)
+                    self._dnf = _normal_form(self.root, "dnf")
         return self._dnf
 
     def reduced(self, view, build):
@@ -311,7 +311,7 @@ def _nnf(node, neg=False):
     return And(parts) if neg else Or(parts)
 
 
-def _normal_form(root, view, budget):
+def _normal_form(root, view):
     """Clause lists for the CNF or DNF of ``root``; purely mechanical."""
     outer = And if view == "cnf" else Or
 
@@ -333,10 +333,10 @@ def _normal_form(root, view, budget):
                 for b in sub:
                     c = a + [l for l in b if l not in a]
                     total += len(c)
-                    if total > budget:
+                    if total > DEFAULT_CLAUSE_BUDGET:
                         raise SizeLimitExceeded(
                             f"{view} expansion exceeds the literal budget "
-                            f"of {budget}")
+                            f"of {DEFAULT_CLAUSE_BUDGET}")
                     merged.append(c)
             acc = merged
         return acc
@@ -349,9 +349,9 @@ def _normal_form(root, view, budget):
         if key not in seen:
             seen.add(key)
             out.append(tuple(c))
-    if sum(len(c) for c in out) > budget:
-        raise SizeLimitExceeded(
-            f"{view} expansion exceeds the literal budget of {budget}")
+    if sum(len(c) for c in out) > DEFAULT_CLAUSE_BUDGET:
+        raise SizeLimitExceeded(f"{view} expansion exceeds the literal budget "
+                                f"of {DEFAULT_CLAUSE_BUDGET}")
     return tuple(out)
 
 
@@ -366,37 +366,44 @@ def formula_from_clauses(view, clauses) -> Formula:
     return Formula(root, view=view, clauses=clauses)
 
 
-def to_cnf(f: Formula, budget=DEFAULT_CLAUSE_BUDGET) -> Formula:
+def to_cnf(f: Formula) -> Formula:
     """Equivalent formula in conjunctive normal form (NOT pushed to literals)."""
-    return formula_from_clauses("cnf", f.cnf(budget))
+    return formula_from_clauses("cnf", f.cnf())
 
 
-def to_dnf(f: Formula, budget=DEFAULT_CLAUSE_BUDGET) -> Formula:
+def to_dnf(f: Formula) -> Formula:
     """Equivalent formula in disjunctive normal form."""
-    return formula_from_clauses("dnf", f.dnf(budget))
+    return formula_from_clauses("dnf", f.dnf())
 
 
 # ---------------------------------------------------------------------------
 # Equivalence and reduction
 
 
-def _window(nvars, q, budget, phase):
-    """Side of the ``{0, ..., (q + 1) * nvars - 1}`` window, budget-checked;
-    the error names ``phase``."""
-    size = max(1, (q + 1) * nvars)
-    if nvars > 0 and size**nvars > budget:
-        raise BudgetExceeded(f"{phase} window: {size}^{nvars} assignments "
-                             f"exceed budget {budget}")
-    return size
+def _window(nvars, q, phase):
+    """Half-width R = (q + 1)(nvars - 1) of the window that pins x1 at 0;
+    more than ``DEFAULT_ENUM_BUDGET`` points raise, naming ``phase``.
+
+    It decides every formula over nvars variables with offsets of at most
+    q.  A translation changes no difference, so take x1 = 0, then shrink
+    each gap between consecutive distinct values above q + 1 to q + 1.  A
+    difference of at most q is a sum of gaps of at most q, which stay put;
+    a larger one keeps its sign and stays above q.  So every literal keeps
+    its truth value, and the values span at most (q + 1)(nvars - 1).
+    """
+    free = max(nvars - 1, 0)
+    R = (q + 1) * free
+    if (2 * R + 1) ** free > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"{phase} window: {2 * R + 1}^{free} assignments "
+                             f"exceed budget {DEFAULT_ENUM_BUDGET}")
+    return R
 
 
-def equivalent(f: Formula, g: Formula, nvars: int,
-               budget=DEFAULT_ENUM_BUDGET) -> bool:
+def equivalent(f: Formula, g: Formula, nvars: int) -> bool:
     """True iff f and g agree on every integer assignment.
 
-    Decided exhaustively over ``{0, ..., (q + 1) * nvars - 1}`` with
-    q = max qe-degree of the two formulas; a separating assignment, if any,
-    gap-compresses into that window.
+    Decided on the window of ``_window`` for the larger qe-degree of the
+    two, into which any separating assignment translates and compresses.
     """
     from . import grids
     for h in (f, g):
@@ -404,27 +411,26 @@ def equivalent(f: Formula, g: Formula, nvars: int,
         if vs and max(vs) >= nvars:
             raise MissingVariableError(
                 f"formula uses x{max(vs) + 1} but nvars={nvars}")
-    size = _window(nvars, max(f.qe_degree, g.qe_degree), budget,
-                   "equivalent")
-    return bool(np.array_equal(grids.grid_eval(f, nvars, 0, size),
-                               grids.grid_eval(g, nvars, 0, size)))
+    R = _window(nvars, max(f.qe_degree, g.qe_degree), "equivalent")
+    return bool(np.array_equal(grids.pinned_grid(f, nvars, 0, R),
+                               grids.pinned_grid(g, nvars, 0, R)))
 
 
-def _clause_truth_bits(view, nv, size):
+def _clause_truth_bits(view, nv, R, points):
     """Evaluator for clause sets: truth on each window point packed into one
-    int, bit i being the i-th point in row-major order."""
+    int, bit i being the i-th of the ``points`` points in row-major order."""
     from . import grids
     lit_bits = {}
 
     def bits_of(lit):
         b = lit_bits.get(lit)
         if b is None:
-            grid = grids.grid_eval(Formula(lit), nv, 0, size)
+            grid = grids.pinned_grid(Formula(lit), nv, 0, R)
             packed = np.packbits(grid, axis=None, bitorder="little")
             b = lit_bits[lit] = int.from_bytes(packed.tobytes(), "little")
         return b
 
-    full = (1 << size**nv) - 1
+    full = (1 << points) - 1
 
     def truth(cls):
         if view == "cnf":
@@ -446,7 +452,7 @@ def _clause_truth_bits(view, nv, size):
     return truth
 
 
-def reduce(f: Formula, budget=DEFAULT_ENUM_BUDGET) -> Formula:
+def reduce(f: Formula) -> Formula:
     """Delete clauses, then literals, while equivalence holds.
 
     Requires a populated CNF or DNF view.  Scans clauses in order and literals
@@ -460,9 +466,9 @@ def reduce(f: Formula, budget=DEFAULT_ENUM_BUDGET) -> Formula:
         raise ValueError("reduce needs a formula with a CNF or DNF view")
     view = f.view
     nv = max(1, f.nvars)
-    size = _window(nv, f.qe_degree, budget, "reduce")
-    clause_truth = _clause_truth_bits(view, nv, size)
-    points = size**nv
+    R = _window(nv, f.qe_degree, "reduce")
+    points = (2 * R + 1) ** (nv - 1)
+    clause_truth = _clause_truth_bits(view, nv, R, points)
     work = 0
 
     def truth(cls):
@@ -753,10 +759,6 @@ def parse_language(text: str) -> ConstraintLanguage:
         parser = _ExprParser(toks[5:], lineno, arity)
         relations.append(RelationDef(name_tok.text, arity, Formula(parser.parse())))
     return ConstraintLanguage(tuple(relations))
-
-
-def format_formula(f: Formula) -> str:
-    return _format_node(f.root)
 
 
 def write_language(lang: ConstraintLanguage) -> str:

@@ -2,8 +2,9 @@
 
 A grid is a boolean ndarray of shape ``(hi - lo,) * arity`` whose cell
 ``[i1, ..., ik]`` says whether the tuple ``(lo + i1, ..., lo + ik)`` satisfies
-a formula.  Index residues modulo d coincide with value residues up to a fixed
-shift, so residue-class slicing can be done directly in index space.
+a formula (``pinned_grid`` fixes one coordinate at 0).  Index residues
+modulo d coincide with value residues up to a fixed shift, so residue-class
+slicing can be done directly in index space.
 ``eval_node`` evaluates a formula over any broadcastable value arrays; the
 grids use it on ranges, ``finite.satisfies`` on columns of argument values.
 """
@@ -43,16 +44,26 @@ def eval_node(node, axes):
     return out
 
 
+def _box_eval(formula, ranges):
+    """Boolean grid of the formula, variable i ranging over ``ranges[i]``."""
+    shape = tuple(len(r) for r in ranges)
+    axes = [np.arange(r.start, r.stop, dtype=np.int64).reshape(
+                [w if a == i else 1 for a, w in enumerate(shape)])
+            for i, r in enumerate(ranges)]
+    full = np.broadcast_to(eval_node(formula.root, axes), shape)
+    return np.ascontiguousarray(full)
+
+
 def grid_eval(formula, arity, lo, hi):
     """Boolean grid of the formula over ``[lo, hi)^arity``."""
-    width = hi - lo
-    axes = []
-    for i in range(arity):
-        shape = [1] * arity
-        shape[i] = width
-        axes.append(np.arange(lo, hi, dtype=np.int64).reshape(shape))
-    full = np.broadcast_to(eval_node(formula.root, axes), (width,) * arity)
-    return np.ascontiguousarray(full)
+    return _box_eval(formula, [range(lo, hi)] * arity)
+
+
+def pinned_grid(formula, arity, pin, R):
+    """Boolean grid of the formula with coordinate ``pin`` fixed at 0 (an
+    axis of width 1) and every other coordinate over ``[-R, R]``."""
+    return _box_eval(formula, [range(1) if i == pin else range(-R, R + 1)
+                               for i in range(arity)])
 
 
 def accumulate_leq_mod(arr, axis, d):

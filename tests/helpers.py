@@ -11,17 +11,20 @@ from dtcsp import (
     ArityError,
     Cmp,
     ConstraintLanguage,
+    DifferenceProfile,
     Formula,
     Instance,
     Literal,
     Not,
     Or,
     ParseError,
+    ProfileTag,
     RelationDef,
     random_horn_relation,
     random_instance,
     random_relation,
 )
+from dtcsp import grids
 
 # Largest n per qe-degree keeping the brute windows enumerable in tests.
 BRUTE_LEAF_CAP = 4 * 10**6
@@ -91,6 +94,33 @@ def legacy_halfwidth(rel, op):
     least ``classify.default_halfwidth``, and every window that wide is
     complete, so preservation must come out the same on both."""
     return (rel.formula.qe_degree + op.d + 1) * 2 * rel.arity
+
+
+def legacy_difference_profile(rel, i, j):
+    """The former profile reading: the relation's grid over
+    ``[0, (tau + 3) * arity)^arity``, ``tau = q * (arity - 1)``, projected
+    onto (i, j), each difference read off a diagonal."""
+    k = rel.arity
+    tau = rel.formula.qe_degree * (k - 1)
+    B = tau + 2
+    grid = grids.grid_eval(rel.formula, k, 0, (tau + 3) * k)
+    other_axes = tuple(a for a in range(k) if a not in (i, j))
+    proj = grid.any(axis=other_axes) if other_axes else grid
+    if i > j:
+        proj = proj.T
+    members = {delta: bool(np.diagonal(proj, offset=-delta).any())
+               for delta in range(-B, B + 1)}
+    pos_fringe = {members[delta] for delta in range(tau + 1, B + 1)}
+    neg_fringe = {members[-delta] for delta in range(tau + 1, B + 1)}
+    if len(pos_fringe) > 1 or len(neg_fringe) > 1:
+        tag = ProfileTag.MIXED
+    else:
+        pos, neg = pos_fringe.pop(), neg_fringe.pop()
+        tag = (ProfileTag.COFINITE if pos and neg
+               else ProfileTag.ONE_SIDED_INFINITE if pos or neg
+               else ProfileTag.FINITE)
+    values = tuple(delta for delta in range(-B, B + 1) if members[delta])
+    return DifferenceProfile(i, j, B, values, tag)
 
 
 def _mirror_node(node):

@@ -32,7 +32,6 @@ from dtcsp import grids
 from dtcsp.classify import (
     _first_member,
     _first_violation,
-    _profile_grid,
     default_halfwidth,
 )
 from dtcsp.formula import Formula, Literal, Cmp, parse_expression
@@ -40,12 +39,16 @@ from dtcsp.formula import Formula, Literal, Cmp, parse_expression
 from conftest import FIXTURES
 from helpers import (
     equivalent_rewrites,
+    legacy_difference_profile,
     legacy_halfwidth,
     naive_other_residue_any,
     pattern_reachable,
     random_mixed_language,
     strided_accumulate_leq_mod,
 )
+
+# the module, which the package's ``classify`` function shadows
+classify_module = importlib.import_module("dtcsp.classify")
 
 F_LANG = parse_language(
     "rel F/4 := (x2 = x1 + 1 -> x4 = x3 + 1) & (x4 = x3 + 1 -> x2 = x1 + 1)")
@@ -175,17 +178,15 @@ def test_default_halfwidth_is_the_gap_compression_bound(arity, q, d,
 def test_preserved_proof_prescans_only_a_narrower_window(monkeypatch, arity,
                                                          q, windows):
     # x1 <= xk + q is max-closed; its proof scans the small window q + 2
-    # first only when that is narrower than the full one.  (The package
-    # exports the function classify under the module's name.)
-    classify_mod = importlib.import_module("dtcsp.classify")
+    # first only when that is narrower than the full one
     scanned = []
-    scan = classify_mod._scan_window
+    scan = classify_module._scan_window
 
-    def spy(rel, op, B, *budgets):
+    def spy(rel, op, B):
         scanned.append(B)
-        return scan(rel, op, B, *budgets)
+        return scan(rel, op, B)
 
-    monkeypatch.setattr(classify_mod, "_scan_window", spy)
+    monkeypatch.setattr(classify_module, "_scan_window", spy)
     rel = _offset_relation(arity, q)
     assert preserved_by(rel, MAX).preserved
     assert scanned == windows
@@ -336,21 +337,24 @@ def test_case_tree_matches_pattern_enumeration(R, d):
     assert _first_violation(_closure(R, d), d) is None
 
 
-def test_preserved_by_budget():
+def test_preserved_by_budget(monkeypatch):
     rel = T2_LANG.relation("T2")
+    monkeypatch.setattr(classify_module, "DEFAULT_CELL_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        preserved_by(rel, MAX, cell_budget=100)
+        preserved_by(rel, MAX)
 
 
 @pytest.mark.parametrize("op, passes", [(MAX, 7 + 4), (modmax(2), 21 + 8)])
-def test_preserved_by_op_budget_boundary(op, passes):
+def test_preserved_by_op_budget_boundary(monkeypatch, op, passes):
     # arity 3 on the window [-2, 2]: 125 cells, each passed over once per
     # transform and per leaf of the case tree (half the tree when d = 1)
     rel = T2_LANG.relation("T2")
     work = passes * 5**3
-    preserved_by(rel, op, halfwidth=2, op_budget=work)
+    monkeypatch.setattr(classify_module, "DEFAULT_OP_BUDGET", work)
+    preserved_by(rel, op, halfwidth=2)
+    monkeypatch.setattr(classify_module, "DEFAULT_OP_BUDGET", work - 1)
     with pytest.raises(BudgetExceeded, match=rf"5\^3 with {passes} cell "):
-        preserved_by(rel, op, halfwidth=2, op_budget=work - 1)
+        preserved_by(rel, op, halfwidth=2)
 
 
 def test_empty_relation_is_preserved():
@@ -419,14 +423,17 @@ def test_profile_offsets_compound_through_projection():
     assert prof.values == (6,)
 
 
-def test_profile_from_shared_grid_matches_own_grid():
-    # _classify evaluates each relation's profile window once for all pairs
-    for seed in range(30):
-        for rel in random_mixed_language(seed).relations:
-            grid = _profile_grid(rel)
-            for i, j in itertools.permutations(range(rel.arity), 2):
-                assert (difference_profile(rel, i, j, _grid=grid)
-                        == difference_profile(rel, i, j)), (seed, rel.name)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arity=st.integers(2, 4), q=st.integers(0, 3),
+       seed=st.integers(0, 10**6),
+       dialect=st.sampled_from(["successor", "order", "mixed"]))
+def test_pinned_profile_matches_legacy_window(arity, q, seed, dialect):
+    # the grid pinned at x_j, half-width q(k - 1) + 2 + (k - 2)(q + 1), reads
+    # the same profile as the full ((q(k - 1) + 3)k)^k window did
+    rel = random_relation(arity, q, seed, dialect=dialect)
+    for i, j in itertools.permutations(range(arity), 2):
+        assert (difference_profile(rel, i, j)
+                == legacy_difference_profile(rel, i, j)), (i, j)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -436,9 +443,8 @@ def test_successor_profiles_are_finite_or_cofinite(arity, q, seed):
     # _classify routes by dialect alone: a successor relation never has a
     # one-sided or mixed projection (the argument is in its docstring)
     rel = random_relation(arity, q, seed, dialect="successor")
-    grid = _profile_grid(rel)
     for i, j in itertools.permutations(range(arity), 2):
-        assert difference_profile(rel, i, j, _grid=grid).tag in (
+        assert difference_profile(rel, i, j).tag in (
             ProfileTag.FINITE, ProfileTag.COFINITE), (i, j)
 
 
@@ -451,20 +457,18 @@ def test_successor_profiles_are_finite_or_cofinite(arity, q, seed):
 def test_profiles_run_only_for_positive_languages(monkeypatch, language,
                                                   profiled):
     # the profiles only give the modular branch its candidate moduli
-    classify_module = importlib.import_module("dtcsp.classify")
+    lang = parse_language((FIXTURES / language).read_text())
     calls = []
-    for name in ("difference_profile", "_profile_grid"):
-        original = getattr(classify_module, name)
+    original = classify_module.difference_profile
 
-        def counting(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(classify_module, name, counting)
-    classify(parse_language((FIXTURES / language).read_text()))
-    if profiled:
-        assert set(calls) == {"difference_profile", "_profile_grid"}
-    else:
-        assert calls == []
+    def counting(rel, i, j):
+        calls.append((rel.name, i, j))
+        return original(rel, i, j)
+    monkeypatch.setattr(classify_module, "difference_profile", counting)
+    classify(lang)
+    pairs = [(r.name, i, j) for r in lang.relations
+             for i, j in itertools.permutations(range(r.arity), 2)]
+    assert calls == (pairs if profiled else [])
 
 
 def test_classify_f_is_horn():
@@ -513,6 +517,24 @@ def test_classify_big_fixture_hard_from_small_window():
     # the full 129^4 window is over the cell budget; the violations of both
     # max and min show in the small window and re-check over Z
     lang = parse_language((FIXTURES / "big.dtl").read_text())
+    verdict = classify(lang)
+    assert verdict.cls is VerdictClass.NP_HARD
+    assert len(verdict.witnesses) == 2
+    for w in verdict.witnesses:
+        assert w.revalidates(lang.relation(w.relation))
+
+
+def test_classify_large_offset_horn_clause():
+    # one Horn clause; reduce pins x1, so its window is the 40,003 values of
+    # x2, where the unpinned window had 40002^2 points, over the budget
+    lang = parse_language("rel R/2 := x1 = x2 + 20000 | x1 != x2 + 5")
+    assert classify(lang).cls is VerdictClass.HORN_TRACTABLE
+
+
+def test_classify_large_offset_positive_hard():
+    # each profile reads a grid pinned at x_j, 99^3 cells, where the shared
+    # profile window of the whole relation had 120^4, over the budget
+    lang = parse_language("rel P/4 := x1 = x2 + 6 | x3 = x4 + 9")
     verdict = classify(lang)
     assert verdict.cls is VerdictClass.NP_HARD
     assert len(verdict.witnesses) == 2

@@ -258,8 +258,26 @@ def test_solve_budget_error_exits_3(capsys, argv):
     assert "budget" in err.lower()
 
 
+def test_solve_horn_large_offset(tmp_path, capsys):
+    # the Horn test reduces R's CNF over x2 in [-20001, 20001], x1 pinned at 0
+    language = tmp_path / "r.dtl"
+    language.write_text("rel R/2 := x1 = x2 + 20000 | x1 != x2 + 5\n")
+    instance = tmp_path / "r.dti"
+    instance.write_text("var a b c\nb = a + 5\nR(b, c)\nR(c, a)\n")
+    code, out, _ = run(capsys, "solve", language, instance, "--method", "horn",
+                       "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "SAT" and report["method"] == "horn"
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(report["assignment"]))
+    code, out, _ = run(capsys, "check", language, instance, witness)
+    assert code == 0
+    assert "valid" in out
+
+
 def test_solve_horn_reduce_window_budget_names_the_phase(capsys):
-    # the Horn test reduces R's CNF over a window of (q + 1) * 2 values a side
+    # the Horn test reduces R's CNF over x2 in [-(q + 1), q + 1], q = 3 * 10^21
     code, out, err = run(capsys, "solve", FIXTURES / "hugeoffset.dtl",
                          FIXTURES / "hugeoffset.dti", "--method", "horn")
     assert code == 3

@@ -157,13 +157,14 @@ def test_dist_dnf_two_disjuncts():
         }
 
 
-def test_size_limit_exceeded():
+def test_size_limit_exceeded(monkeypatch):
     # (a|b) & (a|b) & ... blows up when distributed into DNF
     lit_a = Literal(0, 1, Cmp.EQ, 0)
     lit_b = Literal(0, 1, Cmp.EQ, 1)
     f = Formula(And(tuple(Or((lit_a, lit_b)) for _ in range(12))))
+    monkeypatch.setattr(formula, "DEFAULT_CLAUSE_BUDGET", 50)
     with pytest.raises(SizeLimitExceeded):
-        f.dnf(budget=50)
+        f.dnf()
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +191,14 @@ def test_equivalent_separates_dist_from_suc():
     assert evaluate(dist, (0, 1)) and not evaluate(suc, (0, 1))
 
 
-def test_equivalent_budget():
+def test_equivalent_budget(monkeypatch):
+    # x1 is pinned at 0 and x2 ranges over [-4, 4]: 9 points
     f = parse_expression("x1 = x2 + 3", 2)
-    with pytest.raises(BudgetExceeded):
-        equivalent(f, f, 2, budget=10)
+    monkeypatch.setattr(formula, "DEFAULT_ENUM_BUDGET", 9)
+    assert equivalent(f, f, 2)
+    monkeypatch.setattr(formula, "DEFAULT_ENUM_BUDGET", 8)
+    with pytest.raises(BudgetExceeded, match=r"equivalent window: 9\^1 "):
+        equivalent(f, f, 2)
 
 
 def test_equivalent_symmetric_and_reflexive_random():
@@ -236,11 +241,12 @@ def test_reduce_merges_duplicate_disjunct():
 
 def test_reduce_work_budget(monkeypatch):
     # F's CNF is already reduced: one pass of failed deletions, each clause
-    # set evaluated at all 8^4 points of the window (q = 1, four variables)
+    # set evaluated at all 13^3 points of the window (q = 1, four variables,
+    # x1 pinned at 0 and the other three in [-6, 6])
     cnf = to_cnf(parse_f().relation("F").formula)
     c = len(cnf.clauses)
     lits = sum(len(cl) for cl in cnf.clauses)
-    work = 8**4 * (c + c * (c - 1) + lits * c)
+    work = 13**3 * (c + c * (c - 1) + lits * c)
     monkeypatch.setattr(formula, "DEFAULT_REDUCE_WORK", work)
     assert reduce(cnf).clauses == cnf.clauses
     monkeypatch.setattr(formula, "DEFAULT_REDUCE_WORK", work - 1)
