@@ -46,8 +46,8 @@ from .formula import (
 from .horn import solve_horn_csp
 from .oracle import brute_solve, random_horn_relation, random_instance, random_relation
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAMES_RE = re.compile(rf"{_ID}(?: {_ID})*")  # names joined by spaces
 _WS = r"[^\S\n]*"  # whitespace within a line
 # The first line with text before any '#': the declaration.
 _HEAD_RE = re.compile(r"^[^\S\n]*([^#\s][^#\n]*)", re.M)
@@ -84,9 +84,10 @@ def parse_instance(text: str, lang: ConstraintLanguage):
     lineno = body.count("\n", 0, head.start()) + 1
     if parts[0] != "var" or len(parts) < 2:
         raise ParseError("expected a 'var a b c' declaration", lineno)
-    for v in parts[1:]:
-        if not _IDENT_RE.match(v):
-            raise ParseError(f"bad variable name {v!r}", lineno)
+    if not _NAMES_RE.fullmatch(" ".join(parts[1:])):
+        for v in parts[1:]:
+            if not _NAMES_RE.fullmatch(v):
+                raise ParseError(f"bad variable name {v!r}", lineno)
     variables = tuple(parts[1:])
     start = body.find("\n", head.end()) + 1
     rows = _LINE_RE.findall(body, start) if start else []

@@ -1,20 +1,22 @@
 """Positive unit resolution for Horn instances over successor constraints.
 
-Facts of the form ``value(x) = value(y) + p`` live in a union-find whose
-members carry integer offsets to their component's representative; asserting
-a fact either merges two components, confirms a known offset, or reports a
-contradiction.  Unit resolution is driven by a worklist in the manner of
+Facts of the form ``value(x) = value(y) + p`` group the variables into
+components whose members carry integer offsets to their component's
+representative; asserting a fact either merges two components, confirms a
+known offset, or reports a contradiction.  The input's unit clauses are
+asserted all at once, by hooking and pointer jumping over arrays
+(``assert_facts``).  Unit resolution then runs a worklist in the manner of
 linear-time Horn-SAT (Dowling & Gallier, "Linear-time algorithms for testing
 the satisfiability of propositional Horn formulae", J. Logic Programming
-1(3), 1984): each undecided negated equality waits on the components of its
-two endpoints and is looked at again only when one of them is merged away.
-At a conflict-free fixpoint a concrete solution is read off by spacing the
-components far enough apart that the atom under every surviving negated
-equality comes out false.
+1(3), 1984), over an offset union-find: each undecided negated equality
+waits on the components of its two endpoints and is looked at again only
+when one of them is merged away.  At a conflict-free fixpoint a concrete
+solution is read off by spacing the components far enough apart that the
+atom under every surviving negated equality comes out false.
 
 Everything runs on integer variable ids (``Instance.names``): the compiled
-clauses are arrays (``HornClauses``), the union-find keeps lists indexed by
-id, and the witness is one value vector.
+clauses are arrays (``HornClauses``), the components are arrays (lists in
+the union-find) indexed by id, and the witness is one value vector.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ def _ints(values):
         return np.array(values, dtype=object)
 
 
+def _span(values):
+    """The largest magnitude in an integer array, as a Python int."""
+    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
+
+
 class OffsetUnionFind:
     """Disjoint sets of variable ids with integer offsets to the
     representative.
@@ -51,13 +58,15 @@ class OffsetUnionFind:
     Id v stands for ``names[v]``.  ``root[v]`` and ``offset[v]`` say that in
     every model of the asserted facts ``value(v) = value(root[v]) +
     offset[v]``; each root keeps its component's ids in ``members`` (None
-    for the other ids).  A merge relabels each member of the smaller
-    component (on a tie, the component of the fact's second variable) into
-    the larger one, so an id is relabelled at most log2(n) times and a find
-    is two list reads.  After the first contradiction the structure stays
-    in the conflicted state, and ``conflict`` is ``(x, y, p, implied
-    offset)`` with the fact's variable names.  ``assert_fact`` and
-    ``implied_offset`` take names, and add an unseen one as a singleton.
+    for the other ids), built from ``root`` at the first merge when the
+    structure starts from given components (``forest``).  A merge relabels
+    each member of the smaller component (on a tie, the component of the
+    fact's second variable) into the larger one, so an id is relabelled at
+    most log2(n) times and a find is two list reads.  After the first
+    contradiction the structure stays in the conflicted state, and
+    ``conflict`` is ``(x, y, p, implied offset)`` with the fact's variable
+    names.  ``assert_fact`` and ``implied_offset`` take names, and add an
+    unseen one as a singleton.
     """
 
     def __init__(self, variables=()):
@@ -71,14 +80,14 @@ class OffsetUnionFind:
             self.id(v)
 
     @classmethod
-    def singletons(cls, names):
-        """One singleton per name; id v is ``names[v]``."""
+    def forest(cls, names, root, offset):
+        """The components that the arrays ``root`` and ``offset`` describe;
+        id v is ``names[v]``."""
         uf = cls()
-        n = len(names)
         uf.names = list(names)
-        uf.root = list(range(n))
-        uf.offset = [0] * n
-        uf.members = [[v] for v in range(n)]
+        uf.root = root.tolist()
+        uf.offset = offset.tolist()
+        uf.members = None
         uf._ids = None
         return uf
 
@@ -94,7 +103,8 @@ class OffsetUnionFind:
             self.names.append(v)
             self.root.append(i)
             self.offset.append(0)
-            self.members.append([i])
+            if self.members is not None:
+                self.members.append([i])
         return i
 
     def assert_fact(self, x, y, p) -> str:
@@ -119,6 +129,11 @@ class OffsetUnionFind:
         # value(rx) = value(ry) + shift
         shift = offset[y] + p - offset[x]
         members = self.members
+        if members is None:
+            members = self.members = [[] if r == v else None
+                                      for v, r in enumerate(root)]
+            for v, r in enumerate(root):
+                members[r].append(v)
         if len(members[rx]) < len(members[ry]):
             rx, ry, shift = ry, rx, -shift
         moved = members[ry]
@@ -135,6 +150,87 @@ class OffsetUnionFind:
         if self.root[x] != self.root[y]:
             return None
         return self.offset[x] - self.offset[y]
+
+
+def _components(n, x, y, p):
+    """``root`` and ``offset`` arrays over ids 0..n-1 for the facts
+    ``value(x[i]) = value(y[i]) + p[i]``, by hooking and pointer jumping
+    (Shiloach & Vishkin, "An O(log n) parallel connectivity algorithm",
+    J. Algorithms 3(1), 1982).
+
+    ``value(v) = value(root[v]) + offset[v]`` holds for every v when the
+    facts are consistent; when they are not, it holds along one spanning
+    forest of them.  Each round, every root with an open fact (one whose
+    endpoints have different roots) hooks onto the least root among its
+    open facts, if that root is smaller than itself; the hooked roots are
+    then flattened by pointer jumping, and every id follows its root.  A
+    root that neither hooks nor is hooked onto in a round has all its open
+    facts on roots that hooked onto smaller ones, so it hooks in the next
+    round: the roots with open facts at least halve every two rounds, and
+    there are at most 2 log2(n) + 1 rounds.  Pointer jumping takes at most
+    log2(n) steps per round over the hooked roots alone, whose number
+    halves with the rounds, so the work is O((n + m) log n) for m facts, in
+    O(log^2 n) array passes.  Offsets are int64 when no sum along a path of
+    facts can overflow (then neither can a difference of two offsets minus
+    a fact's offset), else Python ints in object arrays.
+    """
+    dtype = np.int64 if 3 * len(p) * _span(p) < 2**63 else object
+    root = np.arange(n)
+    offset = np.zeros(n, dtype=dtype)
+    while True:
+        rx, ry = root[x], root[y]
+        open_ = rx != ry
+        x, y, p, rx, ry = x[open_], y[open_], p[open_], rx[open_], ry[open_]
+        if not len(x):
+            return root, offset
+        # value(rx) = value(ry) + shift, and the other way round
+        shift = offset[y] + p - offset[x]
+        src, dst = np.concatenate((rx, ry)), np.concatenate((ry, rx))
+        shift = np.concatenate((shift, -shift))
+        least = np.arange(n)
+        np.minimum.at(least, src, dst)
+        hook = dst == least[src]
+        hooked, first = np.unique(src[hook], return_index=True)
+        parent, lift = np.arange(n), np.zeros(n, dtype=dtype)
+        parent[hooked] = dst[hook][first]
+        lift[hooked] = shift[hook][first]
+        while len(hooked):  # those whose parent is not a root yet
+            up = parent[hooked]
+            top = parent[up]
+            deep = top != up
+            hooked, up = hooked[deep], up[deep]
+            lift[hooked] += lift[up]
+            parent[hooked] = top[deep]
+        offset = offset + lift[root]
+        root = parent[root]
+
+
+def assert_facts(n, x, y, p):
+    """Assert the facts ``value(x[i]) = value(y[i]) + p[i]`` over ids
+    0..n-1, in order, up to the first contradiction.
+
+    Returns ``(root, offset, conflict)``: ``conflict`` is None when the
+    facts are consistent, else ``(i, implied)`` for the first fact i that
+    contradicts the facts before it, whose offset those facts imply as
+    ``implied``.  ``root`` and ``offset`` (see ``_components``) describe
+    the facts asserted without a contradiction: all of them, or those
+    before fact i.  One ``_components`` call decides consistency with one
+    array comparison; on a contradiction, a binary search over prefix
+    lengths finds i in O(log m) more calls.
+    """
+    root, offset = _components(n, x, y, p)
+    if (offset[x] - offset[y] == p).all():
+        return root, offset, None
+    lo, hi = 0, len(p)  # the first lo facts agree, the first hi do not
+    root, offset = np.arange(n), np.zeros(n, dtype=offset.dtype)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        r, o = _components(n, x[:mid], y[:mid], p[:mid])
+        if (o[x[:mid]] - o[y[:mid]] == p[:mid]).all():
+            lo, root, offset = mid, r, o
+        else:
+            hi = mid
+    return root, offset, (lo, int(offset[x[lo]] - offset[y[lo]]))
 
 
 class HornClause(NamedTuple):
@@ -316,23 +412,26 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
 
     ``clauses`` is a ``HornClauses`` store whose first ids are
     ``variables``, or a sequence of ``HornClause``, which is packed into
-    one.  A queue holds the clauses whose negated equalities are all gone;
-    each is asserted as a fact in turn, and a contradiction, or such a
-    clause without a positive part, refutes the instance.  A negated
-    equality is decided once its endpoints share a component: the facts
-    force its atom true (the literal is deleted) or false (the negation
-    holds and the clause is satisfied).  Until then it is watched on both
-    endpoints' components; when a merge relabels the smaller component into
-    the larger, only the literals watched on the smaller one are looked at
-    again, and those still undecided move to the larger one's watch list.
-    Every watch entry thus moves at most log2(n) times, so the whole run
-    costs O((n + L) log n) for n variables and L literals.  The input's
-    unit clauses are asserted before any literal is watched; then every
-    literal is decided or watched at once, with array operations, exactly
-    as a pass over the clauses in order would.  At the fixpoint the
-    instance is satisfiable and a witness is extracted.
-    ``stats["facts"]`` counts the facts asserted, one per unit clause,
-    repeats included.
+    one.  A clause with neither literals nor a positive part refutes the
+    instance.  The input's unit clauses are asserted all at once, in clause
+    order, by ``assert_facts``; a contradiction refutes the instance.  Then
+    every negated equality is decided or watched in one array pass: one
+    whose endpoints share a component is forced true (the literal is
+    deleted) or false (the negation holds and the clause is satisfied), and
+    the others are watched on both endpoints' roots, in literal order.
+    Only when that pass leaves a clause whose negated equalities are all
+    gone does the worklist run.  It asserts each such clause's positive
+    part in turn into an ``OffsetUnionFind``, and a contradiction, or such
+    a clause without a positive part, refutes the instance.  When a merge
+    relabels the smaller component into the larger, only the literals
+    watched on the smaller one are looked at again, and those still
+    undecided move to the larger one's watch list.  Every watch entry thus
+    moves at most log2(n) times, so the worklist costs O((n + L) log n) for
+    n variables and L literals, as the batch assertion of the unit clauses
+    does.  At the fixpoint the instance is satisfiable and a witness is
+    extracted.  ``stats["facts"]`` counts the facts asserted, one per unit
+    clause (given or derived), repeats included, up to the first
+    contradiction.
     """
     stats = stats if stats is not None else {}
     variables = tuple(variables)
@@ -346,49 +445,69 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
         return SolveResult("UNSAT", reason=f"empty clause from {origin}",
                            stats=stats)
 
+    def finish(status, reason=None, assignment=None):
+        if facts:
+            stats["facts"] = stats.get("facts", 0) + facts
+        return SolveResult(status, assignment, reason=reason, stats=stats)
+
     names = clauses.names
-    uf = OffsetUnionFind.singletons(names)
-    root, offset, merge = uf.root, uf.offset, uf.merge
-    pos_x, pos_y, pos_p = (a.tolist() for a in
-                           (clauses.pos_x, clauses.pos_y, clauses.pos_p))
+    units = np.flatnonzero(counts == 0)
+    root, offset, conflict = assert_facts(
+        len(names), clauses.pos_x[units], clauses.pos_y[units],
+        clauses.pos_p[units])
+    if conflict is not None:
+        i, implied = conflict
+        facts = i + 1
+        return finish("UNSAT", _contradiction(clauses, units[i], implied))
+    facts = len(units)
+    # Decide or watch every literal.  A literal whose endpoints share a
+    # component is forced true (deleted) or false (its clause is satisfied,
+    # and the clause's other literals are never looked at again).
     lit_clause = np.repeat(np.arange(len(counts)), counts)
-    lit_of = lit_clause.tolist()
-    lit_x, lit_y, lit_p = (a.tolist() for a in
-                           (clauses.neg_x, clauses.neg_y, clauses.neg_p))
-    # undecided negated literals per clause; -1 once the clause is satisfied
-    undecided = counts.tolist()
-    live = bytearray()  # per literal: watched and undecided
-    # the literals watched on root r: watched[begin[r]:end[r]], then moved[r]
-    watched, begin, end = [], [0] * len(names), [0] * len(names)
-    moved = {}
-    units = deque(np.flatnonzero(counts == 0).tolist())
-    facts = 0
-
-    def settle(ci, forced_true):
-        """Record a decided literal of clause ci; a message when that
-        leaves an empty clause."""
-        if not forced_true:
-            undecided[ci] = -1
-            return None
-        undecided[ci] -= 1
-        if undecided[ci] == 0:
-            if pos_x[ci] < 0:
-                return f"empty clause from {clauses.origin(ci)}"
-            units.append(ci)
-        return None
-
-    def propagate():
-        """Assert queued units until none is left; a message on refutation."""
-        nonlocal facts
-        while units:
-            ci = units.popleft()
-            x, y, p = pos_x[ci], pos_y[ci], pos_p[ci]
+    nx, ny = clauses.neg_x, clauses.neg_y
+    same = root[nx] == root[ny]
+    forced = same & np.asarray(offset[nx] - offset[ny] == clauses.neg_p,
+                               dtype=bool)
+    satisfied = np.zeros(len(counts), dtype=bool)
+    satisfied[lit_clause[same & ~forced]] = True
+    done = counts - np.bincount(lit_clause[forced], minlength=len(counts))
+    full = (counts > 0) & (done == 0) & ~satisfied
+    empty = np.flatnonzero(full & (clauses.pos_x < 0))
+    if len(empty):
+        return finish("UNSAT", f"empty clause from {clauses.origin(empty[0])}")
+    residual = ~satisfied & (done > 0)
+    if full.any():
+        # Derived units: watch the undecided literals on both endpoints'
+        # roots, and run the worklist over lists indexed by id.
+        uf = OffsetUnionFind.forest(names, root, offset)
+        root_of, offset_of, merge = uf.root, uf.offset, uf.merge
+        pos_x, pos_y, pos_p = (a.tolist() for a in
+                               (clauses.pos_x, clauses.pos_y, clauses.pos_p))
+        lit_of = lit_clause.tolist()
+        lit_x, lit_y, lit_p = (a.tolist() for a in
+                               (nx, ny, clauses.neg_p))
+        # undecided negated literals per clause; -1 once it is satisfied
+        undecided = np.where(satisfied, -1, done).tolist()
+        watch = ~same & ~satisfied[lit_clause]
+        live = bytearray(watch.tobytes())  # per literal: watched, undecided
+        watch = np.flatnonzero(watch)
+        keys = np.concatenate((root[nx[watch]], root[ny[watch]]))
+        lits = np.concatenate((watch, watch))
+        by_root = np.lexsort((lits, keys))
+        # the literals watched on root r: watched[begin[r]:end[r]], then
+        # moved[r]
+        watched = lits[by_root].tolist()
+        bounds = np.searchsorted(keys[by_root], np.arange(len(names) + 1))
+        begin, end = bounds[:-1].tolist(), bounds[1:].tolist()
+        moved = {}
+        queue = deque(np.flatnonzero(full).tolist())
+        while queue:
+            ci = queue.popleft()
             facts += 1
-            merged = merge(x, y, p)
+            merged = merge(pos_x[ci], pos_y[ci], pos_p[ci])
             if uf.conflict is not None:
-                return (f"{clauses.origin(ci) or 'fact'} needs {names[x]} = "
-                        f"{names[y]} + {p} but the facts imply offset "
-                        f"{uf.conflict[3]}")
+                return finish("UNSAT", _contradiction(clauses, ci,
+                                                      uf.conflict[3]))
             if merged is None:
                 continue
             absorbed, survivor = merged
@@ -399,95 +518,77 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
                 if not live[li] or undecided[cj] < 0:
                     continue
                 a, b = lit_x[li], lit_y[li]
-                if root[a] != root[b]:
+                if root_of[a] != root_of[b]:
                     kept.append(li)
                     continue
                 live[li] = 0
-                failed = settle(cj, offset[a] - offset[b] == lit_p[li])
-                if failed is not None:
-                    return failed
-        return None
+                if offset_of[a] - offset_of[b] != lit_p[li]:
+                    undecided[cj] = -1  # the negation holds
+                    continue
+                undecided[cj] -= 1
+                if undecided[cj] == 0:
+                    if pos_x[cj] < 0:
+                        return finish("UNSAT", f"empty clause from "
+                                               f"{clauses.origin(cj)}")
+                    queue.append(cj)
+        root, offset = np.array(root_of), _ints(offset_of)
+        residual = np.array(undecided) > 0
 
-    def finish(status, reason=None, assignment=None):
-        if facts:
-            stats["facts"] = stats.get("facts", 0) + facts
-        return SolveResult(status, assignment, reason=reason, stats=stats)
-
-    failed = propagate()
-    if failed is not None:
-        return finish("UNSAT", failed)
-    # Decide or watch every literal.  A literal whose endpoints share a
-    # component is forced true (deleted) or false (its clause is satisfied,
-    # and the clause's other literals are never looked at again); the
-    # others are watched on both endpoints' roots, in literal order.
-    roots, offsets = np.array(root), _ints(offset)
-    nx, ny = clauses.neg_x, clauses.neg_y
-    same = roots[nx] == roots[ny]
-    forced = same & np.asarray(offsets[nx] - offsets[ny] == clauses.neg_p,
-                               dtype=bool)
-    satisfied = np.zeros(len(counts), dtype=bool)
-    satisfied[lit_clause[same & ~forced]] = True
-    done = counts - np.bincount(lit_clause[forced], minlength=len(counts))
-    full = (counts > 0) & (done == 0) & ~satisfied
-    empty = np.flatnonzero(full & (clauses.pos_x < 0))
-    if len(empty):
-        return finish("UNSAT", f"empty clause from {clauses.origin(empty[0])}")
-    units.extend(np.flatnonzero(full).tolist())
-    undecided = np.where(satisfied, -1, done).tolist()
-    watch = ~same & ~satisfied[lit_clause]
-    live = bytearray(watch.tobytes())
-    watch = np.flatnonzero(watch)
-    keys = np.concatenate((roots[nx[watch]], roots[ny[watch]]))
-    lits = np.concatenate((watch, watch))
-    by_root = np.lexsort((lits, keys))
-    watched = lits[by_root].tolist()
-    bounds = np.searchsorted(keys[by_root], np.arange(len(names) + 1))
-    begin, end = bounds[:-1].tolist(), bounds[1:].tolist()
-    failed = propagate()
-    if failed is not None:
-        return finish("UNSAT", failed)
-
-    residual = np.flatnonzero(np.array(undecided) > 0)
     q_inst = max(int(np.abs(clauses.neg_p).max(initial=0)),
                  int(np.abs(clauses.pos_p[clauses.pos_x >= 0]).max(initial=0)),
                  1)
     return finish("SAT", assignment=extract_assignment(
-        uf, clauses.select(residual), variables, q_inst))
+        root, offset, clauses.select(np.flatnonzero(residual)), variables,
+        q_inst))
 
 
-def extract_assignment(uf: OffsetUnionFind, residual, variables,
-                       q_inst=1) -> dict:
-    """Concrete solution from the fact store.
+def _contradiction(clauses, ci, implied):
+    """The reason when unit clause ci contradicts the facts before it, which
+    imply the offset ``implied`` between its endpoints."""
+    x, y, p = (int(a[ci]) for a in
+               (clauses.pos_x, clauses.pos_y, clauses.pos_p))
+    return (f"{clauses.origin(ci) or 'fact'} needs {clauses.names[x]} = "
+            f"{clauses.names[y]} + {p} but the facts imply offset {implied}")
 
-    Components are laid out in first-seen order at bases 0, D, 2D, ... with
-    ``D = 2 * q_inst * nvars + 1``; each is anchored at its first-seen
-    variable, which sits at the base, and every other member sits at base
-    plus its offset from that variable.  Those offsets never exceed
-    ``q_inst * (nvars - 1)`` in magnitude, so values in different components
-    stay more than ``q_inst`` apart and every surviving negated equality
-    (whose endpoints always straddle components at the fixpoint) comes out
-    true.  The values form one vector over the union-find's ids; the
-    witness lists the variables component by component.  ``residual``, a
-    ``HornClauses`` store over the same ids or a sequence of
-    ``HornClause``, is checked against that vector: residual clauses may
-    keep their decided literals, whose atoms hold, so the check needs one
-    true literal per clause.
+
+def extract_assignment(root, offset, residual, variables, q_inst=1) -> dict:
+    """Concrete solution from components over variable ids.
+
+    ``root`` and ``offset`` are arrays over the ids saying that ``value(v)
+    = value(root[v]) + offset[v]``.  ``residual`` is a ``HornClauses`` store
+    over the same ids, whose names give each variable's id, or a sequence of
+    ``HornClause``, packed over ``variables``.  Components are laid out in
+    first-seen order at bases 0, D, 2D, ... with ``D = 2 * q_inst * nvars +
+    1``; each is anchored at its first-seen variable, which sits at the
+    base, and every other member sits at base plus its offset from that
+    variable.  Those offsets never exceed ``q_inst * (nvars - 1)`` in
+    magnitude, so values in different components stay more than ``q_inst``
+    apart and every surviving negated equality (whose endpoints always
+    straddle components at the fixpoint) comes out true.  The values form
+    one vector over the ids, int64 when they fit and Python ints otherwise;
+    the witness lists the variables component by component.  The residual
+    clauses are checked against that vector: they may keep their decided
+    literals, whose atoms hold, so the check needs one true literal per
+    clause.
     """
     variables = tuple(variables)
-    if tuple(uf.names[:len(variables)]) == variables:
+    if not isinstance(residual, HornClauses):
+        residual = HornClauses.pack(residual, variables)
+    if residual.names[:len(variables)] == variables:
         ids = np.arange(len(variables))
     else:
-        ids = np.array([uf.id(v) for v in variables], dtype=np.int64)
-    if not isinstance(residual, HornClauses):
-        residual = HornClauses.pack(residual, uf.names)
+        index = {v: i for i, v in enumerate(residual.names)}
+        ids = np.array([index[v] for v in variables], dtype=np.int64)
     spacing = 2 * max(1, q_inst) * len(set(variables)) + 1
-    root, offset = np.array(uf.root, dtype=np.int64), _ints(uf.offset)
+    root, offset = np.asarray(root), _ints(offset)
     # first-seen order: the variables, then every id
     seen = np.concatenate((ids, np.arange(len(root)))).astype(np.int64)
     _, first, comp = np.unique(root[seen], return_index=True,
                                return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
+    if len(first) * spacing + 2 * _span(offset) >= 2**63:
+        rank, offset = rank.astype(object), offset.astype(object)
     anchor = offset[seen[first]]
     comp = comp[len(ids):]
     value = rank[comp] * spacing + offset - anchor[comp]

@@ -1,6 +1,8 @@
 import random
+import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from dtcsp import (
     solve_horn,
     solve_horn_csp,
 )
-from dtcsp.horn import CONFLICT, OK
+from dtcsp.horn import CONFLICT, OK, _ints, assert_facts
 
 from helpers import (
     NaiveOffsetGraph,
@@ -115,6 +117,45 @@ def test_monotone_no_unsat_to_sat():
             conflicted = conflicted or status == CONFLICT
 
 
+@st.composite
+def fact_lists(draw):
+    """Facts over at most 12 ids: offsets of planted potentials, scaled up
+    to beyond int64, with some off by one, repeats and x == y facts."""
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from((1, -1, 2**40, 2**62, 2**70)))
+    planted = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    ids = st.integers(0, n - 1)
+    facts = []
+    for _ in range(draw(st.integers(0, 30))):
+        x = draw(ids)
+        y = x if draw(st.integers(0, 5)) == 0 else draw(ids)
+        noise = draw(st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1)))
+        facts.append((x, y, scale * (planted[x] - planted[y]) + noise))
+        if draw(st.integers(0, 4)) == 0:
+            facts.append(draw(st.sampled_from(facts)))
+    return n, facts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fact_lists())
+def test_assert_facts_matches_naive_graph(case):
+    n, facts = case
+    naive = NaiveOffsetGraph()
+    first = None
+    for i, (x, y, p) in enumerate(facts):
+        if naive.assert_fact(x, y, p) == CONFLICT:
+            first = (i, naive.implied_offset(x, y))
+            break
+    x, y, p = zip(*facts) if facts else ((), (), ())
+    root, offset, conflict = assert_facts(
+        n, np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), _ints(p))
+    assert conflict == first
+    for a in range(n):
+        for b in range(n):
+            got = offset[a] - offset[b] if root[a] == root[b] else None
+            assert got == naive.implied_offset(a, b)
+
+
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -171,6 +212,35 @@ def test_conflicting_units_unsat():
     res = solve_horn_csp(F_LANG, inst)
     assert res.status == "UNSAT"
     assert res.reason
+    # 1,000 units: the 501st contradicts the chain before it, and a later
+    # unit contradicts the chain as a whole; the first one is reported
+    vs = tuple(f"v{i}" for i in range(1000))
+    cons = [("S1", (vs[i], vs[i + 1])) for i in range(998)]
+    cons.insert(500, ("S2", (vs[100], vs[400])))
+    cons.insert(700, ("S2", (vs[0], vs[2])))
+    stats = {}
+    res = solve_horn_csp(F_LANG, Instance(vs, tuple(cons)), stats=stats)
+    assert res.status == "UNSAT"
+    assert res.reason == ("S2(v100, v400) needs v400 = v100 + 2 but the "
+                          "facts imply offset 300")
+    assert stats["facts"] == 501
+
+
+def test_units_past_int64_stay_exact():
+    p = 2**62
+    units = [HornClause((), ("b", "a", p)), HornClause((), ("c", "b", p)),
+             HornClause((), ("d", "c", p))]
+    stats = {}
+    res = solve_horn(units + [HornClause((("d", "a", 3 * p),))],
+                     ("a", "b", "c", "d"), stats=stats)
+    assert (res.status, res.reason, stats) == (
+        "UNSAT", "empty clause from ", {"facts": 3})
+    res = solve_horn(units, ("a", "b", "c", "d"))
+    assert res.assignment == {"a": 0, "b": p, "c": 2 * p, "d": 3 * p}
+    res = solve_horn(units + [HornClause((), ("d", "a", 3 * p + 1))],
+                     ("a", "b", "c", "d"))
+    assert res.reason == (f"fact needs d = a + {3 * p + 1} but the facts "
+                          f"imply offset {3 * p}")
 
 
 def test_empty_clause_set_sat_all_zero():
@@ -182,20 +252,20 @@ def test_empty_clause_set_sat_all_zero():
 def test_extract_spacing_example():
     uf = OffsetUnionFind(("a", "b", "z"))
     uf.assert_fact("b", "a", 1)
-    got = extract_assignment(uf, [], ("a", "b", "z"), q_inst=1)
+    got = extract_assignment(uf.root, uf.offset, [], ("a", "b", "z"),
+                             q_inst=1)
     assert got == {"a": 0, "b": 1, "z": 7}
 
 
 def test_extract_single_component():
     uf = OffsetUnionFind(("a", "b"))
     uf.assert_fact("b", "a", 3)
-    got = extract_assignment(uf, [], ("a", "b"), q_inst=3)
+    got = extract_assignment(uf.root, uf.offset, [], ("a", "b"), q_inst=3)
     assert got == {"a": 0, "b": 3}
 
 
 def test_extract_no_variables():
-    uf = OffsetUnionFind()
-    assert extract_assignment(uf, [], ()) == {}
+    assert extract_assignment([], [], [], ()) == {}
 
 
 def test_neq_instances_split_components():
@@ -245,6 +315,49 @@ def test_reversed_f_chain_2000():
     assert stats["facts"] == 2 * 2000 + 1
 
 
+def test_star_with_the_centre_declared_last():
+    # Every leaf's only neighbour is the centre, the largest id.  Least-root
+    # hooking joins the star in two rounds; hooking each root onto the first
+    # of its facts in array order would take one round per leaf.
+    n = 20000
+    leaves = [f"v{i}" for i in range(n - 1)]
+    clauses = [HornClause((), (leaves[i], "c", i + 1))
+               for i in reversed(range(n - 1))]
+    stats = {}
+    started = time.perf_counter()
+    res = solve_horn(clauses, (*leaves, "c"), stats=stats)
+    elapsed = time.perf_counter() - started
+    assert res.sat
+    assert stats["facts"] == n - 1
+    assert res.assignment == {"c": -1, **{v: i for i, v in enumerate(leaves)}}
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_chain_of_20000_units(shuffled):
+    # In declaration order, every root hooks onto its predecessor in one
+    # round, and only pointer jumping makes the chain flat in log2(n) steps
+    # instead of one round per link.
+    n = 20000
+    chain = [f"v{i}" for i in range(n)]
+    clauses = [HornClause((), (chain[i + 1], chain[i], 1))
+               for i in range(n - 1)]
+    declared = list(chain)
+    if shuffled:
+        rng = random.Random(0)
+        rng.shuffle(clauses)
+        rng.shuffle(declared)
+    stats = {}
+    started = time.perf_counter()
+    res = solve_horn(clauses, declared, stats=stats)
+    elapsed = time.perf_counter() - started
+    assert res.sat
+    assert stats["facts"] == n - 1
+    base = int(declared[0][1:])
+    assert res.assignment == {v: i - base for i, v in enumerate(chain)}
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
 def test_shuffled_clauses_keep_the_witness():
     cases = [(F_LANG, _reversed_f_chain(40))]
     for seed in range(80):
@@ -292,11 +405,14 @@ def _check_against_reference(solve, args, clauses, variables):
     assert res.status == status
     if res.sat:
         assert stats.get("facts", 0) == facts
-        uf = extract.call_args.args[0]
+        root, offset, residual = extract.call_args.args[:3]
+        ids = {v: i for i, v in enumerate(residual.names)}
         for x in variables:
             offsets = store.offsets_from(x)
             for y in variables:
-                assert uf.implied_offset(x, y) == offsets.get(y)
+                i, j = ids[x], ids[y]
+                implied = offset[i] - offset[j] if root[i] == root[j] else None
+                assert implied == offsets.get(y)
     return res
 
 
