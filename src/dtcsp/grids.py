@@ -7,9 +7,37 @@ modulo d coincide with value residues up to a fixed shift, so residue-class
 slicing can be done directly in index space.
 ``eval_node`` evaluates a formula over any broadcastable value arrays; the
 grids use it on ranges, ``finite.satisfies`` on columns of argument values.
+
+The preservation test of ``classify`` walks its case tree on *packed*
+grids: one Python int whose bit i holds C-order cell i (``pack``,
+``unpack``).  A whole grid is then one operand of a machine-word OR, AND or
+shift.  On axis a with width W and stride st (the product of the widths
+after it), moving every cell j places along the axis is a shift by j * st
+bits; the cells whose index on the axis would pass either end land on a
+neighbouring line instead, and a mask of the cells whose index lies in
+range clears them (``_read``).  Masks are cached by shape, axis and index
+range, in a cache bounded in bytes that drops its oldest masks first.  The
+two residue transforms are doublings over such reads:
+
+* ``accumulate_leq_mod`` ORs into each cell the cell s places below it, for
+  s = d, 2d, 4d, ... < W.  After the shifts up to s, each cell holds every
+  same-class cell up to 2s - d places below it, so after the last one every
+  same-class cell below it on its line.
+* ``other_residue_any`` first ORs each line's residue classes onto
+  themselves (the same doubling downwards, then upwards), so that each
+  cell holds its whole class on the line.  It then ORs in, for
+  j = 1, ..., d - 1, that result read j places forward and d - j places
+  back.  Both places lie in class i + j of the cell i, and they are
+  consecutive members of that class with i strictly between them.  A
+  member of the class on the line lies beyond one of them as seen from i;
+  the nearer one then lies between i and that member, so on the line too.
+  So a class other than the cell's own has a member on the line exactly
+  when one of its two reads lands on the line.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,33 +94,100 @@ def pinned_grid(formula, arity, pin, R):
                                for i in range(arity)])
 
 
-def accumulate_leq_mod(arr, axis, d):
-    """OR over all same-residue positions at or below each index, per axis.
-
-    A running OR over whole slabs: slab i takes in slab i - d, which already
-    holds every lower slab of its residue class.  Each step is one
-    vectorised pass over a whole (k-1)-dimensional slab."""
-    out = arr.copy()
-    slabs = np.moveaxis(out, axis, 0)
-    for i in range(d, slabs.shape[0]):
-        slabs[i] |= slabs[i - d]
-    return out
+def pack(grid):
+    """The boolean grid as one int, bit i holding C-order cell i."""
+    return int.from_bytes(
+        np.packbits(grid, axis=None, bitorder="little").tobytes(), "little")
 
 
-def other_residue_any(arr, axis, d):
-    """OR over all positions whose index residue differs from the cell's own."""
+def unpack(bits, shape):
+    """The boolean grid of ``shape`` packed in ``bits``."""
+    n = math.prod(shape)
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool).reshape(
+        shape)
+
+
+# Bytes (one bit per cell) held by cached masks.  A mask over 1/64 of it is
+# built on every call and never cached, so the cache keeps at least 64
+# masks: about what one walk of an arity-4 window, or of an arity-3 window
+# with d up to 8, reads.
+_MASK_CACHE_BYTES = 2 * 2**20
+_masks = {}  # (shape, axis, lo, hi) -> mask, oldest first
+_mask_bytes = 0
+
+
+def _mask(shape, axis, lo, hi):
+    """Bits of the cells of ``shape`` whose index on ``axis`` lies in
+    ``[lo, hi)``."""
+    global _mask_bytes
+    key = (shape, axis, lo, hi)
+    mask = _masks.get(key)
+    if mask is not None:
+        return mask
+    stride = math.prod(shape[axis + 1:])
+    mask = _repeat(((1 << (hi - lo) * stride) - 1) << lo * stride,
+                   shape[axis] * stride, math.prod(shape[:axis]))
+    size = (math.prod(shape) + 7) // 8
+    if size <= _MASK_CACHE_BYTES // 64:
+        _masks[key] = mask
+        _mask_bytes += size
+        while _mask_bytes > _MASK_CACHE_BYTES:
+            old = next(iter(_masks))
+            del _masks[old]
+            _mask_bytes -= (math.prod(old[0]) + 7) // 8
+    return mask
+
+
+def _repeat(block, period, count):
+    """``count`` copies of ``block``, ``period`` bits apart, by doubling."""
+    out = at = 0
+    while True:
+        if count & 1:
+            out |= block << at
+            at += period
+        count >>= 1
+        if not count:
+            return out
+        block |= block << period
+        period *= 2
+
+
+def _read(bits, shape, axis, j):
+    """The packed grid read ``j`` places along ``axis``: cell i takes the
+    cell at index i + j on its line, or False past either end."""
+    width = shape[axis]
+    if abs(j) >= width:
+        return 0
+    shift = abs(j) * math.prod(shape[axis + 1:])
+    if j > 0:
+        return (bits >> shift) & _mask(shape, axis, 0, width - j)
+    return (bits << shift) & _mask(shape, axis, -j, width)
+
+
+def _spread(bits, shape, axis, d, step):
+    """OR into each cell the same-class cells on its line that lie below it
+    (``step`` -1) or above it (``step`` 1), by doubling."""
+    s = d
+    while s < shape[axis]:
+        bits |= _read(bits, shape, axis, step * s)
+        s *= 2
+    return bits
+
+
+def accumulate_leq_mod(bits, shape, axis, d):
+    """OR over all same-residue positions at or below each index along
+    ``axis``, of the packed grid ``bits`` of ``shape``."""
+    return _spread(bits, shape, axis, d, -1)
+
+
+def other_residue_any(bits, shape, axis, d):
+    """OR over all positions along ``axis`` whose index residue mod d
+    differs from the cell's own, of the packed grid ``bits`` of ``shape``."""
     if d == 1:
-        return np.zeros_like(arr)
-    moved = np.moveaxis(arr, axis, -1)
-    width = moved.shape[-1]
-    nphases = min(d, width)
-    anys = [moved[..., p::d].any(axis=-1) for p in range(nphases)]
-    # another phase holds a cell iff more phases do than this one alone
-    count = np.zeros(anys[0].shape, dtype=np.min_scalar_type(nphases))
-    for a in anys:
-        count += a
-    out = np.empty_like(arr)
-    out_moved = np.moveaxis(out, axis, -1)
-    for p in range(nphases):
-        out_moved[..., p::d] = (count > anys[p])[..., None]
+        return 0
+    same = _spread(_spread(bits, shape, axis, d, -1), shape, axis, d, 1)
+    out = 0
+    for j in range(1, d):
+        out |= _read(same, shape, axis, j) | _read(same, shape, axis, j - d)
     return out

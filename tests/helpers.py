@@ -214,8 +214,9 @@ def tuple_arc_consistency(lang, inst, domains, stats):
 
 
 def strided_accumulate_leq_mod(arr, axis, d):
-    """Reference for ``grids.accumulate_leq_mod``: one OR-accumulate along
-    the axis per residue phase, over the strided view of that phase."""
+    """Reference for ``grids.accumulate_leq_mod`` on a boolean ndarray: one
+    OR-accumulate along the axis per residue phase, over the strided view of
+    that phase."""
     out = arr.copy()
     moved = np.moveaxis(out, axis, -1)
     width = moved.shape[-1]
@@ -226,9 +227,9 @@ def strided_accumulate_leq_mod(arr, axis, d):
 
 
 def naive_other_residue_any(arr, axis, d):
-    """Reference for ``grids.other_residue_any``, cell by cell: does any
-    position along the axis whose index residue mod d differs from the
-    cell's own hold a True?"""
+    """Reference for ``grids.other_residue_any`` on a boolean ndarray, cell
+    by cell: does any position along the axis whose index residue mod d
+    differs from the cell's own hold a True?"""
     out = np.zeros_like(arr)
     for cell in np.ndindex(arr.shape):
         for j in range(arr.shape[axis]):
@@ -236,6 +237,55 @@ def naive_other_residue_any(arr, axis, d):
                 other = cell[:axis] + (j,) + cell[axis + 1:]
                 out[cell] |= arr[other]
     return out
+
+
+def _numpy_other_residue_any(arr, axis, d):
+    """``grids.other_residue_any`` on a boolean ndarray: count the residue
+    phases of each line that hold a cell; another phase than a cell's own
+    holds one iff more phases do than its own alone."""
+    if d == 1:
+        return np.zeros_like(arr)
+    moved = np.moveaxis(arr, axis, -1)
+    nphases = min(d, moved.shape[-1])
+    anys = [moved[..., p::d].any(axis=-1) for p in range(nphases)]
+    count = np.zeros(anys[0].shape, dtype=np.min_scalar_type(nphases))
+    for a in anys:
+        count += a
+    out = np.empty_like(arr)
+    out_moved = np.moveaxis(out, axis, -1)
+    for p in range(nphases):
+        out_moved[..., p::d] = (count > anys[p])[..., None]
+    return out
+
+
+def numpy_first_violation(R, d):
+    """Reference for ``classify._first_violation``: the same depth-first
+    case tree walked on boolean ndarrays, the first violating cell of a leaf
+    found by ``np.argmax`` in C order."""
+    codes = {"s": ("eq", "le_or_other"), "t": ("le", "eq")}
+
+    def walk(outside, S, T, choices):
+        axis = len(choices)
+        if axis == R.ndim:
+            bad = S & T & outside
+            if not bad.any():
+                return None
+            u_idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            return (tuple(int(x) for x in u_idx),
+                    tuple(codes[c][0] for c in choices),
+                    tuple(codes[c][1] for c in choices))
+        T_s = strided_accumulate_leq_mod(T, axis, d)
+        if d > 1:
+            T_s |= _numpy_other_residue_any(T, axis, d)
+        hit = walk(outside, S, T_s, choices + ("s",))
+        if hit is not None or (d == 1 and axis == 0):
+            return hit
+        return walk(outside, strided_accumulate_leq_mod(S, axis, d), T,
+                    choices + ("t",))
+
+    if not R.any():
+        return None
+    return walk(~R, R, R, ())
 
 
 def pattern_reachable(R, d):

@@ -42,6 +42,7 @@ from helpers import (
     legacy_difference_profile,
     legacy_halfwidth,
     naive_other_residue_any,
+    numpy_first_violation,
     pattern_reachable,
     random_mixed_language,
     strided_accumulate_leq_mod,
@@ -278,32 +279,72 @@ def test_preserved_by_random_windows_match_naive_pair_scan(seed, arity, q,
         assert res.halfwidth <= full_B
 
 
+_GRIDS = hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
+                                          min_side=1, max_side=7))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(arr=hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
-                                             min_side=1, max_side=7)),
-       d=st.integers(1, 9))
+@given(arr=_GRIDS)
+def test_pack_unpack_round_trip(arr):
+    bits = grids.pack(arr)
+    assert bits < 1 << arr.size
+    got = grids.unpack(bits, arr.shape)
+    assert got.dtype == arr.dtype
+    assert np.array_equal(got, arr)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arr=_GRIDS)
+def test_lowest_set_bit_is_first_cell_in_c_order(arr):
+    bits = grids.pack(arr)
+    assert (bits != 0) == bool(arr.any())
+    if bits:
+        assert (bits & -bits).bit_length() - 1 == int(np.argmax(arr))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arr=_GRIDS, d=st.integers(1, 9))
 def test_accumulate_leq_mod_matches_strided_reference(arr, d):
     # widths up to 7 against moduli up to 9: widths not divisible by d and
     # d wider than the axis both occur
-    before = arr.copy()
+    bits = grids.pack(arr)
     for axis in range(arr.ndim):
-        got = grids.accumulate_leq_mod(arr, axis, d)
-        assert got.dtype == arr.dtype
-        assert np.array_equal(got, strided_accumulate_leq_mod(arr, axis, d))
-    assert np.array_equal(arr, before)
+        got = grids.accumulate_leq_mod(bits, arr.shape, axis, d)
+        assert np.array_equal(grids.unpack(got, arr.shape),
+                              strided_accumulate_leq_mod(arr, axis, d))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(arr=hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
-                                             min_side=1, max_side=7)),
-       d=st.integers(1, 9))
+@given(arr=_GRIDS, d=st.integers(1, 9))
 def test_other_residue_any_matches_per_cell_reference(arr, d):
-    before = arr.copy()
+    bits = grids.pack(arr)
     for axis in range(arr.ndim):
-        got = grids.other_residue_any(arr, axis, d)
-        assert got.dtype == arr.dtype
-        assert np.array_equal(got, naive_other_residue_any(arr, axis, d))
-    assert np.array_equal(arr, before)
+        got = grids.other_residue_any(bits, arr.shape, axis, d)
+        assert np.array_equal(grids.unpack(got, arr.shape),
+                              naive_other_residue_any(arr, axis, d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(R=_GRIDS, d=st.integers(1, 9))
+def test_packed_walk_matches_numpy_walk(R, d):
+    # the same leaf and the same first cell in it: hits, and so witnesses,
+    # are those of the walk on boolean ndarrays
+    before = R.copy()
+    assert _first_violation(R, d) == numpy_first_violation(R, d)
+    assert np.array_equal(R, before)
+
+
+def test_mask_cache_stays_within_its_byte_bound():
+    # bigmax.dtl proves MAX_CLOSED on a 51^4 window, whose masks are too
+    # large to cache; its small 17^4 window's masks are cached
+    grids._masks.clear()
+    grids._mask_bytes = 0
+    lang = parse_language((FIXTURES / "bigmax.dtl").read_text())
+    assert classify(lang).cls is VerdictClass.MAX_CLOSED
+    shapes = {key[0] for key in grids._masks}
+    assert (17,) * 4 in shapes and (51,) * 4 not in shapes
+    held = sum((mask.bit_length() + 7) // 8 for mask in grids._masks.values())
+    assert held <= grids._mask_bytes <= grids._MASK_CACHE_BYTES
 
 
 def _closure(R, d):
