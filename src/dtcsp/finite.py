@@ -343,16 +343,6 @@ def arc_consistency(lang, inst, domains, stats=None, tables=None,
 # ---------------------------------------------------------------------------
 # Max-closed decision
 
-def _running_or(arr, axis):
-    """OR over all positions at or below each index along ``axis``: a
-    running OR over whole slabs, slab i taking in slab i - 1."""
-    out = arr.copy()
-    slabs = np.moveaxis(out, axis, 0)
-    for i in range(1, slabs.shape[0]):
-        slabs[i] |= slabs[i - 1]
-    return out
-
-
 def _bound_tables(grid):
     """Per axis j, the table whose cell t is the largest s <= t_j such that
     some tuple r of the grid has r_j = s and r <= t on every other axis, or
@@ -364,7 +354,7 @@ def _bound_tables(grid):
         below = grid
         for axis in range(grid.ndim):
             if axis != j:
-                below = _running_or(below, axis)
+                below = np.logical_or.accumulate(below, axis=axis)
         shape = [1] * grid.ndim
         shape[j] = width
         index = np.arange(width, dtype=dtype).reshape(shape)

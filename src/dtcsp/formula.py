@@ -426,8 +426,7 @@ def _clause_truth_bits(view, nv, R, points):
         b = lit_bits.get(lit)
         if b is None:
             grid = grids.pinned_grid(Formula(lit), nv, 0, R)
-            packed = np.packbits(grid, axis=None, bitorder="little")
-            b = lit_bits[lit] = int.from_bytes(packed.tobytes(), "little")
+            b = lit_bits[lit] = grids.pack(grid)
         return b
 
     full = (1 << points) - 1

@@ -16,7 +16,10 @@ atom under every surviving negated equality comes out false.
 
 Everything runs on integer variable ids (``Instance.names``): the compiled
 clauses are arrays (``HornClauses``), the components are arrays (lists in
-the union-find) indexed by id, and the witness is one value vector.
+the union-find) indexed by id, and the witness is one value vector.  Names
+appear only at the edges: ``HornClauses.pack`` numbers the names of
+``HornClause`` tuples, indexing a store gives those tuples back, and the
+witness and the UNSAT reasons name the variables.
 """
 
 from __future__ import annotations
@@ -32,10 +35,6 @@ from .classify import is_horn, reduced_cnf
 from .errors import InternalError, NotHornError
 from .finite import Instance, SolveResult, satisfies
 from .formula import Cmp, ConstraintLanguage
-
-OK = "ok"
-CONFLICT = "conflict"
-
 
 def _ints(values):
     """An int64 array of Python ints, or an object array when one does not
@@ -53,64 +52,25 @@ def _span(values):
 
 class OffsetUnionFind:
     """Disjoint sets of variable ids with integer offsets to the
-    representative.
+    representative, for merging facts one at a time.
 
-    Id v stands for ``names[v]``.  ``root[v]`` and ``offset[v]`` say that in
-    every model of the asserted facts ``value(v) = value(root[v]) +
-    offset[v]``; each root keeps its component's ids in ``members`` (None
-    for the other ids), built from ``root`` at the first merge when the
-    structure starts from given components (``forest``).  A merge relabels
-    each member of the smaller component (on a tie, the component of the
-    fact's second variable) into the larger one, so an id is relabelled at
-    most log2(n) times and a find is two list reads.  After the first
-    contradiction the structure stays in the conflicted state, and
-    ``conflict`` is ``(x, y, p, implied offset)`` with the fact's variable
-    names.  ``assert_fact`` and ``implied_offset`` take names, and add an
-    unseen one as a singleton.
+    It starts from the components that the arrays ``root`` and ``offset``
+    describe (those of ``assert_facts``), kept as lists: in every model of
+    the facts, ``value(v) = value(root[v]) + offset[v]``.  Each root keeps
+    its component's ids in ``members`` (None for the other ids), built from
+    ``root`` at the first merge.  A merge relabels each member of the
+    smaller component (on a tie, the component of the fact's second id) into
+    the larger one, so an id is relabelled at most log2(n) times and a find
+    is two list reads.  After the first contradiction the structure stays in
+    the conflicted state, and ``conflict`` is the offset that the facts
+    before it imply between the contradicting fact's two ids.
     """
 
-    def __init__(self, variables=()):
-        self.names = []
-        self.root = []
-        self.offset = []
-        self.members = []
+    def __init__(self, root, offset):
+        self.root = root.tolist()
+        self.offset = offset.tolist()
+        self.members = None
         self.conflict = None
-        self._ids = {}
-        for v in variables:
-            self.id(v)
-
-    @classmethod
-    def forest(cls, names, root, offset):
-        """The components that the arrays ``root`` and ``offset`` describe;
-        id v is ``names[v]``."""
-        uf = cls()
-        uf.names = list(names)
-        uf.root = root.tolist()
-        uf.offset = offset.tolist()
-        uf.members = None
-        uf._ids = None
-        return uf
-
-    def id(self, v):
-        """The id of name v, added as a singleton when unseen."""
-        if self._ids is None:
-            self._ids = {}
-            for i, name in enumerate(self.names):
-                self._ids.setdefault(name, i)
-        i = self._ids.get(v)
-        if i is None:
-            i = self._ids[v] = len(self.names)
-            self.names.append(v)
-            self.root.append(i)
-            self.offset.append(0)
-            if self.members is not None:
-                self.members.append([i])
-        return i
-
-    def assert_fact(self, x, y, p) -> str:
-        """Record ``value(x) = value(y) + p``; idempotent on repeats."""
-        self.merge(self.id(x), self.id(y), p)
-        return OK if self.conflict is None else CONFLICT
 
     def merge(self, x, y, p):
         """Record ``value(x) = value(y) + p`` for ids x and y, and report the
@@ -123,8 +83,7 @@ class OffsetUnionFind:
         rx, ry = root[x], root[y]
         if rx == ry:
             if offset[x] - offset[y] != p:
-                self.conflict = (self.names[x], self.names[y], p,
-                                 offset[x] - offset[y])
+                self.conflict = offset[x] - offset[y]
             return None
         # value(rx) = value(ry) + shift
         shift = offset[y] + p - offset[x]
@@ -143,13 +102,6 @@ class OffsetUnionFind:
             offset[m] -= shift
         members[rx].extend(moved)
         return ry, rx
-
-    def implied_offset(self, x, y):
-        """value(x) - value(y) if x and y share a component, else None."""
-        x, y = self.id(x), self.id(y)
-        if self.root[x] != self.root[y]:
-            return None
-        return self.offset[x] - self.offset[y]
 
 
 def _components(n, x, y, p):
@@ -248,10 +200,9 @@ class HornClauses(Sequence):
     value(neg_y[k]) + neg_p[k])`` for k in ``range(starts[c], starts[c +
     1])``, in literal order, and the positive equality ``value(pos_x[c]) =
     value(pos_y[c]) + pos_p[c]``, or none when ``pos_x[c]`` is -1.  Id v
-    stands for ``names[v]``.  Indexing and iteration build the clauses'
-    ``HornClause`` tuples of names on demand, so a store compares equal to
-    the list of them; ``origin(c)`` is the text of the constraint that
-    clause c comes from.
+    stands for ``names[v]``.  Indexing by position and iteration build the
+    clauses' ``HornClause`` tuples of names on demand; ``origin(c)`` is the
+    text of the constraint that clause c comes from.
     """
 
     def __init__(self, names, starts, negatives, positives, origin):
@@ -309,8 +260,6 @@ class HornClauses(Sequence):
         return len(self.pos_x)
 
     def __getitem__(self, c):
-        if isinstance(c, slice):
-            return [self[i] for i in range(len(self))[c]]
         c = range(len(self))[c]
         names = self.names
         lo, hi = int(self.starts[c]), int(self.starts[c + 1])
@@ -322,11 +271,6 @@ class HornClauses(Sequence):
                    for a in (self.pos_x, self.pos_y, self.pos_p))
         positive = None if x < 0 else (names[x], names[y], p)
         return HornClause(negatives, positive, self.origin(c))
-
-    def __eq__(self, other):
-        if isinstance(other, (HornClauses, list)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def _templates(rel) -> list:
@@ -410,34 +354,31 @@ def _origin(inst, ci):
 def solve_horn(clauses, variables, stats=None) -> SolveResult:
     """Run positive unit resolution to a fixpoint.
 
-    ``clauses`` is a ``HornClauses`` store whose first ids are
-    ``variables``, or a sequence of ``HornClause``, which is packed into
-    one.  A clause with neither literals nor a positive part refutes the
-    instance.  The input's unit clauses are asserted all at once, in clause
-    order, by ``assert_facts``; a contradiction refutes the instance.  Then
-    every negated equality is decided or watched in one array pass: one
-    whose endpoints share a component is forced true (the literal is
-    deleted) or false (the negation holds and the clause is satisfied), and
-    the others are watched on both endpoints' roots, in literal order.
-    Only when that pass leaves a clause whose negated equalities are all
-    gone does the worklist run.  It asserts each such clause's positive
-    part in turn into an ``OffsetUnionFind``, and a contradiction, or such
-    a clause without a positive part, refutes the instance.  When a merge
-    relabels the smaller component into the larger, only the literals
-    watched on the smaller one are looked at again, and those still
-    undecided move to the larger one's watch list.  Every watch entry thus
-    moves at most log2(n) times, so the worklist costs O((n + L) log n) for
-    n variables and L literals, as the batch assertion of the unit clauses
-    does.  At the fixpoint the instance is satisfiable and a witness is
-    extracted.  ``stats["facts"]`` counts the facts asserted, one per unit
+    ``clauses`` is a ``HornClauses`` store whose first ids are the distinct
+    names ``variables``, in order (as ``compile_horn_instance`` and
+    ``HornClauses.pack`` number them); the witness covers those.  A clause
+    with neither literals nor a positive part refutes the instance.  The
+    input's unit clauses are asserted all at once, in clause order, by
+    ``assert_facts``; a contradiction refutes the instance.  Then every
+    negated equality is decided or watched in one array pass: one whose
+    endpoints share a component is forced true (the literal is deleted) or
+    false (the negation holds and the clause is satisfied), and the others are
+    watched on both endpoints' roots, in literal order.  Only when that pass
+    leaves a clause whose negated equalities are all gone does the worklist
+    run.  It asserts each such clause's positive part in turn into an
+    ``OffsetUnionFind`` started from the unit clauses' components, and a
+    contradiction, or such a clause without a positive part, refutes the
+    instance.  When a merge relabels the smaller component into the larger,
+    only the literals watched on the smaller one are looked at again, and
+    those still undecided move to the larger one's watch list.  Every watch
+    entry thus moves at most log2(n) times, so the worklist costs O((n + L)
+    log n) for n variables and L literals, as the batch assertion of the unit
+    clauses does.  At the fixpoint the instance is satisfiable and a witness
+    is extracted.  ``stats["facts"]`` counts the facts asserted, one per unit
     clause (given or derived), repeats included, up to the first
     contradiction.
     """
     stats = stats if stats is not None else {}
-    variables = tuple(variables)
-    if not (isinstance(clauses, HornClauses)
-            and clauses.names[:len(variables)] == variables):
-        clauses = HornClauses.pack(clauses, variables)
     counts = np.diff(clauses.starts)
     empty = np.flatnonzero((counts == 0) & (clauses.pos_x < 0))
     if len(empty):
@@ -479,7 +420,7 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
     if full.any():
         # Derived units: watch the undecided literals on both endpoints'
         # roots, and run the worklist over lists indexed by id.
-        uf = OffsetUnionFind.forest(names, root, offset)
+        uf = OffsetUnionFind(root, offset)
         root_of, offset_of, merge = uf.root, uf.offset, uf.merge
         pos_x, pos_y, pos_p = (a.tolist() for a in
                                (clauses.pos_x, clauses.pos_y, clauses.pos_p))
@@ -507,7 +448,7 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
             merged = merge(pos_x[ci], pos_y[ci], pos_p[ci])
             if uf.conflict is not None:
                 return finish("UNSAT", _contradiction(clauses, ci,
-                                                      uf.conflict[3]))
+                                                      uf.conflict))
             if merged is None:
                 continue
             absorbed, survivor = merged
@@ -554,47 +495,34 @@ def _contradiction(clauses, ci, implied):
 def extract_assignment(root, offset, residual, variables, q_inst=1) -> dict:
     """Concrete solution from components over variable ids.
 
-    ``root`` and ``offset`` are arrays over the ids saying that ``value(v)
-    = value(root[v]) + offset[v]``.  ``residual`` is a ``HornClauses`` store
-    over the same ids, whose names give each variable's id, or a sequence of
-    ``HornClause``, packed over ``variables``.  Components are laid out in
-    first-seen order at bases 0, D, 2D, ... with ``D = 2 * q_inst * nvars +
-    1``; each is anchored at its first-seen variable, which sits at the
-    base, and every other member sits at base plus its offset from that
-    variable.  Those offsets never exceed ``q_inst * (nvars - 1)`` in
-    magnitude, so values in different components stay more than ``q_inst``
-    apart and every surviving negated equality (whose endpoints always
-    straddle components at the fixpoint) comes out true.  The values form
-    one vector over the ids, int64 when they fit and Python ints otherwise;
-    the witness lists the variables component by component.  The residual
-    clauses are checked against that vector: they may keep their decided
-    literals, whose atoms hold, so the check needs one true literal per
-    clause.
+    ``root`` and ``offset`` are integer arrays over the ids saying that
+    ``value(v) = value(root[v]) + offset[v]``.  ``residual`` is a
+    ``HornClauses`` store over the same ids, whose first ids are the distinct
+    names ``variables``.  Components are laid out in order of their least id
+    (so the variables' components come first, in first-seen order) at bases 0,
+    D, 2D, ... with ``D = 2 * q_inst * nvars + 1``; each is anchored at its
+    least id, which sits at the base, and every other member sits at base plus
+    its offset from that id.  Those offsets never exceed ``q_inst * (nvars -
+    1)`` in magnitude, so values in different components stay more than
+    ``q_inst`` apart and every surviving negated equality (whose endpoints
+    always straddle components at the fixpoint) comes out true.  The values
+    form one vector over the ids, int64 when they fit and Python ints
+    otherwise; the witness lists the variables component by component.  The
+    residual clauses are checked against that vector: they may keep their
+    decided literals, whose atoms hold, so the check needs one true literal
+    per clause.
     """
-    variables = tuple(variables)
-    if not isinstance(residual, HornClauses):
-        residual = HornClauses.pack(residual, variables)
-    if residual.names[:len(variables)] == variables:
-        ids = np.arange(len(variables))
-    else:
-        index = {v: i for i, v in enumerate(residual.names)}
-        ids = np.array([index[v] for v in variables], dtype=np.int64)
-    spacing = 2 * max(1, q_inst) * len(set(variables)) + 1
-    root, offset = np.asarray(root), _ints(offset)
-    # first-seen order: the variables, then every id
-    seen = np.concatenate((ids, np.arange(len(root)))).astype(np.int64)
-    _, first, comp = np.unique(root[seen], return_index=True,
-                               return_inverse=True)
+    n = len(variables)
+    spacing = 2 * max(1, q_inst) * n + 1
+    _, first, comp = np.unique(root, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
     if len(first) * spacing + 2 * _span(offset) >= 2**63:
         rank, offset = rank.astype(object), offset.astype(object)
-    anchor = offset[seen[first]]
-    comp = comp[len(ids):]
-    value = rank[comp] * spacing + offset - anchor[comp]
-    layout = np.argsort(rank[comp[ids]], kind="stable")
+    value = rank[comp] * spacing + offset - offset[first][comp]
+    layout = np.argsort(rank[comp[:n]], kind="stable")
     assignment = dict(zip([variables[i] for i in layout.tolist()],
-                          value[ids[layout]].tolist()))
+                          value[layout].tolist()))
 
     counts = np.diff(residual.starts)
     ok = np.zeros(len(counts), dtype=bool)
@@ -615,7 +543,8 @@ def solve_horn_csp(lang: ConstraintLanguage, inst: Instance,
     """Compile, solve, and re-verify a Horn-classified instance."""
     stats = stats if stats is not None else {}
     clauses = compile_horn_instance(lang, inst)
-    result = solve_horn(clauses, inst.variables, stats=stats)
+    variables = tuple(dict.fromkeys(inst.variables))
+    result = solve_horn(clauses, variables, stats=stats)
     if result.sat and not satisfies(lang, inst, result.assignment):
         raise InternalError("unit resolution witness failed re-verification")
     return result

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dtcsp import (
     HornClause,
+    HornClauses,
     Instance,
     NotHornError,
     OffsetUnionFind,
@@ -21,7 +22,7 @@ from dtcsp import (
     solve_horn,
     solve_horn_csp,
 )
-from dtcsp.horn import CONFLICT, OK, _ints, assert_facts
+from dtcsp.horn import _ints, assert_facts
 
 from helpers import (
     NaiveOffsetGraph,
@@ -40,81 +41,6 @@ F_LANG = parse_language(
 
 # ---------------------------------------------------------------------------
 # union-find with offsets
-
-
-def test_offsets_compose():
-    uf = OffsetUnionFind()
-    assert uf.assert_fact("x", "y", 2) == OK
-    assert uf.assert_fact("y", "z", 3) == OK
-    assert uf.implied_offset("x", "z") == 5
-
-
-def test_contradictory_offsets_conflict():
-    uf = OffsetUnionFind()
-    assert uf.assert_fact("x", "y", 2) == OK
-    assert uf.assert_fact("x", "y", 3) == CONFLICT
-    assert uf.conflict is not None
-
-
-def test_zero_cycle_is_consistent():
-    uf = OffsetUnionFind()
-    assert uf.assert_fact("x", "y", 1) == OK
-    assert uf.assert_fact("y", "z", 1) == OK
-    assert uf.assert_fact("z", "x", -2) == OK
-
-
-def test_repeat_fact_idempotent():
-    uf = OffsetUnionFind()
-    assert uf.assert_fact("x", "y", 2) == OK
-    assert uf.assert_fact("x", "y", 2) == OK
-
-
-def test_implied_offset_reflexive_and_antisymmetric():
-    uf = OffsetUnionFind()
-    assert uf.implied_offset("x", "x") == 0
-    uf.assert_fact("x", "y", 2)
-    assert uf.implied_offset("y", "x") == -2
-    assert uf.implied_offset("x", "z") is None
-
-
-def test_conflict_is_sticky():
-    uf = OffsetUnionFind()
-    uf.assert_fact("x", "y", 1)
-    uf.assert_fact("x", "y", 2)
-    assert uf.assert_fact("a", "b", 1) == CONFLICT
-
-
-def test_union_by_size_matches_naive_graph():
-    for seed in range(100):
-        rng = random.Random(seed)
-        uf = OffsetUnionFind()
-        naive = NaiveOffsetGraph()
-        names = [f"v{i}" for i in range(8)]
-        for _ in range(12):
-            x, y = rng.choice(names), rng.choice(names)
-            p = rng.randint(-3, 3)
-            got = uf.assert_fact(x, y, p)
-            want = naive.assert_fact(x, y, p)
-            assert got == want
-            if got == CONFLICT:
-                break
-            a, b = rng.choice(names), rng.choice(names)
-            assert uf.implied_offset(a, b) == naive.implied_offset(a, b)
-
-
-def test_monotone_no_unsat_to_sat():
-    # once conflicted, any extension stays conflicted
-    for seed in range(50):
-        rng = random.Random(seed)
-        uf = OffsetUnionFind()
-        conflicted = False
-        for _ in range(15):
-            x = rng.choice("abcde")
-            y = rng.choice("abcde")
-            status = uf.assert_fact(x, y, rng.randint(-2, 2))
-            if conflicted:
-                assert status == CONFLICT
-            conflicted = conflicted or status == CONFLICT
 
 
 @st.composite
@@ -136,6 +62,13 @@ def fact_lists(draw):
     return n, facts
 
 
+def _fact_arrays(facts):
+    """The id, id and offset columns of ``facts``, as ``assert_facts``
+    takes them."""
+    x, y, p = zip(*facts) if facts else ((), (), ())
+    return np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), _ints(p)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(fact_lists())
 def test_assert_facts_matches_naive_graph(case):
@@ -143,17 +76,57 @@ def test_assert_facts_matches_naive_graph(case):
     naive = NaiveOffsetGraph()
     first = None
     for i, (x, y, p) in enumerate(facts):
-        if naive.assert_fact(x, y, p) == CONFLICT:
+        if naive.assert_fact(x, y, p) == "conflict":
             first = (i, naive.implied_offset(x, y))
             break
-    x, y, p = zip(*facts) if facts else ((), (), ())
-    root, offset, conflict = assert_facts(
-        n, np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), _ints(p))
+    root, offset, conflict = assert_facts(n, *_fact_arrays(facts))
     assert conflict == first
     for a in range(n):
         for b in range(n):
             got = offset[a] - offset[b] if root[a] == root[b] else None
             assert got == naive.implied_offset(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fact_lists(), st.integers(0, 30))
+def test_merges_after_a_batch_match_naive_graph(case, split):
+    # The first ``split`` facts go in as one assert_facts batch (up to its
+    # first contradiction); every later fact is merged one at a time.
+    n, facts = case
+    root, offset, conflict = assert_facts(n, *_fact_arrays(facts[:split]))
+    start = min(split, len(facts)) if conflict is None else conflict[0]
+    naive = NaiveOffsetGraph()
+    for fact in facts[:start]:
+        assert naive.assert_fact(*fact) == "ok"
+    uf = OffsetUnionFind(root, offset)
+    for i, (x, y, p) in enumerate(facts[start:], start):
+        known = naive.implied_offset(x, y)
+        merged = uf.merge(x, y, p)
+        if naive.assert_fact(x, y, p) == "conflict":
+            assert merged is None
+            assert uf.conflict == known
+            break
+        assert uf.conflict is None
+        if known is None:
+            absorbed, survivor = merged
+            assert uf.root[absorbed] == survivor == uf.root[x] == uf.root[y]
+        else:
+            assert merged is None
+        for a in range(n):
+            offsets = naive.offsets_from(a)
+            for b in range(n):
+                got = (uf.offset[a] - uf.offset[b]
+                       if uf.root[a] == uf.root[b] else None)
+                assert got == offsets.get(b)
+        if uf.members is not None:
+            for r, members in enumerate(uf.members):
+                want = [v for v in range(n) if uf.root[v] == r]
+                assert sorted(members or ()) == want
+    if uf.conflict is not None:  # the conflicted state is sticky
+        implied = uf.conflict
+        for x, y, p in facts[i + 1:] + [(0, 0, 0)]:
+            assert uf.merge(x, y, p) is None
+            assert uf.conflict == implied
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +161,7 @@ def test_compile_constant_literals():
     # S1(a, a) instantiates to the constant-false atom a = a + 1
     inst = Instance(("a",), (("S1", ("a", "a")),))
     clauses = compile_horn_instance(F_LANG, inst)
-    assert clauses == [HornClause((), None, origin="S1(a, a)")]
+    assert list(clauses) == [HornClause((), None, origin="S1(a, a)")]
     assert solve_horn(clauses, ("a",)).status == "UNSAT"
 
 
@@ -230,42 +203,48 @@ def test_units_past_int64_stay_exact():
     p = 2**62
     units = [HornClause((), ("b", "a", p)), HornClause((), ("c", "b", p)),
              HornClause((), ("d", "c", p))]
+    variables = ("a", "b", "c", "d")
     stats = {}
-    res = solve_horn(units + [HornClause((("d", "a", 3 * p),))],
-                     ("a", "b", "c", "d"), stats=stats)
+    res = solve_horn(HornClauses.pack(
+        units + [HornClause((("d", "a", 3 * p),))], variables),
+        variables, stats=stats)
     assert (res.status, res.reason, stats) == (
         "UNSAT", "empty clause from ", {"facts": 3})
-    res = solve_horn(units, ("a", "b", "c", "d"))
+    res = solve_horn(HornClauses.pack(units, variables), variables)
     assert res.assignment == {"a": 0, "b": p, "c": 2 * p, "d": 3 * p}
-    res = solve_horn(units + [HornClause((), ("d", "a", 3 * p + 1))],
-                     ("a", "b", "c", "d"))
+    res = solve_horn(HornClauses.pack(
+        units + [HornClause((), ("d", "a", 3 * p + 1))], variables),
+        variables)
     assert res.reason == (f"fact needs d = a + {3 * p + 1} but the facts "
                           f"imply offset {3 * p}")
 
 
 def test_empty_clause_set_sat_all_zero():
-    res = solve_horn([], ("a", "b"))
+    res = solve_horn(HornClauses.pack([], ("a", "b")), ("a", "b"))
     assert res.sat
     assert res.assignment == {"a": 0, "b": 2 * 2 + 1}
 
 
+def _extract(variables, facts, q_inst=1):
+    """``extract_assignment`` on the components of ``facts`` over the ids of
+    ``variables``, with no residual clauses."""
+    root, offset, _ = assert_facts(len(variables), *_fact_arrays(facts))
+    return extract_assignment(root, offset, HornClauses.pack([], variables),
+                              variables, q_inst)
+
+
 def test_extract_spacing_example():
-    uf = OffsetUnionFind(("a", "b", "z"))
-    uf.assert_fact("b", "a", 1)
-    got = extract_assignment(uf.root, uf.offset, [], ("a", "b", "z"),
-                             q_inst=1)
+    got = _extract(("a", "b", "z"), [(1, 0, 1)], q_inst=1)
     assert got == {"a": 0, "b": 1, "z": 7}
 
 
 def test_extract_single_component():
-    uf = OffsetUnionFind(("a", "b"))
-    uf.assert_fact("b", "a", 3)
-    got = extract_assignment(uf.root, uf.offset, [], ("a", "b"), q_inst=3)
+    got = _extract(("a", "b"), [(1, 0, 3)], q_inst=3)
     assert got == {"a": 0, "b": 3}
 
 
 def test_extract_no_variables():
-    assert extract_assignment([], [], [], ()) == {}
+    assert _extract((), []) == {}
 
 
 def test_neq_instances_split_components():
@@ -277,6 +256,15 @@ def test_neq_instances_split_components():
     assert res.sat
     vals = res.assignment
     assert len({vals["a"], vals["b"], vals["c"]}) == 3
+
+
+def test_repeated_declarations_solve_as_one_variable():
+    # the store numbers the distinct declared names only
+    lang = parse_language("rel S1/2 := x2 = x1 + 1\nrel N/2 := x1 != x2")
+    inst = Instance(("a", "b", "a", "c"),
+                    (("S1", ("a", "b")), ("N", ("b", "c"))))
+    res = solve_horn_csp(lang, inst)
+    assert res.assignment == {"a": 0, "b": 1, "c": 7}
 
 
 def test_horn_oracle_agreement_sample():
@@ -325,7 +313,8 @@ def test_star_with_the_centre_declared_last():
                for i in reversed(range(n - 1))]
     stats = {}
     started = time.perf_counter()
-    res = solve_horn(clauses, (*leaves, "c"), stats=stats)
+    res = solve_horn(HornClauses.pack(clauses, (*leaves, "c")),
+                     (*leaves, "c"), stats=stats)
     elapsed = time.perf_counter() - started
     assert res.sat
     assert stats["facts"] == n - 1
@@ -349,7 +338,8 @@ def test_chain_of_20000_units(shuffled):
         rng.shuffle(declared)
     stats = {}
     started = time.perf_counter()
-    res = solve_horn(clauses, declared, stats=stats)
+    res = solve_horn(HornClauses.pack(clauses, declared), declared,
+                     stats=stats)
     elapsed = time.perf_counter() - started
     assert res.sat
     assert stats["facts"] == n - 1
@@ -372,7 +362,8 @@ def test_shuffled_clauses_keep_the_witness():
         for k in range(3):
             shuffled = list(clauses)
             random.Random(k).shuffle(shuffled)
-            again = solve_horn(shuffled, inst.variables)
+            again = solve_horn(HornClauses.pack(shuffled, inst.variables),
+                               inst.variables)
             assert again.status == base.status
             assert again.assignment == base.assignment
     assert merged >= 10
@@ -451,8 +442,9 @@ def _planted_clauses(rng):
 def test_solve_horn_matches_round_based_reference():
     for seed in range(1000):
         clauses, variables = _planted_clauses(random.Random(seed))
-        _check_against_reference(solve_horn, (clauses, variables), clauses,
-                                 variables)
+        _check_against_reference(
+            solve_horn, (HornClauses.pack(clauses, variables), variables),
+            clauses, variables)
 
 
 def test_watched_literal_follows_two_merges():
@@ -470,7 +462,8 @@ def test_watched_literal_follows_two_merges():
     ]
     variables = ("a", "b", "c", "d", "e", "s0", "s1", "w", "z")
     stats = {}
-    res = solve_horn(clauses, variables, stats=stats)
+    res = solve_horn(HornClauses.pack(clauses, variables), variables,
+                     stats=stats)
     assert res.sat
     assert res.assignment["z"] == res.assignment["w"] + 1
     assert stats["facts"] == 6
