@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import re
 import sys
 import time
@@ -58,6 +59,13 @@ _LINE_RE = re.compile(
     rf"^{_WS}(?:({_ID}){_WS}\(([^)#\n]*)\)"
     rf"|({_ID}){_WS}(<=|<|!=|=){_WS}({_ID})(?:{_WS}([+-]){_WS}(\d+))?)?"
     rf"{_WS}(?:#.*)?$|^(.+)$", re.M)
+# The line break before the first line that is neither blank nor an
+# application R(a, ..., b) to one or more names.  Each match attempt looks
+# at one line, so no backtracking state builds up over a long text, and
+# the leading '\n' lets the search skip from line break to line break.
+_OTHER_LINE_RE = re.compile(
+    rf"\n(?!{_WS}(?:{_ID}{_WS}\({_WS}{_ID}(?:{_WS},{_WS}{_ID})*{_WS}\){_WS})?$)",
+    re.M)
 
 _CMP_FROM_TEXT = {"<=": Cmp.LEQ, "<": Cmp.LT, "=": Cmp.EQ, "!=": Cmp.NEQ}
 _CMP_SLUG = {Cmp.LEQ: "leq", Cmp.LT: "lt", Cmp.EQ: "eq", Cmp.NEQ: "neq"}
@@ -69,12 +77,18 @@ def parse_instance(text: str, lang: ConstraintLanguage):
     """Parse a .dti document; returns (instance, language with implicit
     relations for any sugar literals appended).
 
-    Lines end as ``str.splitlines`` ends them.  One pattern matches every
-    line of the text at once; the arguments of all applications are split
-    in one pass and mapped to variable ids through one dict, and each
-    relation's applications become an id matrix (``Instance.groups``).
-    Errors name the first offending line; validation errors follow
-    ``validate_instance``.
+    Lines end as ``str.splitlines`` ends them.  Text whose lines after the
+    declaration are all blank or applications ``R(a, ..., b)`` of a relation
+    to declared variables is split into tokens at once: one search finds no
+    other line, three ``str.replace`` calls and one ``split()`` tokenize,
+    and one dict maps the tokens to variable ids.  The search runs line by
+    line, since a pattern matching the whole text as a repetition of lines
+    keeps backtracking state for every line.  Any other text (difference
+    literals, comments, ``R()``, undeclared variables, a line that does not
+    parse) goes through one pattern that matches every line of the text at
+    once.  Both end in one grouping step: each relation's applications
+    become an id matrix (``Instance.groups``).  Errors name the first
+    offending line; validation errors follow ``validate_instance``.
     """
     body = "\n".join(text.splitlines())
     head = _HEAD_RE.search(body)
@@ -89,7 +103,25 @@ def parse_instance(text: str, lang: ConstraintLanguage):
             if not _NAMES_RE.fullmatch(v):
                 raise ParseError(f"bad variable name {v!r}", lineno)
     variables = tuple(parts[1:])
+    ids = {v: i for i, v in enumerate(dict.fromkeys(variables))}
     start = body.find("\n", head.end()) + 1
+    lines = body[start - 1:] if start else ""  # each line after its '\n'
+    split = None if _OTHER_LINE_RE.search(lines) else _split_applications(
+        lines, ids)
+    implicit = {}
+    if split is None:
+        names, arg_texts, implicit = _match_lines(body, start)
+        split = names, *_tokenize_arguments(ids, arg_texts)
+    extended = lang.extended(implicit.values()) if implicit else lang
+    inst = _group_applications(variables, ids, *split)
+    validate_instance(extended, inst)
+    return inst, extended
+
+
+def _match_lines(body, start):
+    """Relation names, argument texts and implicit relations of the lines
+    of ``body`` from ``start`` on; difference literals become applications
+    of implicit relations."""
     rows = _LINE_RE.findall(body, start) if start else []
     names, arg_texts, *_, bad = zip(*rows) if rows else [()] * 8
     if any(bad):
@@ -114,22 +146,37 @@ def parse_instance(text: str, lang: ConstraintLanguage):
             if name:
                 names.append(name)
                 arg_texts.append(args)
-    extended = lang.extended(implicit.values()) if implicit else lang
-    inst = Instance.from_groups(variables, *_group_arguments(
-        variables, names, arg_texts))
-    validate_instance(extended, inst)
-    return inst, extended
+    return names, arg_texts, implicit
 
 
-def _group_arguments(variables, names, arg_texts):
-    """``(names, groups)`` of ``Instance.from_groups`` for applications
-    given as relation names and argument texts (``"a, b"``)."""
-    ids = {v: i for i, v in enumerate(dict.fromkeys(variables))}
-    count = len(arg_texts)
+def _split_applications(text, ids):
+    """``(names, args, starts, arity)`` of ``_group_applications`` for
+    lines that are all blank or ``R(a, ..., b)``; None when an argument is
+    not in ``ids``, which only ``_tokenize_arguments`` handles."""
+    tokens = text.replace("(", " ( ").replace(",", " ").replace(")", " ") \
+        .split()
+    lookup = {**ids, "(": -2}  # -1: not a variable
+    codes = np.fromiter(map(lookup.get, tokens, repeat(-1)), dtype=np.int32,
+                        count=len(tokens))
+    marks = np.flatnonzero(codes == -2)  # R ( a b: the '(' of each line
+    keep = np.ones(len(tokens), dtype=bool)
+    keep[marks] = keep[marks - 1] = False
+    args = codes[keep]
+    if (args < 0).any():
+        return None
+    arity = np.diff(marks, append=len(tokens) + 1) - 2
+    names = [tokens[m] for m in (marks - 1).tolist()]
+    return names, args, np.cumsum(arity) - arity, arity
+
+
+def _tokenize_arguments(ids, arg_texts):
+    """``(args, starts, arity)`` of ``_group_applications`` for argument
+    texts (``"a, b"``); an argument not in ``ids`` is added to it with the
+    next id."""
     commas = np.fromiter(map(str.count, arg_texts, repeat(",")),
-                         dtype=np.int64, count=count)
+                         dtype=np.int64, count=len(arg_texts))
     tokens = list(map(str.strip, ",".join(arg_texts).split(","))) \
-        if count else []
+        if arg_texts else []
     args = np.fromiter(map(ids.get, tokens, repeat(-1)), dtype=np.int32,
                        count=len(tokens))
     starts = np.concatenate(([0], np.cumsum(commas + 1)[:-1]))
@@ -140,11 +187,18 @@ def _group_arguments(variables, names, arg_texts):
             arity[row] = 0  # R(): no arguments
         else:  # undeclared: new ids, which validation rejects
             args[t] = ids.setdefault(tokens[t], len(ids))
+    return args, starts, arity
+
+
+def _group_applications(variables, ids, names, args, starts, arity):
+    """The instance, with the names of ``ids`` as its id view, of the
+    applications given by relation name, the flat argument ids, where each
+    application's arguments start, and its arity."""
     relations = dict.fromkeys(names)
     for i, name in enumerate(relations):
         relations[name] = i
     code = np.fromiter(map(relations.__getitem__, names), dtype=np.int64,
-                       count=count)
+                       count=len(names))
     groups = []
     for i, name in enumerate(relations):
         order = np.flatnonzero(code == i)
@@ -152,7 +206,7 @@ def _group_arguments(variables, names, arg_texts):
             rows = order[arity[order] == k]
             groups.append((name, args[starts[rows, None] + np.arange(k)],
                            rows))
-    return tuple(ids), groups
+    return Instance.from_groups(variables, tuple(ids), groups)
 
 
 def write_instance(inst: Instance) -> str:
@@ -226,7 +280,7 @@ def _print_report(report, as_json):
 
 def cmd_classify(args) -> int:
     try:
-        lang = parse_language(open(args.language).read())
+        lang = parse_language(pathlib.Path(args.language).read_text())
     except (OSError, DtcspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -304,8 +358,9 @@ def _run_method(method, lang, inst, verdict, args, stats):
 
 def cmd_solve(args) -> int:
     try:
-        lang = parse_language(open(args.language).read())
-        inst, lang = parse_instance(open(args.instance).read(), lang)
+        lang = parse_language(pathlib.Path(args.language).read_text())
+        inst, lang = parse_instance(pathlib.Path(args.instance).read_text(),
+                                   lang)
     except (OSError, DtcspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -337,7 +392,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    import pathlib
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rels = []
@@ -362,13 +416,14 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        lang = parse_language(open(args.language).read())
-        inst, lang = parse_instance(open(args.instance).read(), lang)
+        lang = parse_language(pathlib.Path(args.language).read_text())
+        inst, lang = parse_instance(pathlib.Path(args.instance).read_text(),
+                                   lang)
     except (OSError, DtcspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        assignment = json.loads(open(args.assignment).read())
+        assignment = json.loads(pathlib.Path(args.assignment).read_text())
         if (not isinstance(assignment, dict)
                 or set(assignment) != set(inst.variables)
                 or not all(isinstance(v, int) and not isinstance(v, bool)

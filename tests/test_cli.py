@@ -1,10 +1,14 @@
+import gc
 import json
+import random
+import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtcsp import finite
+from dtcsp import cli, finite
 from dtcsp.cli import main, parse_instance, write_instance
 from dtcsp import ArityError, DtcspError, Instance, ParseError, parse_language
 
@@ -412,6 +416,23 @@ def test_check_wrong_variables(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "f.dtl"),
+    ("solve", "f.dtl", "chain.dti"),
+    ("check", "f.dtl", "chain.dti", "w.json"),
+], ids=["classify", "solve", "check"])
+def test_commands_close_their_files(tmp_path, capsys, argv):
+    (tmp_path / "w.json").write_text('{"a": 0, "b": 1, "c": 1}')
+    paths = [tmp_path / a if a == "w.json" else FIXTURES / a
+             for a in argv[1:]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, argv[0], *paths)
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 # ---------------------------------------------------------------------------
 # instance files
 
@@ -485,6 +506,51 @@ def test_instance_parse_errors(text, error, message):
     assert str(info.value) == message
 
 
+CHAIN_LANG = parse_language(
+    "rel S/2 := x2 = x1 + 1\n"
+    "rel F/4 := (x2 = x1 + 1 -> x4 = x3 + 1) & (x4 = x3 + 1 -> x2 = x1 + 1)\n"
+    "rel N/2 := x1 != x2 + 2\n")
+
+
+def _chain_instance(n=3000, seed=0):
+    """A successor chain over n variables with n // 2 F and N applications
+    on random variables, shuffled: the shape of a Horn request."""
+    rng = random.Random(seed)
+    vs = tuple(f"v{i}" for i in range(n))
+    cons = [("S", (vs[i], vs[i + 1])) for i in range(n - 1)]
+    for _ in range(n // 2):
+        name, k = rng.choice((("F", 4), ("N", 2)))
+        cons.append((name, tuple(rng.sample(vs, k))))
+    rng.shuffle(cons)
+    return Instance(vs, tuple(cons))
+
+
+class _NoLinePattern:
+    def __getattr__(self, name):
+        raise AssertionError("application-only text reached _LINE_RE")
+
+
+def test_application_only_text_is_split(monkeypatch):
+    inst = _chain_instance()
+    text = write_instance(inst)
+    monkeypatch.setattr(cli, "_LINE_RE", _NoLinePattern())
+    parse_instance(text, CHAIN_LANG)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        got, lang = parse_instance(text, CHAIN_LANG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == inst and lang is CHAIN_LANG
+    assert _group_rows(got) == _group_rows(inst)
+    # This 93 KiB, 4,500-line text parses with a traced peak of 1.7 MiB
+    # here and of 2.3 MiB through _LINE_RE.  One fullmatch of a repeated
+    # line pattern over the whole text, in place of the search line by
+    # line, would add about 5.4 MiB of backtracking state, a frame per
+    # line; the bound fails on that and leaves room over both parses.
+    assert peak < 4 * 2**20
+
+
 def _relations(lang):
     return [(r.name, r.arity, r.formula.root) for r in lang.relations]
 
@@ -510,20 +576,31 @@ _WS = st.sampled_from(["", "", "", " ", " ", "  ", "\t", " \t", "\u00a0"])
 _GARBAGE = ("Le(a", "a == b", "a >= b", "(", "Le(a)(b)", "Le(a # b)",
             "var a b", "a = b +", "1a = b", "Le[a, b]", "a = b + c", "a b",
             "Le(a, b) x", "a = b + 2 + 1", "a <= 3")
+# Close to an application R(a, ..., b): for the check that sends text to
+# the split path, and for the split and the replacements that tokenize it.
+_NEAR_MISSES = ("Le()", "Le({} {})", "Le({},,{})", "Le({}, {},)",
+                "Le ( {} ,{} )", "Le({},\t{})", "Le(\u00a0{}, {})",
+                "Le(Le, {})", "Le({}, Le)", "Le({}, {}", "Le {}, {})",
+                "Le(({}, {}))", "Le({}, {})(")
 
 
 @st.composite
-def _dti_line(draw, declared, flawed):
+def _dti_line(draw, declared, flawed, apply_only=False):
     """One line; a flawed one may name an unknown relation, get the arity
-    wrong, use an undeclared variable or not parse at all."""
+    wrong, use an undeclared variable, come close to an application or not
+    parse at all.  With ``apply_only`` an unflawed line is an application
+    or blank, without a comment."""
     def ws():
         return draw(_WS)
 
     def var():
         return draw(st.sampled_from(declared + (("zz", "") if flawed else ())))
 
-    kinds = ["apply"] * 4 + ["sugar"] * 2 + ["blank", "comment"]
-    kind = draw(st.sampled_from(kinds + ["garbage"] * 3 if flawed else kinds))
+    kinds = ["apply"] * 4 + (["blank"] if apply_only else
+                             ["sugar"] * 2 + ["blank", "comment"])
+    if flawed:
+        kinds += ["near_miss"] * 3 + ["garbage"] * (1 if apply_only else 3)
+    kind = draw(st.sampled_from(kinds))
     if kind == "apply":
         name = draw(st.sampled_from(sorted(_ARITY)
                                     + (["Nope", "le"] if flawed else [])))
@@ -544,9 +621,11 @@ def _dti_line(draw, declared, flawed):
         line = ws()
     elif kind == "comment":
         line = f"{ws()}# {draw(st.sampled_from(['note', 'Le(a, b)', 'var x']))}"
+    elif kind == "near_miss":
+        line = draw(st.sampled_from(_NEAR_MISSES)).format(var(), var())
     else:
         line = draw(st.sampled_from(_GARBAGE))
-    if kind != "comment" and draw(st.integers(0, 4)) == 0:
+    if not apply_only and kind != "comment" and draw(st.integers(0, 4)) == 0:
         line += f"{ws()}#{draw(st.sampled_from(['', ' c', 'Le(a)']))}"
     return line
 
@@ -556,8 +635,11 @@ def dti_texts(draw):
     """Instance text over INSTANCE_LANG.  Half of the texts are valid: known
     relations with their arity over declared variables.  In the others,
     about one line in four is flawed (see ``_dti_line``), and the
-    declaration may repeat a variable or be malformed or missing."""
+    declaration may repeat a variable or be malformed or missing.  In a
+    quarter of the texts every line after the declaration is an
+    application or blank, the text that ``parse_instance`` splits."""
     valid = draw(st.booleans())
+    apply_only = draw(st.integers(0, 3)) == 0
     declared = tuple(draw(st.lists(st.sampled_from(_DTI_NAMES), min_size=1,
                                    max_size=5, unique=True)))
     names = declared
@@ -572,7 +654,7 @@ def dti_texts(draw):
     lines.append(head)
     for _ in range(draw(st.integers(0, 12))):
         flawed = not valid and draw(st.integers(0, 3)) == 0
-        lines.append(draw(_dti_line(declared, flawed)))
+        lines.append(draw(_dti_line(declared, flawed, apply_only)))
     ends = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b"])
     text = "".join(line + draw(ends) for line in lines)
     return text if draw(st.booleans()) else text.rstrip("\r\n\x0b")
@@ -603,3 +685,14 @@ def test_parse_instance_matches_line_parser(text):
         assert inst.names == by_names.names
         assert _group_rows(inst) == _group_rows(by_names)
         assert _parsed(parse_instance, write_instance(inst)) == got
+
+
+@pytest.mark.parametrize("line", [
+    *(m.format("a", "b") for m in _NEAR_MISSES),
+    "Le(a, zz)", "Nope(a, b)", "Le(a)", "Le(b, a) # c", "a = b", "Le(a, b", "",
+])
+def test_one_line_away_from_application_only(line):
+    # the only line of the text that might send it down the other path
+    text = f"var a b Le\nLe(a, b)\nS(b, Le)\n{line}\nT(a, b, a)\n"
+    got = _parsed(parse_instance, text)
+    assert got == _parsed(naive_parse_instance, text)
