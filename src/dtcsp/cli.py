@@ -86,9 +86,9 @@ def parse_instance(text: str, lang: ConstraintLanguage):
     keeps backtracking state for every line.  Any other text (difference
     literals, comments, ``R()``, undeclared variables, a line that does not
     parse) goes through one pattern that matches every line of the text at
-    once.  Both end in one grouping step: each relation's applications
-    become an id matrix (``Instance.groups``).  Errors name the first
-    offending line; validation errors follow ``validate_instance``.
+    once.  Both end in the one grouping step of every instance,
+    ``Instance.from_applications``.  Errors name the first offending line;
+    validation errors follow ``validate_instance``.
     """
     body = "\n".join(text.splitlines())
     head = _HEAD_RE.search(body)
@@ -113,7 +113,7 @@ def parse_instance(text: str, lang: ConstraintLanguage):
         names, arg_texts, implicit = _match_lines(body, start)
         split = names, *_tokenize_arguments(ids, arg_texts)
     extended = lang.extended(implicit.values()) if implicit else lang
-    inst = _group_applications(variables, ids, *split)
+    inst = Instance.from_applications(variables, ids, *split)
     validate_instance(extended, inst)
     return inst, extended
 
@@ -150,9 +150,9 @@ def _match_lines(body, start):
 
 
 def _split_applications(text, ids):
-    """``(names, args, starts, arity)`` of ``_group_applications`` for
-    lines that are all blank or ``R(a, ..., b)``; None when an argument is
-    not in ``ids``, which only ``_tokenize_arguments`` handles."""
+    """``(relations, args, starts, arity)`` of ``Instance.from_applications``
+    for lines that are all blank or ``R(a, ..., b)``; None when an argument
+    is not in ``ids``, which only ``_tokenize_arguments`` handles."""
     tokens = text.replace("(", " ( ").replace(",", " ").replace(")", " ") \
         .split()
     lookup = {**ids, "(": -2}  # -1: not a variable
@@ -170,9 +170,9 @@ def _split_applications(text, ids):
 
 
 def _tokenize_arguments(ids, arg_texts):
-    """``(args, starts, arity)`` of ``_group_applications`` for argument
-    texts (``"a, b"``); an argument not in ``ids`` is added to it with the
-    next id."""
+    """``(args, starts, arity)`` of ``Instance.from_applications`` for
+    argument texts (``"a, b"``); an argument not in ``ids`` is added to it
+    with the next id."""
     commas = np.fromiter(map(str.count, arg_texts, repeat(",")),
                          dtype=np.int64, count=len(arg_texts))
     tokens = list(map(str.strip, ",".join(arg_texts).split(","))) \
@@ -188,25 +188,6 @@ def _tokenize_arguments(ids, arg_texts):
         else:  # undeclared: new ids, which validation rejects
             args[t] = ids.setdefault(tokens[t], len(ids))
     return args, starts, arity
-
-
-def _group_applications(variables, ids, names, args, starts, arity):
-    """The instance, with the names of ``ids`` as its id view, of the
-    applications given by relation name, the flat argument ids, where each
-    application's arguments start, and its arity."""
-    relations = dict.fromkeys(names)
-    for i, name in enumerate(relations):
-        relations[name] = i
-    code = np.fromiter(map(relations.__getitem__, names), dtype=np.int64,
-                       count=len(names))
-    groups = []
-    for i, name in enumerate(relations):
-        order = np.flatnonzero(code == i)
-        for k in dict.fromkeys(arity[order].tolist()):
-            rows = order[arity[order] == k]
-            groups.append((name, args[starts[rows, None] + np.arange(k)],
-                           rows))
-    return Instance.from_groups(variables, tuple(ids), groups)
 
 
 def write_instance(inst: Instance) -> str:
@@ -278,9 +259,18 @@ def _print_report(report, as_json):
 # ---------------------------------------------------------------------------
 # Commands
 
+def _read_input(path):
+    """The text of a UTF-8 .dtl or .dti file, else a ``ParseError``."""
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+
+
 def cmd_classify(args) -> int:
     try:
-        lang = parse_language(pathlib.Path(args.language).read_text())
+        lang = parse_language(_read_input(args.language))
     except (OSError, DtcspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -358,9 +348,8 @@ def _run_method(method, lang, inst, verdict, args, stats):
 
 def cmd_solve(args) -> int:
     try:
-        lang = parse_language(pathlib.Path(args.language).read_text())
-        inst, lang = parse_instance(pathlib.Path(args.instance).read_text(),
-                                   lang)
+        lang = parse_language(_read_input(args.language))
+        inst, lang = parse_instance(_read_input(args.instance), lang)
     except (OSError, DtcspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -416,9 +405,8 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        lang = parse_language(pathlib.Path(args.language).read_text())
-        inst, lang = parse_instance(pathlib.Path(args.instance).read_text(),
-                                   lang)
+        lang = parse_language(_read_input(args.language))
+        inst, lang = parse_instance(_read_input(args.instance), lang)
     except (OSError, DtcspError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,86 +33,84 @@ DEFAULT_TABLE_CELLS = 10**8
 class Instance:
     """Variables plus relation applications; the CSP input.
 
-    The constraints have two views, each built from the other on first use:
+    An instance is stored as its id view, which one grouping step builds
+    (``from_applications``, also called by ``Instance(variables,
+    constraints)``):
 
-    * ``constraints``: ``(relation name, tuple of variable names)`` pairs in
-      declaration order;
+    * ``names``: the variable of each id, the distinct declared variables
+      in declaration order, then any undeclared argument in order of first
+      use (``validate_instance`` rejects those);
     * ``groups``: one ``(relation name, args, order)`` triple per relation
-      and arity, in order of first application.  ``args`` is an int32
-      matrix with one row of argument ids per application, and ``order``
-      holds the ascending positions of those applications in
-      ``constraints``.
+      and arity, relations in order of first application, then arities in
+      order of first use.  ``args`` is an int32 matrix with one row of
+      argument ids per application, and ``order`` holds the ascending
+      int64 positions of those applications in ``constraints``.
 
-    A variable's id is its position in ``names``: the distinct declared
-    variables in declaration order, then any undeclared argument in order of
-    first use (``validate_instance`` rejects those).  Equality and hashing go
-    by ``variables`` and ``constraints``.
+    ``constraints``, the ``(relation name, tuple of variable names)`` pairs
+    in order, is derived from the groups on first use and kept, unless the
+    instance was built from it.  Equality and hashing go by ``variables``
+    and ``constraints``.
     """
 
-    __slots__ = ("variables", "_constraints", "_names", "_groups")
+    __slots__ = ("variables", "names", "groups", "_constraints")
 
     def __init__(self, variables, constraints):
-        self.variables = tuple(variables)
-        self._constraints = tuple((name, tuple(args))
-                                  for name, args in constraints)
-        self._names = self._groups = None
+        constraints = tuple((name, tuple(args)) for name, args in constraints)
+        variables = tuple(variables)
+        ids = {v: i for i, v in enumerate(dict.fromkeys(variables))}
+        args = np.array([ids.setdefault(a, len(ids))
+                         for _, row in constraints for a in row],
+                        dtype=np.int32)
+        arity = np.fromiter(map(len, (row for _, row in constraints)),
+                            dtype=np.int64, count=len(constraints))
+        self._group(variables, ids, [name for name, _ in constraints], args,
+                    np.cumsum(arity) - arity, arity)
+        self._constraints = constraints
 
     @classmethod
-    def from_groups(cls, variables, names, groups):
-        """An instance given by its id view (see the class docstring)."""
+    def from_applications(cls, variables, ids, relations, args, starts,
+                          arity):
+        """The instance over ``variables`` whose variable ids are the
+        positions of the keys of ``ids``, applying ``relations[i]`` to the
+        ``arity[i]`` ids of the flat array ``args`` from ``starts[i]`` on."""
         inst = cls.__new__(cls)
-        inst.variables = tuple(variables)
-        inst._constraints = None
-        inst._names = tuple(names)
-        inst._groups = tuple(groups)
+        inst._group(variables, ids, relations, args, starts, arity)
         return inst
+
+    def _group(self, variables, ids, relations, args, starts, arity):
+        """Set the id view (see the class docstring)."""
+        codes = {name: i for i, name in enumerate(dict.fromkeys(relations))}
+        code = np.fromiter(map(codes.__getitem__, relations), dtype=np.int64,
+                           count=len(relations))
+        groups = []
+        for i, name in enumerate(codes):
+            order = np.flatnonzero(code == i)
+            for k in dict.fromkeys(arity[order].tolist()):
+                rows = order[arity[order] == k]
+                groups.append((name, args[starts[rows, None] + np.arange(k)],
+                               rows))
+        self.variables = tuple(variables)
+        self.names = tuple(ids)
+        self.groups = tuple(groups)
+        self._constraints = None
 
     @property
     def constraints(self):
         if self._constraints is None:
-            names = self._names
-            out = [None] * sum(len(order) for _, _, order in self._groups)
-            for name, args, order in self._groups:
+            names = self.names
+            out = [None] * sum(len(order) for _, _, order in self.groups)
+            for name, args, order in self.groups:
                 for i, row in zip(order.tolist(), args.tolist()):
                     out[i] = (name, tuple([names[a] for a in row]))
             self._constraints = tuple(out)
         return self._constraints
 
-    @property
-    def names(self):
-        if self._names is None:
-            self._index()
-        return self._names
-
-    @property
-    def groups(self):
-        if self._groups is None:
-            self._index()
-        return self._groups
-
-    def _index(self):
-        ids = {v: i for i, v in enumerate(dict.fromkeys(self.variables))}
-        rows = {}
-        for ci, (name, args) in enumerate(self._constraints):
-            group = rows.get((name, len(args)))
-            if group is None:
-                group = rows[name, len(args)] = ([], [])
-            group[0].append([ids.setdefault(a, len(ids)) for a in args])
-            group[1].append(ci)
-        self._names = tuple(ids)
-        self._groups = tuple(
-            (name, np.array(args, dtype=np.int32).reshape(len(order), k),
-             np.array(order, dtype=np.int64))
-            for (name, k), (args, order) in rows.items())
-
     def constraint(self, i):
         """``constraints[i]``, without building ``constraints``."""
-        if self._constraints is not None:
-            return self._constraints[i]
-        for name, args, order in self._groups:
+        for name, args, order in self.groups:
             pos = int(np.searchsorted(order, i))
             if pos < len(order) and order[pos] == i:
-                return name, tuple(self._names[a] for a in args[pos].tolist())
+                return name, tuple(self.names[a] for a in args[pos].tolist())
         raise IndexError(i)
 
     def __eq__(self, other):
@@ -251,6 +249,15 @@ def _window_grids(lang, inst, lo, hi, phase):
                                    list(range(len(distinct)))))
         constraints.append((distinct, fold_index[key]))
     return constraints, folds
+
+
+def _check_domains(width, phase):
+    """Raise ``BudgetExceeded`` naming ``phase`` when domains (and their
+    arc-consistency masks) would span over ``DEFAULT_TABLE_CELLS`` values."""
+    if width > DEFAULT_TABLE_CELLS:
+        raise BudgetExceeded(
+            f"{phase}: domains of {width} values, over the budget of "
+            f"{DEFAULT_TABLE_CELLS}")
 
 
 def _check_cells(lang, inst, width, phase):
@@ -503,10 +510,7 @@ def backtracking_solve(lang, inst, domains=None, window=None,
             # on a huge range, and every domain mask spans the window too
             width = abs(window[-1] - window[0]) + 1
             _check_cells(lang, inst, width, "arc-consistency grids")
-            if width > DEFAULT_TABLE_CELLS:
-                raise BudgetExceeded(
-                    f"arc-consistency grids: domains of {width} values, over "
-                    f"the budget of {DEFAULT_TABLE_CELLS}")
+            _check_domains(width, "arc-consistency grids")
         values = sorted(window)
         domains = {v: values for v in inst.variables}
     tables = _domain_grids(lang, inst, domains)
@@ -577,6 +581,8 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
     assignments mod d (domains ``range(d)``, residue grids from
     ``_residue_tables``), so a residue vector some constraint cannot take
     is pruned by arc-consistency; its quotient would be unsatisfiable.
+    Domains of more than ``DEFAULT_TABLE_CELLS`` residues raise
+    ``BudgetExceeded`` before they are listed.
     Phase two substitutes ``v = d * v' + residue(v)`` into each constraint
     formula (offsets floor-divide; equalities require divisibility),
     producing a quotient instance handled by the max-closed decision
@@ -590,6 +596,7 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
     if not inst.variables:
         return SolveResult("SAT", {}, stats=stats)
     tables = _residue_tables(lang, inst, d)
+    _check_domains(d, "residue search")
     domains = {v: list(range(d)) for v in inst.variables}
 
     quotient_rel_cache = {}

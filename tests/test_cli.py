@@ -1,9 +1,14 @@
+import contextlib
 import gc
+import io
 import json
+import pathlib
 import random
+import tempfile
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from dtcsp import cli, finite
 from dtcsp.cli import main, parse_instance, write_instance
 from dtcsp import ArityError, DtcspError, Instance, ParseError, parse_language
+from dtcsp.formula import write_language
 
 from conftest import FIXTURES
 from helpers import naive_parse_instance
@@ -308,6 +314,20 @@ def test_solve_huge_window_exits_3_before_listing_it(capsys, argv):
     assert err.startswith("error: ") and "budget" in err
 
 
+def test_solve_huge_modulus_exits_3_before_listing_residues(tmp_path,
+                                                           capsys):
+    # no applied relation bounds the residue window, so only the residue
+    # domains' budget stops a list of 10^9 residues per variable
+    instance = tmp_path / "free.dti"
+    instance.write_text("var a b c\n")
+    code, out, err = run(capsys, "solve", FIXTURES / "maxrel.dtl", instance,
+                         "--method", "modmax", "--modulus", "1000000000")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: residue search: domains of 1000000000 values, "
+                   "over the budget of 100000000\n")
+
+
 def test_solve_table_budget_exits_3(capsys, monkeypatch):
     # the window {0, ..., 17} gives M/4 tables of 18^4 cells
     # by auto routing to bound propagation, and by forced backtracking
@@ -433,6 +453,27 @@ def test_commands_close_their_files(tmp_path, capsys, argv):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("classify", "f.dtl"), "f.dtl"),
+    (("solve", "f.dtl", "chain.dti"), "f.dtl"),
+    (("solve", "f.dtl", "chain.dti"), "chain.dti"),
+    (("check", "f.dtl", "chain.dti", "w.json"), "f.dtl"),
+    (("check", "f.dtl", "chain.dti", "w.json"), "chain.dti"),
+], ids=["classify", "solve_dtl", "solve_dti", "check_dtl", "check_dti"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, argv, bad):
+    # one Latin-1 byte in a comment: both formats are UTF-8
+    (tmp_path / "w.json").write_text('{"a": 0, "b": 1, "c": 1}')
+    data = (FIXTURES / bad).read_bytes()
+    (tmp_path / bad).write_bytes(b"# caf\xe9\n" + data)
+    paths = [tmp_path / a if a in (bad, "w.json") else FIXTURES / a
+             for a in argv[1:]]
+    code, out, err = run(capsys, argv[0], *paths)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {tmp_path / bad} is not UTF-8 text: invalid "
+                   f"continuation byte at byte 5\n")
+
+
 # ---------------------------------------------------------------------------
 # instance files
 
@@ -542,7 +583,7 @@ def test_application_only_text_is_split(monkeypatch):
     finally:
         tracemalloc.stop()
     assert got == inst and lang is CHAIN_LANG
-    assert _group_rows(got) == _group_rows(inst)
+    assert _layout(got) == _layout(inst)
     # This 93 KiB, 4,500-line text parses with a traced peak of 1.7 MiB
     # here and of 2.3 MiB through _LINE_RE.  One fullmatch of a repeated
     # line pattern over the whole text, in place of the search line by
@@ -668,9 +709,10 @@ def _parsed(parse, text):
     return inst, _relations(lang)
 
 
-def _group_rows(inst):
-    return sorted((name, args.tolist(), order.tolist())
-                  for name, args, order in inst.groups)
+def _layout(inst):
+    """The groups in order, with their arrays' dtypes, shapes and bytes."""
+    return [(name, args.dtype, args.shape, args.tobytes(), order.dtype,
+             order.tobytes()) for name, args, order in inst.groups]
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -680,10 +722,12 @@ def test_parse_instance_matches_line_parser(text):
     assert got == _parsed(naive_parse_instance, text)
     inst = got[0]
     if isinstance(inst, Instance):
-        # the id view agrees with the one built from names
+        # the id view is the one built from names, down to the bytes
         by_names = Instance(inst.variables, inst.constraints)
         assert inst.names == by_names.names
-        assert _group_rows(inst) == _group_rows(by_names)
+        assert _layout(inst) == _layout(by_names)
+        assert all(args.dtype == np.int32 and order.dtype == np.int64
+                   for _, args, order in inst.groups)
         assert _parsed(parse_instance, write_instance(inst)) == got
 
 
@@ -696,3 +740,76 @@ def test_one_line_away_from_application_only(line):
     text = f"var a b Le\nLe(a, b)\nS(b, Le)\n{line}\nT(a, b, a)\n"
     got = _parsed(parse_instance, text)
     assert got == _parsed(naive_parse_instance, text)
+
+
+def test_instance_from_names_numbers_and_groups_like_the_parser():
+    # repeated declarations, undeclared arguments (numbered after the
+    # declared ones, in order of first use), R(), an empty-string name and
+    # T applied at two arities (invalid, but grouped by relation first)
+    inst = Instance(("a", "b", "a"),
+                    (("T", ("b", "x")), ("R", ()), ("T", ("a",)),
+                     ("R", ("",)), ("T", ("x", "a")), ("S", ("y", "b", "y"))))
+    assert inst.names == ("a", "b", "x", "", "y")
+    assert [(name, args.tolist(), order.tolist())
+            for name, args, order in inst.groups] == [
+        ("T", [[1, 2], [2, 0]], [0, 4]), ("T", [[0]], [2]),
+        ("R", [[]], [1]), ("R", [[3]], [3]), ("S", [[4, 1, 4]], [5])]
+    assert all(args.dtype == np.int32 and order.dtype == np.int64
+               for _, args, order in inst.groups)
+    assert [inst.constraint(i) for i in range(6)] == list(inst.constraints)
+
+
+# ---------------------------------------------------------------------------
+# no input gives a traceback
+
+_SPLICED = st.sampled_from([b"\xe9", b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])
+
+
+def _spliced(texts):
+    """Bytes: three times in five those of ``texts``, else arbitrary ones
+    or those of ``texts`` with a sequence that is not UTF-8 spliced in."""
+    def splice(args):
+        data, bad, at = args
+        at %= len(data) + 1
+        return data[:at] + bad + data[at:]
+
+    encoded = texts.map(str.encode)
+    kinds = [encoded] * 3 + [
+        st.binary(max_size=120),
+        st.tuples(encoded, _SPLICED, st.integers(0, 10**4)).map(splice)]
+    return st.integers(0, 4).flatmap(kinds.__getitem__)
+
+
+def _main(*argv):
+    """``cli.main``'s exit code and stdout; an exception escapes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_spliced(st.just(write_language(INSTANCE_LANG))),
+       _spliced(dti_texts()),
+       st.one_of(st.none(), st.binary(max_size=40),
+                 st.dictionaries(st.sampled_from(_DTI_NAMES),
+                                 st.integers(-2**70, 2**70))
+                 .map(lambda d: json.dumps(d).encode())))
+def test_no_input_gives_a_traceback(language, instance, assignment):
+    # exit codes only: 0 and 1 answers, 2 input errors, 3 budget errors;
+    # with no assignment drawn, check gets the witness solve printed
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "l.dtl").write_bytes(language)
+        (tmp / "i.dti").write_bytes(instance)
+        codes = [_main("classify", tmp / "l.dtl")[0]]
+        code, out = _main("solve", tmp / "l.dtl", tmp / "i.dti", "--json")
+        codes.append(code)
+        if assignment is None:
+            witness = json.loads(out)["assignment"] if code == 0 else {}
+            assignment = json.dumps(witness).encode()
+        (tmp / "w.json").write_bytes(assignment)
+        codes.append(_main("check", tmp / "l.dtl", tmp / "i.dti",
+                           tmp / "w.json")[0])
+    assert set(codes) <= {0, 1, 2, 3}

@@ -217,6 +217,18 @@ def test_search_budgets_huge_ranges_from_their_ends(constraints, message):
         brute_solve(ORDER_LANG, inst, window)
 
 
+def test_residue_domains_budget(monkeypatch):
+    # with no constraint, no residue grid bounds the modulus: the residue
+    # domains are held to the budget of backtracking_solve's window
+    inst = Instance(("a", "b", "c"), ())
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 5)
+    assert solve_mod_max(ORDER_LANG, inst, 5).sat
+    with pytest.raises(BudgetExceeded) as exc:
+        solve_mod_max(ORDER_LANG, inst, 6)
+    assert str(exc.value) == ("residue search: domains of 6 values, over the "
+                              "budget of 5")
+
+
 def test_decide_max_closed_needs_contiguous_range():
     inst = Instance(("a",), ())
     for window in ([0, 1, 2], range(0, 6, 2)):
