@@ -427,16 +427,16 @@ def cmd_check(args) -> int:
     return 1
 
 
-def _positive_int(name):
-    """argparse type for a flag taking an integer of at least 1."""
+def _int_at_least(name, least):
+    """argparse type for a flag taking an integer of at least ``least``."""
     def parse(text):
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value < 1:
+            value = least - 1
+        if value < least:
             raise argparse.ArgumentTypeError(
-                f"{name} must be an integer of at least 1, got {text!r}")
+                f"{name} must be an integer of at least {least}, got {text!r}")
         return value
     return parse
 
@@ -458,9 +458,9 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--method", default="auto",
                    choices=["auto", "horn", "ac", "modmax", "bt", "brute"])
-    p.add_argument("--window", type=_positive_int("window"), default=None,
+    p.add_argument("--window", type=_int_at_least("window", 1), default=None,
                    help="override the (q+1)n decision window size (at least 1)")
-    p.add_argument("--modulus", type=_positive_int("modulus"), default=None,
+    p.add_argument("--modulus", type=_int_at_least("modulus", 1), default=None,
                    help="modulus when forcing --method modmax on a language "
                         "without a modular verdict (at least 1)")
     p.add_argument("--json", action="store_true")
@@ -473,10 +473,12 @@ def build_parser():
     p.add_argument("--out", default=".")
     p.add_argument("--kind", default="mixed",
                    choices=["mixed", "successor", "order", "horn"])
-    p.add_argument("--relations", type=int, default=3)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--nvars", type=int, default=5)
-    p.add_argument("--nconstraints", type=int, default=5)
+    p.add_argument("--relations", type=_int_at_least("relations", 1),
+                   default=3)
+    p.add_argument("--q", type=_int_at_least("q", 0), default=2)
+    p.add_argument("--nvars", type=_int_at_least("nvars", 1), default=5)
+    p.add_argument("--nconstraints", type=_int_at_least("nconstraints", 0),
+                   default=5)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("check", help="verify a claimed assignment")

@@ -4,14 +4,17 @@ An instance over a language with qe-degree q and n variables is satisfiable
 over the integers iff it is satisfiable over ``{0, ..., (q + 1) * n - 1}``, so
 every solver here works on such a window.  All solvers share one table
 core: each relation's ``grids.grid_eval`` grid over a window, folded onto
-each constraint's distinct arguments (``_window_grids``).  On it run one
-bound per variable, propagated to a fixpoint for max- or min-closed
-languages (Jeavons & Cooper, "Tractable constraints on ordered domains",
-1995), and one complete search, generalized arc-consistency on boolean
-domain masks at every node, which is the universal fallback.  Languages
+each constraint's distinct arguments (``_window_grids``), with constraints
+and variables addressed by the instance's ids.  On it run one bound per
+variable, propagated to a fixpoint for max- or min-closed languages
+(Jeavons & Cooper, "Tractable constraints on ordered domains", 1995), and
+one complete search, which is the universal fallback: generalized
+arc-consistency at every node on one domain matrix, a boolean array with
+one row per variable id and one column per window value.  Languages
 preserved by a modular maximum or minimum run that same search over
 residues mod d, on the folds reduced to residue grids, and hand each
-residue vector's quotient instance to the bound fixpoint.
+residue vector's quotient instance to the bound fixpoint.  Value lists
+appear only where ``backtracking_solve`` takes its ``domains``.
 """
 
 from __future__ import annotations
@@ -222,38 +225,42 @@ def _window_grids(lang, inst, lo, hi, phase):
     """Each constraint's relation grid over ``[lo, hi)``, folded onto its
     distinct arguments.
 
-    Returns ``(constraints, folds)``: per constraint, its distinct arguments
-    in order of first position and the index of its grid in ``folds``, which
+    Returns ``(constraints, folds, watchers)``.  Per constraint, in
+    declaration order, ``constraints`` holds its distinct argument ids in
+    order of first position and the index of its grid in ``folds``, which
     holds one grid per (relation, repeated-argument pattern).  Repeated
-    arguments fold onto the diagonal, so R(x, x, y) has two axes.  A
+    arguments fold onto the diagonal, so R(x, x, y) has two axes.
+    ``watchers[v]`` lists the constraints on variable id v, ascending.  A
     relation of arity k spans W^k window cells; past ``DEFAULT_TABLE_CELLS``
     of them, ``BudgetExceeded`` naming ``phase`` is raised before anything
     is allocated.
     """
     _check_cells(lang, inst, hi - lo, phase)
-    relation_grids = {}
     fold_index = {}
     folds = []
-    constraints = []
-    for name, args in inst.constraints:
-        distinct = tuple(dict.fromkeys(args))
-        pattern = tuple(distinct.index(a) for a in args)
-        key = (name, pattern)
-        if key not in fold_index:
-            if name not in relation_grids:
-                rel = lang.relation(name)
-                relation_grids[name] = grids.grid_eval(rel.formula, rel.arity,
-                                                       lo, hi)
-            fold_index[key] = len(folds)
-            folds.append(np.einsum(relation_grids[name], list(pattern),
-                                   list(range(len(distinct)))))
-        constraints.append((distinct, fold_index[key]))
-    return constraints, folds
+    constraints = [None] * sum(len(order) for _, _, order in inst.groups)
+    for name, args, order in inst.groups:
+        rel = lang.relation(name)
+        grid = grids.grid_eval(rel.formula, rel.arity, lo, hi)
+        for ci, row in zip(order.tolist(), args.tolist()):
+            distinct = tuple(dict.fromkeys(row))
+            pattern = tuple(distinct.index(a) for a in row)
+            key = (name, pattern)
+            if key not in fold_index:
+                fold_index[key] = len(folds)
+                folds.append(np.einsum(grid, list(pattern),
+                                       list(range(len(distinct)))))
+            constraints[ci] = (distinct, fold_index[key])
+    watchers = [[] for _ in inst.names]
+    for ci, (distinct, _) in enumerate(constraints):
+        for v in distinct:
+            watchers[v].append(ci)
+    return constraints, folds, watchers
 
 
 def _check_domains(width, phase):
-    """Raise ``BudgetExceeded`` naming ``phase`` when domains (and their
-    arc-consistency masks) would span over ``DEFAULT_TABLE_CELLS`` values."""
+    """Raise ``BudgetExceeded`` naming ``phase`` when the domain matrix
+    would span over ``DEFAULT_TABLE_CELLS`` window values (columns)."""
     if width > DEFAULT_TABLE_CELLS:
         raise BudgetExceeded(
             f"{phase}: domains of {width} values, over the budget of "
@@ -264,7 +271,7 @@ def _check_cells(lang, inst, width, phase):
     """Raise ``BudgetExceeded`` naming ``phase`` when a relation applied in
     ``inst`` spans more than ``DEFAULT_TABLE_CELLS`` cells of a window
     ``width`` values wide."""
-    for name in dict.fromkeys(name for name, _ in inst.constraints):
+    for name in dict.fromkeys(name for name, _, _ in inst.groups):
         arity = lang.relation(name).arity
         cells = width**arity
         if cells > DEFAULT_TABLE_CELLS:
@@ -276,48 +283,25 @@ def _check_cells(lang, inst, width, phase):
 # ---------------------------------------------------------------------------
 # Arc-consistency
 
-def _domain_grids(lang, inst, domains):
-    """``(lo, hi, constraints, folds)``: the window grids over the span of
-    the domains, as ``arc_consistency`` takes them."""
-    lo = min((d[0] for d in domains.values() if d), default=0)
-    hi = max((d[-1] for d in domains.values() if d), default=0) + 1
-    return (lo, hi, *_window_grids(lang, inst, lo, hi,
-                                   "arc-consistency grids"))
-
-
-def arc_consistency(lang, inst, domains, stats=None, tables=None,
-                    changed=None):
+def arc_consistency(tables, domains, stats=None, changed=None):
     """Generalized arc-consistency fixpoint, or None when a domain empties.
 
-    ``domains`` maps each variable to its sorted candidate values; the
-    fixpoint comes back as a new such dict.  Inside, a domain is a boolean
-    mask over the span of the domains (values missing from a domain stay
-    cleared), and a constraint is revised in one step: its folded grid is
-    cut down to the cells whose coordinates all lie in their variables'
-    domains (``np.ix_`` of the masks' set positions, the outer product of
-    the masks without the cells outside it), and each variable's support
-    is an ``any`` over the other axes.  The queue starts with all
-    constraints in declaration order or, when ``domains`` is a fixpoint
-    but for the domain of the variable ``changed``, with just that
+    ``tables`` is the ``(constraints, folds, watchers)`` triple of
+    ``_window_grids`` and ``domains`` the domain matrix: a boolean array
+    with one row per variable id and one column per window value, revised
+    in place and returned.  A constraint is revised in one step: its folded
+    grid is cut down to the cells whose coordinates all lie in their
+    variables' domains (``np.ix_`` of the rows' set columns), and each
+    variable's support is an ``any`` over the other axes.  The queue starts
+    with all constraints in declaration order or, when ``domains`` is a
+    fixpoint but for the row of the variable id ``changed``, with just that
     variable's constraints; a constraint re-enters when one of its
-    variables loses a value.  Within a constraint, variables are revised
-    in argument order.  ``lang`` and ``inst`` are only read when
-    ``tables`` is not given.
+    variables loses a value.  Within a constraint, variables are revised in
+    argument order.
     """
-    if tables is None:
-        tables = _domain_grids(lang, inst, domains)
-    lo, hi, constraints, folds = tables
-    masks = {}
-    for v, values in domains.items():
-        mask = np.zeros(hi - lo, dtype=bool)
-        mask[np.asarray(values, dtype=np.int64) - lo] = True
-        masks[v] = mask
-    watchers = {}
-    for ci, (distinct, _) in enumerate(constraints):
-        for v in distinct:
-            watchers.setdefault(v, []).append(ci)
+    constraints, folds, watchers = tables
     queue = deque(range(len(constraints)) if changed is None
-                  else watchers.get(changed, ()))
+                  else watchers[changed])
     queued = [False] * len(constraints)
     for ci in queue:
         queued[ci] = True
@@ -326,25 +310,24 @@ def arc_consistency(lang, inst, domains, stats=None, tables=None,
         queued[ci] = False
         distinct, fi = constraints[ci]
         k = len(distinct)
-        index = [np.flatnonzero(masks[v]) for v in distinct]
+        index = [np.flatnonzero(domains[v]) for v in distinct]
         live = folds[fi][np.ix_(*index)]
         for axis, v in enumerate(distinct):
             others = tuple(a for a in range(k) if a != axis)
             dropped = index[axis][~live.any(axis=others)]
             if len(dropped):
-                mask = masks[v]
-                mask[dropped] = False
+                row = domains[v]
+                row[dropped] = False
                 if stats is not None:
                     stats["revisions"] = (stats.get("revisions", 0)
                                           + len(dropped))
-                if not mask.any():
+                if not row.any():
                     return None
                 for cj in watchers[v]:
                     if not queued[cj]:
                         queue.append(cj)
                         queued[cj] = True
-    return {v: (np.flatnonzero(mask) + lo).tolist()
-            for v, mask in masks.items()}
+    return domains
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +385,11 @@ def decide_max_closed(lang, inst, mode="max", window=None,
         return SolveResult("UNSAT", reason="empty window", stats=stats)
     lo, hi = window.start, window.stop
 
-    constraints, folds = _window_grids(lang, inst, lo, hi, "bound tables")
+    constraints, folds, watchers = _window_grids(lang, inst, lo, hi,
+                                                 "bound tables")
     tables = [_bound_tables(fold if mode == "max" else np.flip(fold))
               for fold in folds]
-    bound = dict.fromkeys(inst.variables, hi - lo - 1)
-    watchers = {}
-    for ci, (distinct, _) in enumerate(constraints):
-        for v in distinct:
-            watchers.setdefault(v, []).append(ci)
+    bound = [hi - lo - 1] * len(inst.names)
     queue = deque(range(len(constraints)))
     queued = [True] * len(constraints)
     while queue:
@@ -429,14 +409,14 @@ def decide_max_closed(lang, inst, mode="max", window=None,
                         queued[cj] = True
 
     if mode == "max":
-        boxes = {v: range(lo, lo + b + 1) for v, b in bound.items()}
-        assignment = {v: box[-1] for v, box in boxes.items()}
+        boxes = [range(lo, lo + b + 1) for b in bound]
+        assignment = {v: box[-1] for v, box in zip(inst.names, boxes)}
     else:
-        boxes = {v: range(hi - 1 - b, hi) for v, b in bound.items()}
-        assignment = {v: box[0] for v, box in boxes.items()}
+        boxes = [range(hi - 1 - b, hi) for b in bound]
+        assignment = {v: box[0] for v, box in zip(inst.names, boxes)}
     if satisfies(lang, inst, assignment):
         return SolveResult("SAT", assignment, stats=stats)
-    domains = {v: list(box) for v, box in boxes.items()}
+    domains = dict(zip(inst.names, boxes))
     result = backtracking_solve(lang, inst, domains=domains, stats=stats)
     result.fallback = True
     return result
@@ -445,31 +425,31 @@ def decide_max_closed(lang, inst, mode="max", window=None,
 # ---------------------------------------------------------------------------
 # Complete backtracking search
 
-def _solutions(inst, domains, tables, stats, phase):
-    """Every solution within ``domains``, in lexicographic order.
+def _solutions(domains, tables, stats, phase):
+    """Every solution within the domain matrix ``domains``, as the array of
+    each variable id's column, in lexicographic order.
 
-    Variables follow declaration order and values ascend.  GAC over
-    ``tables`` (as ``arc_consistency`` takes them) runs at the root and at
-    every child; a child starts its queue from the constraints of the
-    variable just fixed, as its parent is a fixpoint.  Each node that
-    survives AC counts in ``stats["branches"]``; past
-    ``DEFAULT_BRANCH_BUDGET`` nodes, ``BudgetExceeded`` naming ``phase`` is
-    raised.
+    Variables follow their ids and values ascend.  GAC over ``tables`` (as
+    ``arc_consistency`` takes them) runs at the root, in place, and at every
+    child: a copy of its parent's matrix with one more row fixed, whose
+    queue starts from that variable's constraints, as its parent is a
+    fixpoint.  Each node that survives AC counts in ``stats["branches"]``;
+    past ``DEFAULT_BRANCH_BUDGET`` nodes, ``BudgetExceeded`` naming
+    ``phase`` is raised.
     """
     budget = DEFAULT_BRANCH_BUDGET
-    order = inst.variables
     nodes = 0
 
     def children(node, var):
-        for val in node[var]:
-            child = dict(node)
-            child[var] = [val]
-            fixed = arc_consistency(None, inst, child, stats=stats,
-                                    tables=tables, changed=var)
+        for col in np.flatnonzero(node[var]):
+            child = node.copy()
+            child[var] = False
+            child[var, col] = True
+            fixed = arc_consistency(tables, child, stats=stats, changed=var)
             if fixed is not None:
                 yield fixed
 
-    root = arc_consistency(None, inst, domains, stats=stats, tables=tables)
+    root = arc_consistency(tables, domains, stats=stats)
     if root is None:
         return
     stack = [iter((root,))]
@@ -484,40 +464,50 @@ def _solutions(inst, domains, tables, stats, phase):
             raise BudgetExceeded(
                 f"{phase} exceeded the budget of {budget} search nodes")
         depth = len(stack) - 1
-        if depth == len(order):
-            yield {v: node[v][0] for v in order}
+        if depth == len(node):
+            yield node.argmax(axis=1)
         else:
-            stack.append(children(node, order[depth]))
+            stack.append(children(node, depth))
 
 
 def backtracking_solve(lang, inst, domains=None, window=None,
                        stats=None) -> SolveResult:
     """Complete search over the window with AC propagation at every node.
 
-    ``domains`` maps each variable to its sorted candidate values; by
-    default every variable takes the values of ``window`` (any iterable of
-    ints, by default the bounded window).  The window grids are built once
-    per call.  The result is the first solution of ``_solutions``, the
-    lexicographically smallest one.
+    ``domains`` maps each variable to its ascending candidate values (a
+    list or a ``range``); by default every variable takes the values of
+    ``window`` (any iterable of ints, by default the bounded window; a
+    ``range`` is read from its ends and never listed).  The domains become
+    one domain matrix over their span, built once, as are the window grids;
+    a span past ``DEFAULT_TABLE_CELLS`` values raises ``BudgetExceeded``
+    before either is allocated.  The result is the first solution of
+    ``_solutions``, the lexicographically smallest one.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
         return SolveResult("SAT", {}, stats=stats)
     if domains is None:
         window = bounded_window(lang, inst) if window is None else window
-        if isinstance(window, range) and window:
-            # sized from its ends before any list is built: len() overflows
-            # on a huge range, and every domain mask spans the window too
-            width = abs(window[-1] - window[0]) + 1
-            _check_cells(lang, inst, width, "arc-consistency grids")
-            _check_domains(width, "arc-consistency grids")
-        values = sorted(window)
-        domains = {v: values for v in inst.variables}
-    tables = _domain_grids(lang, inst, domains)
-    found = next(_solutions(inst, domains, tables, stats, "backtracking"),
-                 None)
+        if not isinstance(window, range):
+            window = sorted(window)
+        elif window.step < 0:
+            window = window[::-1]
+        domains = dict.fromkeys(inst.names, window)
+    ends = [(values[0], values[-1]) for values in domains.values() if values]
+    lo = min((first for first, _ in ends), default=0)
+    hi = max((last for _, last in ends), default=0) + 1
+    tables = _window_grids(lang, inst, lo, hi, "arc-consistency grids")
+    _check_domains(hi - lo, "arc-consistency grids")
+    matrix = np.zeros((len(inst.names), hi - lo), dtype=bool)
+    for row, values in zip(matrix, map(domains.__getitem__, inst.names)):
+        if isinstance(values, range):
+            row[values.start - lo:values.stop - lo:values.step] = True
+        else:
+            row[np.asarray(values, dtype=np.int64) - lo] = True
+    found = next(_solutions(matrix, tables, stats, "backtracking"), None)
     if found is None:
         return SolveResult("UNSAT", stats=stats)
+    found = {v: lo + col for v, col in zip(inst.names, found.tolist())}
     if not satisfies(lang, inst, found):
         raise InternalError("backtracking produced a non-solution")
     return SolveResult("SAT", found, stats=stats)
@@ -539,14 +529,15 @@ def _residue_tables(lang, inst, d):
     takes q = ``lang.q`` and m the largest applied arity, rounded up to a
     multiple of d; a larger window only adds genuine tuples.
     """
-    arity = max((lang.relation(name).arity for name, _ in inst.constraints),
+    arity = max((lang.relation(name).arity for name, _, _ in inst.groups),
                 default=1)
     span = -(-((arity - 1) * (lang.q + d) + d) // d) * d
-    constraints, folds = _window_grids(lang, inst, 0, span, "residue grids")
+    constraints, folds, watchers = _window_grids(lang, inst, 0, span,
+                                                 "residue grids")
     residues = [fold.reshape((span // d, d) * fold.ndim)
                 .any(axis=tuple(range(0, 2 * fold.ndim, 2)))
                 for fold in folds]
-    return 0, d, constraints, residues
+    return constraints, residues, watchers
 
 
 def _quotient_literal(lit: Literal, r_lhs, r_rhs, d):
@@ -578,11 +569,11 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
     """Two-phase decision for languages preserved by a d-modular max or min.
 
     Phase one is the search of ``backtracking_solve`` over residue
-    assignments mod d (domains ``range(d)``, residue grids from
+    assignments mod d (a domain matrix of all residues, residue grids from
     ``_residue_tables``), so a residue vector some constraint cannot take
     is pruned by arc-consistency; its quotient would be unsatisfiable.
     Domains of more than ``DEFAULT_TABLE_CELLS`` residues raise
-    ``BudgetExceeded`` before they are listed.
+    ``BudgetExceeded`` before the matrix is allocated.
     Phase two substitutes ``v = d * v' + residue(v)`` into each constraint
     formula (offsets floor-divide; equalities require divisibility),
     producing a quotient instance handled by the max-closed decision
@@ -597,10 +588,11 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
         return SolveResult("SAT", {}, stats=stats)
     tables = _residue_tables(lang, inst, d)
     _check_domains(d, "residue search")
-    domains = {v: list(range(d)) for v in inst.variables}
+    domains = np.ones((len(inst.names), d), dtype=bool)
 
     quotient_rel_cache = {}
-    for rho in _solutions(inst, domains, tables, stats, "residue search"):
+    for cols in _solutions(domains, tables, stats, "residue search"):
+        rho = dict(zip(inst.names, cols.tolist()))
         qrels = []
         qconstraints = []
         for name, args in inst.constraints:
@@ -621,7 +613,7 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
         sub = decide_max_closed(qlang, qinst, mode=mode, stats=stats)
         if sub.sat:
             assignment = {v: d * sub.assignment[v] + rho[v]
-                          for v in inst.variables}
+                          for v in inst.names}
             if not satisfies(lang, inst, assignment):
                 raise InternalError("modular pipeline witness failed")
             return SolveResult("SAT", assignment, fallback=sub.fallback,

@@ -24,7 +24,7 @@ from dtcsp import (
     random_instance,
     random_relation,
 )
-from dtcsp import grids
+from dtcsp import finite, grids
 
 # Largest n per qe-degree keeping the brute windows enumerable in tests.
 BRUTE_LEAF_CAP = 4 * 10**6
@@ -169,6 +169,27 @@ def naive_bounds(lang, inst, window, mode="max"):
                     bound[a] = top
                     changed = True
     return bound
+
+
+def dict_arc_consistency(lang, inst, domains, stats=None, changed=None):
+    """``finite.arc_consistency`` on domains given as a dict of sorted value
+    lists, with the variable ``changed`` named.  The domain matrix and the
+    window grids span the domains' values; the fixpoint comes back as such
+    a dict, or None."""
+    values = [x for d in domains.values() for x in d]
+    lo, hi = min(values, default=0), max(values, default=0) + 1
+    tables = finite._window_grids(lang, inst, lo, hi, "arc-consistency grids")
+    matrix = np.zeros((len(inst.names), hi - lo), dtype=bool)
+    for row, v in zip(matrix, inst.names):
+        row[np.asarray(domains[v], dtype=np.int64) - lo] = True
+    if changed is not None:
+        changed = inst.names.index(changed)
+    fixed = finite.arc_consistency(tables, matrix, stats=stats,
+                                   changed=changed)
+    if fixed is None:
+        return None
+    return {v: (np.flatnonzero(row) + lo).tolist()
+            for v, row in zip(inst.names, fixed)}
 
 
 def tuple_arc_consistency(lang, inst, domains, stats):

@@ -378,6 +378,33 @@ def test_gen_output_parses(tmp_path, capsys):
     assert inst.variables
 
 
+@pytest.mark.parametrize("flag, value, least", [
+    ("relations", "0", 1), ("relations", "-2", 1), ("nvars", "0", 1),
+    ("q", "-1", 0), ("nconstraints", "-1", 0), ("nvars", "x", 1),
+])
+def test_gen_bad_count_exits_2(tmp_path, capsys, flag, value, least):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--seed", "1", "--out", str(tmp_path),
+              f"--{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be an integer of at least {least}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["mixed", "successor", "order", "horn"])
+def test_gen_least_counts_solve(tmp_path, capsys, kind):
+    # the smallest accepted counts write a pair that solve accepts
+    code, _, _ = run(capsys, "gen", "--seed", "1", "--out", tmp_path,
+                     "--kind", kind, "--relations", "1", "--q", "0",
+                     "--nvars", "1", "--nconstraints", "0")
+    assert code == 0
+    code, _, err = run(capsys, "solve", tmp_path / "lang.dtl",
+                       tmp_path / "inst.dti")
+    assert code == 0, err
+
+
 def test_check_valid_witness(tmp_path, capsys):
     _, out, _ = run(capsys, "solve", FIXTURES / "f.dtl", FIXTURES / "chain.dti",
                     "--json")

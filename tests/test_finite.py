@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from dtcsp import (
     VerdictClass,
     Instance,
     ParseError,
-    arc_consistency,
     backtracking_solve,
     bounded_window,
     brute_solve,
@@ -28,6 +28,7 @@ from dtcsp import (
 
 from helpers import (
     capped_instance,
+    dict_arc_consistency,
     max_closed_language,
     mirror_language,
     modular_language,
@@ -97,7 +98,7 @@ def test_ac_wipeout():
                      ("S1", ("a", "b"))))
     window = list(bounded_window(ORDER_LANG, inst))
     domains = {v: window for v in inst.variables}
-    assert arc_consistency(ORDER_LANG, inst, domains) is None
+    assert dict_arc_consistency(ORDER_LANG, inst, domains) is None
     oracle = brute_solve(ORDER_LANG, inst, bounded_window(ORDER_LANG, inst))
     assert oracle.status == "UNSAT"
 
@@ -105,14 +106,14 @@ def test_ac_wipeout():
 def test_ac_successor_domains():
     inst = Instance(("a", "b"), (("S1", ("a", "b")),))
     domains = {v: [0, 1, 2, 3] for v in inst.variables}
-    fixed = arc_consistency(ORDER_LANG, inst, domains)
+    fixed = dict_arc_consistency(ORDER_LANG, inst, domains)
     assert fixed == {"a": [0, 1, 2], "b": [1, 2, 3]}
 
 
 def test_ac_no_constraints_is_fixpoint():
     inst = Instance(("a", "b"), ())
     domains = {v: [0, 1, 2] for v in inst.variables}
-    fixed = arc_consistency(ORDER_LANG, inst, domains)
+    fixed = dict_arc_consistency(ORDER_LANG, inst, domains)
     assert fixed == domains
 
 
@@ -122,7 +123,7 @@ def test_ac_never_deletes_solution_values():
         inst = capped_instance(lang, seed, nmax=4)
         window = bounded_window(lang, inst)
         domains = {v: list(window) for v in inst.variables}
-        fixed = arc_consistency(lang, inst, domains)
+        fixed = dict_arc_consistency(lang, inst, domains)
         solution_values = {v: set() for v in inst.variables}
         order = list(inst.variables)
         fns = [(lang.relation(nm).formula.compiled(),
@@ -149,7 +150,7 @@ def test_ac_matches_tuple_reference(case, data):
                                            min_size=1)))
                for v in inst.variables}
     got_stats, want_stats = {}, {}
-    got = arc_consistency(lang, inst, domains, stats=got_stats)
+    got = dict_arc_consistency(lang, inst, domains, stats=got_stats)
     want = tuple_arc_consistency(lang, inst, domains, want_stats)
     assert got == want
     assert got_stats == want_stats
@@ -162,14 +163,15 @@ def test_ac_queue_from_changed_variable(case, data):
     # reaches the fixpoint that a queue of all constraints reaches
     lang, inst, window = case
     window = sorted(bounded_window(lang, inst) if window is None else window)
-    root = arc_consistency(lang, inst, {v: window for v in inst.variables})
+    root = dict_arc_consistency(lang, inst,
+                                {v: window for v in inst.variables})
     if root is None:
         return
     var = data.draw(st.sampled_from(inst.variables))
     child = dict(root)
     child[var] = [data.draw(st.sampled_from(root[var]))]
-    assert arc_consistency(lang, inst, child, changed=var) == \
-        arc_consistency(lang, inst, child)
+    assert dict_arc_consistency(lang, inst, child, changed=var) == \
+        dict_arc_consistency(lang, inst, child)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +229,23 @@ def test_residue_domains_budget(monkeypatch):
         solve_mod_max(ORDER_LANG, inst, 6)
     assert str(exc.value) == ("residue search: domains of 6 values, over the "
                               "budget of 5")
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst: solve_mod_max(ORDER_LANG, inst, 10**6),
+    lambda inst: backtracking_solve(ORDER_LANG, inst, window=range(10**6)),
+], ids=["residue search", "backtracking"])
+def test_domains_cost_no_memory_per_listed_value(solve):
+    # a million values for each of three free variables: one domain matrix
+    # of 3 MB and its copies along the search path, never a list per value
+    inst = Instance(("a", "b", "c"), ())
+    tracemalloc.start()
+    try:
+        assert solve(inst).sat
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_decide_max_closed_needs_contiguous_range():
