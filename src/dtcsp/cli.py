@@ -18,6 +18,7 @@ import argparse
 import json
 import pathlib
 import re
+import string
 import sys
 import time
 from itertools import repeat
@@ -31,6 +32,7 @@ from .finite import (
     backtracking_solve,
     bounded_window,
     decide_max_closed,
+    relation_codes,
     satisfies,
     solve_mod_max,
     validate_instance,
@@ -59,13 +61,23 @@ _LINE_RE = re.compile(
     rf"^{_WS}(?:({_ID}){_WS}\(([^)#\n]*)\)"
     rf"|({_ID}){_WS}(<=|<|!=|=){_WS}({_ID})(?:{_WS}([+-]){_WS}(\d+))?)?"
     rf"{_WS}(?:#.*)?$|^(.+)$", re.M)
-# The line break before the first line that is neither blank nor an
-# application R(a, ..., b) to one or more names.  Each match attempt looks
-# at one line, so no backtracking state builds up over a long text, and
-# the leading '\n' lets the search skip from line break to line break.
-_OTHER_LINE_RE = re.compile(
-    rf"\n(?!{_WS}(?:{_ID}{_WS}\({_WS}{_ID}(?:{_WS},{_WS}{_ID})*{_WS}\){_WS})?$)",
-    re.M)
+# Line breaks of str.splitlines in ASCII text, other than '\n'.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+_MARKS_TO_BLANKS = str.maketrans("(,)", "   ")
+# The class of each byte: 0 in identifiers, 1-4 for the marks '\n' '(' ','
+# ')', 5 for any other byte.
+_CLASS = np.full(256, 5, dtype=np.uint8)
+_CLASS[list((string.ascii_letters + string.digits + "_").encode())] = 0
+_CLASS[list(b"\n(,)")] = [1, 2, 3, 4]
+_CLASS = _CLASS.tobytes()
+# _FOLLOWS[a, b, filled]: mark b may follow mark a in application-only
+# text with blanks dropped, with identifier characters between them
+# (filled = 1) or without (0).  Blank lines and the ends of applications
+# hold none; the relation name before '(' and each argument hold some.
+_FOLLOWS = np.zeros((6, 6, 2), dtype=bool)
+_FOLLOWS[[1, 4], [1, 1], 0] = True  # '\n\n' ')\n'
+_FOLLOWS[[1, 2, 2, 3, 3], [2, 3, 4, 3, 4], 1] = True  # '\n(' '(,' '()' ',,' ',)'
+_FOLLOWS = _FOLLOWS.ravel()  # at 12a + 2b + filled
 
 _CMP_FROM_TEXT = {"<=": Cmp.LEQ, "<": Cmp.LT, "=": Cmp.EQ, "!=": Cmp.NEQ}
 _CMP_SLUG = {Cmp.LEQ: "leq", Cmp.LT: "lt", Cmp.EQ: "eq", Cmp.NEQ: "neq"}
@@ -77,20 +89,24 @@ def parse_instance(text: str, lang: ConstraintLanguage):
     """Parse a .dti document; returns (instance, language with implicit
     relations for any sugar literals appended).
 
-    Lines end as ``str.splitlines`` ends them.  Text whose lines after the
+    Lines end as ``str.splitlines`` ends them; ASCII text whose only line
+    break is ``'\\n'`` is read as it is.  Text whose lines after the
     declaration are all blank or applications ``R(a, ..., b)`` of a relation
-    to declared variables is split into tokens at once: one search finds no
-    other line, three ``str.replace`` calls and one ``split()`` tokenize,
-    and one dict maps the tokens to variable ids.  The search runs line by
-    line, since a pattern matching the whole text as a repetition of lines
-    keeps backtracking state for every line.  Any other text (difference
-    literals, comments, ``R()``, undeclared variables, a line that does not
-    parse) goes through one pattern that matches every line of the text at
-    once.  Both end in the one grouping step of every instance,
+    to declared variables is split into tokens at once: with blanks
+    dropped, its marks ``'\\n' ( , )`` must follow each other as in such
+    lines, and one ``split()`` must then give 2·(applications) + (commas)
+    identifier tokens, one per name slot (``_split_applications`` gives the
+    argument).  Any other text (difference literals, comments, ``R()``,
+    undeclared variables, other whitespace, a line that does not parse)
+    goes through one pattern that matches every line of the text at once.
+    Both end in the one grouping step of every instance,
     ``Instance.from_applications``.  Errors name the first offending line;
     validation errors follow ``validate_instance``.
     """
-    body = "\n".join(text.splitlines())
+    if text.isascii() and not any(c in text for c in _OTHER_BREAKS):
+        body = text.removesuffix("\n")  # as the join below would give
+    else:
+        body = "\n".join(text.splitlines())
     head = _HEAD_RE.search(body)
     if head is None:
         raise ParseError("instance file declares no variables")
@@ -103,15 +119,16 @@ def parse_instance(text: str, lang: ConstraintLanguage):
             if not _NAMES_RE.fullmatch(v):
                 raise ParseError(f"bad variable name {v!r}", lineno)
     variables = tuple(parts[1:])
-    ids = {v: i for i, v in enumerate(dict.fromkeys(variables))}
+    ids = dict(zip(variables, range(len(variables))))
+    if len(ids) < len(variables):  # a repeated name keeps its first id
+        ids = {v: i for i, v in enumerate(dict.fromkeys(variables))}
     start = body.find("\n", head.end()) + 1
     lines = body[start - 1:] if start else ""  # each line after its '\n'
-    split = None if _OTHER_LINE_RE.search(lines) else _split_applications(
-        lines, ids)
+    split = _split_applications(lines, ids, lang)
     implicit = {}
     if split is None:
         names, arg_texts, implicit = _match_lines(body, start)
-        split = names, *_tokenize_arguments(ids, arg_texts)
+        split = *relation_codes(names), *_tokenize_arguments(ids, arg_texts)
     extended = lang.extended(implicit.values()) if implicit else lang
     inst = Instance.from_applications(variables, ids, *split)
     validate_instance(extended, inst)
@@ -149,24 +166,59 @@ def _match_lines(body, start):
     return names, arg_texts, implicit
 
 
-def _split_applications(text, ids):
-    """``(relations, args, starts, arity)`` of ``Instance.from_applications``
-    for lines that are all blank or ``R(a, ..., b)``; None when an argument
-    is not in ``ids``, which only ``_tokenize_arguments`` handles."""
-    tokens = text.replace("(", " ( ").replace(",", " ").replace(")", " ") \
-        .split()
-    lookup = {**ids, "(": -2}  # -1: not a variable
-    codes = np.fromiter(map(lookup.get, tokens, repeat(-1)), dtype=np.int32,
-                        count=len(tokens))
-    marks = np.flatnonzero(codes == -2)  # R ( a b: the '(' of each line
-    keep = np.ones(len(tokens), dtype=bool)
-    keep[marks] = keep[marks - 1] = False
-    args = codes[keep]
-    if (args < 0).any():
+def _split_applications(lines, ids, lang):
+    """``(relations, code, args, starts, arity)`` of
+    ``Instance.from_applications`` for ``lines``, each line after its
+    ``'\\n'``, when every line is blank or an application ``R(a, ..., b)``
+    of a relation of ``lang`` or a name of ``ids`` to names of ``ids``;
+    else None, and ``_match_lines`` reads the text.
+
+    With blanks (space, tab) dropped, the marks ``'\\n' ( , )`` must follow
+    each other as in such lines (``_FOLLOWS``): each line is empty or
+    ``R(a,...,b)``, each of its 2 + c slots (c commas; the relation name
+    before ``(`` and each argument) holds identifier characters, and
+    nothing lies outside the slots.  Any other character fails this check.
+    ``split()`` of the text with blanks kept and marks made blanks then
+    gives at least one token in each slot and none elsewhere, so it gives
+    2·(applications) + (commas) tokens exactly when each slot holds one.
+    Then the relation names head runs of arity + 1 tokens.  One dict maps
+    every token to a variable id or, for a relation name that is not a
+    variable, to a code after the ids; a token that is neither, or an
+    argument that is no variable, sends the text to ``_match_lines``.
+    """
+    if not lines.isascii():
         return None
-    arity = np.diff(marks, append=len(tokens) + 1) - 2
-    names = [tokens[m] for m in (marks - 1).tolist()]
-    return names, args, np.cumsum(arity) - arity, arity
+    # blanks dropped; a last '\n' ends the last line
+    classes = np.frombuffer(lines.encode().translate(_CLASS, b" \t") + b"\1",
+                            dtype=np.uint8)
+    at = classes.nonzero()[0]
+    marks = classes[at]
+    filled = at[1:] - at[:-1] > 1
+    if not _FOLLOWS[marks[:-1] * 12 + marks[1:] * 2 + filled].all():
+        return None
+    opens = (marks == 2).nonzero()[0]
+    arity = (marks == 4).nonzero()[0] - opens  # commas + 1
+    tokens = lines.translate(_MARKS_TO_BLANKS).split()
+    if len(tokens) != len(opens) + arity.sum():  # 2·(applications) + commas
+        return None
+    n = len(ids)
+    # identifiers only, so that a token such as 1R is no relation name
+    rel_names = [r.name for r in lang.relations if _NAMES_RE.fullmatch(r.name)]
+    lookup = {name: n + i for i, name in enumerate(rel_names)}
+    lookup.update(ids)
+    try:
+        codes = np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int32,
+                            count=len(tokens))
+    except KeyError:
+        return None
+    heads = np.cumsum(arity + 1) - (arity + 1)
+    is_arg = np.ones(len(tokens), dtype=bool)
+    is_arg[heads] = False
+    args = codes[is_arg]
+    if (args >= n).any():
+        return None
+    return ((*ids, *rel_names), codes[heads], args, np.cumsum(arity) - arity,
+            arity)
 
 
 def _tokenize_arguments(ids, arg_texts):
@@ -412,12 +464,8 @@ def cmd_check(args) -> int:
         return 2
     try:
         assignment = json.loads(pathlib.Path(args.assignment).read_text())
-        if (not isinstance(assignment, dict)
-                or set(assignment) != set(inst.variables)
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           for v in assignment.values())):
-            raise ValueError("assignment must map every variable to an integer")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        _check_assignment(assignment, inst.variables)
+    except (OSError, ValueError, RecursionError) as exc:  # deep JSON recurses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if satisfies(lang, inst, assignment):
@@ -425,6 +473,26 @@ def cmd_check(args) -> int:
         return 0
     print("invalid")
     return 1
+
+
+def _check_assignment(assignment, variables):
+    """Raise a ``ValueError`` naming the first declared variable without a
+    value, else the first key that is no declared variable, else the first
+    value that is not an integer."""
+    if not isinstance(assignment, dict):
+        raise ValueError("assignment must be a JSON object mapping each "
+                         "variable to an integer")
+    for v in variables:
+        if v not in assignment:
+            raise ValueError(f"assignment has no value for variable {v!r}")
+    declared = set(variables)
+    for key in assignment:
+        if key not in declared:
+            raise ValueError(f"assignment names undeclared variable {key!r}")
+    for key, value in assignment.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"assignment value {value!r} of variable {key!r} "
+                             f"is not an integer")
 
 
 def _int_at_least(name, least):

@@ -66,32 +66,32 @@ class Instance:
                         dtype=np.int32)
         arity = np.fromiter(map(len, (row for _, row in constraints)),
                             dtype=np.int64, count=len(constraints))
-        self._group(variables, ids, [name for name, _ in constraints], args,
+        self._group(variables, ids,
+                    *relation_codes([name for name, _ in constraints]), args,
                     np.cumsum(arity) - arity, arity)
         self._constraints = constraints
 
     @classmethod
-    def from_applications(cls, variables, ids, relations, args, starts,
+    def from_applications(cls, variables, ids, relations, code, args, starts,
                           arity):
         """The instance over ``variables`` whose variable ids are the
-        positions of the keys of ``ids``, applying ``relations[i]`` to the
-        ``arity[i]`` ids of the flat array ``args`` from ``starts[i]`` on."""
+        positions of the keys of ``ids``, applying relation
+        ``relations[code[i]]`` to the ``arity[i]`` ids of the flat array
+        ``args`` from ``starts[i]`` on.  Distinct codes of ``code`` must
+        index distinct names (see ``relation_codes``)."""
         inst = cls.__new__(cls)
-        inst._group(variables, ids, relations, args, starts, arity)
+        inst._group(variables, ids, relations, code, args, starts, arity)
         return inst
 
-    def _group(self, variables, ids, relations, args, starts, arity):
+    def _group(self, variables, ids, relations, code, args, starts, arity):
         """Set the id view (see the class docstring)."""
-        codes = {name: i for i, name in enumerate(dict.fromkeys(relations))}
-        code = np.fromiter(map(codes.__getitem__, relations), dtype=np.int64,
-                           count=len(relations))
         groups = []
-        for i, name in enumerate(codes):
-            order = np.flatnonzero(code == i)
+        for c in dict.fromkeys(code.tolist()):
+            order = np.flatnonzero(code == c)
             for k in dict.fromkeys(arity[order].tolist()):
                 rows = order[arity[order] == k]
-                groups.append((name, args[starts[rows, None] + np.arange(k)],
-                               rows))
+                groups.append((relations[c],
+                               args[starts[rows, None] + np.arange(k)], rows))
         self.variables = tuple(variables)
         self.names = tuple(ids)
         self.groups = tuple(groups)
@@ -128,6 +128,15 @@ class Instance:
     def __repr__(self):
         return (f"Instance(variables={self.variables!r}, "
                 f"constraints={self.constraints!r})")
+
+
+def relation_codes(names):
+    """``(relations, code)`` of ``Instance.from_applications`` for a list of
+    relation names: the distinct names in order of first use, and the
+    position of each name among them."""
+    relations = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    return tuple(relations), np.fromiter(map(relations.__getitem__, names),
+                                         dtype=np.int64, count=len(names))
 
 
 def validate_instance(lang: ConstraintLanguage, inst: Instance):

@@ -7,6 +7,7 @@ import random
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -463,6 +464,32 @@ def test_check_wrong_variables(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ({"a": 0, "b": 1, "z": 3}, "assignment has no value for variable 'c'"),
+    ({"a": 0, "b": 1, "c": 1.0, "z": 3},
+     "assignment names undeclared variable 'z'"),
+    ({"a": 0, "b": True, "c": 1.5},
+     "assignment value True of variable 'b' is not an integer"),
+    ([0, 1, 1], "assignment must be a JSON object mapping each variable to "
+                "an integer"),
+], ids=["missing", "undeclared", "not_integer", "not_object"])
+def test_check_names_the_bad_entry(tmp_path, capsys, assignment, message):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(assignment))
+    code, out, err = run(capsys, "check", FIXTURES / "f.dtl",
+                         FIXTURES / "chain.dti", path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_check_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "check", FIXTURES / "f.dtl",
+                         FIXTURES / "chain.dti", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "f.dtl"),
     ("solve", "f.dtl", "chain.dti"),
@@ -649,7 +676,9 @@ _GARBAGE = ("Le(a", "a == b", "a >= b", "(", "Le(a)(b)", "Le(a # b)",
 _NEAR_MISSES = ("Le()", "Le({} {})", "Le({},,{})", "Le({}, {},)",
                 "Le ( {} ,{} )", "Le({},\t{})", "Le(\u00a0{}, {})",
                 "Le(Le, {})", "Le({}, Le)", "Le({}, {}", "Le {}, {})",
-                "Le(({}, {}))", "Le({}, {})(")
+                "Le(({}, {}))", "Le({}, {})(", "Le({}){}", "{}",
+                "1Le({}, {})", "Le({})Le({})", "Le({},\x1f{})",
+                "Le({}, {})\x1f", "\x00", "Le({}, {}) ")
 
 
 @st.composite
@@ -699,15 +728,18 @@ def _dti_line(draw, declared, flawed, apply_only=False):
 
 
 @st.composite
-def dti_texts(draw):
+def dti_texts(draw, valid=None, apply_only=None):
     """Instance text over INSTANCE_LANG.  Half of the texts are valid: known
     relations with their arity over declared variables.  In the others,
     about one line in four is flawed (see ``_dti_line``), and the
     declaration may repeat a variable or be malformed or missing.  In a
     quarter of the texts every line after the declaration is an
-    application or blank, the text that ``parse_instance`` splits."""
-    valid = draw(st.booleans())
-    apply_only = draw(st.integers(0, 3)) == 0
+    application or blank, the text that ``parse_instance`` splits.
+    ``valid`` and ``apply_only`` fix those choices when given."""
+    if valid is None:
+        valid = draw(st.booleans())
+    if apply_only is None:
+        apply_only = draw(st.integers(0, 3)) == 0
     declared = tuple(draw(st.lists(st.sampled_from(_DTI_NAMES), min_size=1,
                                    max_size=5, unique=True)))
     names = declared
@@ -758,6 +790,21 @@ def test_parse_instance_matches_line_parser(text):
         assert _parsed(parse_instance, write_instance(inst)) == got
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dti_texts(valid=True, apply_only=True)
+       .map(lambda text: text.replace("\u00a0", " ")))
+def test_application_only_ascii_text_is_split(text):
+    # valid application-only ASCII text (spaces, tabs, blank lines, comment
+    # lines before the declaration, any line ends, relation names that are
+    # also declared variables) and what write_instance makes of it, with
+    # no implicit relations, never reach the line pattern
+    with mock.patch.object(cli, "_match_lines",
+                           side_effect=AssertionError("reached _match_lines")):
+        got = _parsed(parse_instance, text)
+        assert got == _parsed(naive_parse_instance, text)
+        assert _parsed(parse_instance, write_instance(got[0])) == got
+
+
 @pytest.mark.parametrize("line", [
     *(m.format("a", "b") for m in _NEAR_MISSES),
     "Le(a, zz)", "Nope(a, b)", "Le(a)", "Le(b, a) # c", "a = b", "Le(a, b", "",
@@ -765,6 +812,18 @@ def test_parse_instance_matches_line_parser(text):
 def test_one_line_away_from_application_only(line):
     # the only line of the text that might send it down the other path
     text = f"var a b Le\nLe(a, b)\nS(b, Le)\n{line}\nT(a, b, a)\n"
+    got = _parsed(parse_instance, text)
+    assert got == _parsed(naive_parse_instance, text)
+
+
+@pytest.mark.parametrize("line", [
+    *(m.format("a", "b") for m in _NEAR_MISSES), "Le(a b, a)",
+])
+def test_one_line_away_before_relations_named_like_variables(line):
+    # every later relation name is a declared variable, so tokens read one
+    # slot off would still map to ids: the token count must turn away two
+    # tokens in one slot (Le(a b, a))
+    text = f"var a b Le\n{line}\nLe(a, a)\nLe(b, a)\n"
     got = _parsed(parse_instance, text)
     assert got == _parsed(naive_parse_instance, text)
 
