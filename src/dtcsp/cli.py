@@ -119,9 +119,7 @@ def parse_instance(text: str, lang: ConstraintLanguage):
             if not _NAMES_RE.fullmatch(v):
                 raise ParseError(f"bad variable name {v!r}", lineno)
     variables = tuple(parts[1:])
-    ids = dict(zip(variables, range(len(variables))))
-    if len(ids) < len(variables):  # a repeated name keeps its first id
-        ids = {v: i for i, v in enumerate(dict.fromkeys(variables))}
+    ids = dict(zip(dict.fromkeys(variables), range(len(variables))))
     start = body.find("\n", head.end()) + 1
     lines = body[start - 1:] if start else ""  # each line after its '\n'
     split = _split_applications(lines, ids, lang)
