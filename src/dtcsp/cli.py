@@ -79,7 +79,6 @@ _FOLLOWS[[1, 4], [1, 1], 0] = True  # '\n\n' ')\n'
 _FOLLOWS[[1, 2, 2, 3, 3], [2, 3, 4, 3, 4], 1] = True  # '\n(' '(,' '()' ',,' ',)'
 _FOLLOWS = _FOLLOWS.ravel()  # at 12a + 2b + filled
 
-_CMP_FROM_TEXT = {"<=": Cmp.LEQ, "<": Cmp.LT, "=": Cmp.EQ, "!=": Cmp.NEQ}
 _CMP_SLUG = {Cmp.LEQ: "leq", Cmp.LT: "lt", Cmp.EQ: "eq", Cmp.NEQ: "neq"}
 _SLUG_TEXT = {"leq": "<=", "lt": "<", "eq": "=", "neq": "!="}
 _IMPLICIT_RE = re.compile(r"^_(leq|lt|eq|neq)([+-]\d+)$")
@@ -151,7 +150,7 @@ def _match_lines(body, start):
         for name, args, lhs, cmp_text, rhs, sign, digits, _ in rows:
             if lhs:
                 offset = int(digits) * (-1 if sign == "-" else 1) if digits else 0
-                cmp = _CMP_FROM_TEXT[cmp_text]
+                cmp = Cmp(cmp_text)
                 rel = implicit.get((cmp, offset))
                 if rel is None:
                     rel = implicit[cmp, offset] = RelationDef(

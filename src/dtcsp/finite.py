@@ -602,7 +602,7 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
     quotient_rel_cache = {}
     for cols in _solutions(domains, tables, stats, "residue search"):
         rho = dict(zip(inst.names, cols.tolist()))
-        qrels = []
+        qrels = {}  # by name, in order of first use
         qconstraints = []
         for name, args in inst.constraints:
             rel = lang.relation(name)
@@ -614,10 +614,9 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
                 quotient_rel_cache[key] = RelationDef(qname, rel.arity,
                                                       Formula(qroot))
             qrel = quotient_rel_cache[key]
-            if all(r.name != qrel.name for r in qrels):
-                qrels.append(qrel)
+            qrels.setdefault(qrel.name, qrel)
             qconstraints.append((qrel.name, args))
-        qlang = ConstraintLanguage(tuple(qrels))
+        qlang = ConstraintLanguage(tuple(qrels.values()))
         qinst = Instance(inst.variables, tuple(qconstraints))
         sub = decide_max_closed(qlang, qinst, mode=mode, stats=stats)
         if sub.sat:

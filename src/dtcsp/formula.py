@@ -15,7 +15,6 @@ Truth tables over that window (``equivalent``, ``reduce``) come from
 from __future__ import annotations
 
 import re
-import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -35,6 +34,8 @@ DEFAULT_CLAUSE_BUDGET = 10**6
 DEFAULT_ENUM_BUDGET = 10**8
 # Clause-point evaluations one reduce may spend (see reduce).
 DEFAULT_REDUCE_WORK = 10**9
+# Nesting levels (``!``, ``(``, ``->``) one .dtl formula may open at once.
+MAX_NESTING = 50
 
 
 class Cmp(Enum):
@@ -128,30 +129,20 @@ def _eval_node(node, get) -> bool:
     return not _eval_node(node.part, get)
 
 
-def _codegen(node) -> str:
+def _codegen(node, index) -> str:
+    """Python text of ``node``, reading variable i as ``v[index[i]]``."""
     if isinstance(node, Literal):
-        return f"(v[{node.lhs}] {_PY_OP[node.cmp]} v[{node.rhs}] + {node.offset})"
+        return (f"(v[{index[node.lhs]}] {_PY_OP[node.cmp]} "
+                f"v[{index[node.rhs]}] + {node.offset})")
     if isinstance(node, And):
         if not node.parts:
             return "True"
-        return "(" + " and ".join(_codegen(p) for p in node.parts) + ")"
+        return "(" + " and ".join(_codegen(p, index) for p in node.parts) + ")"
     if isinstance(node, Or):
         if not node.parts:
             return "False"
-        return "(" + " or ".join(_codegen(p) for p in node.parts) + ")"
-    return f"(not {_codegen(node.part)})"
-
-
-def remap_variables(node, mapping):
-    """Copy of a node tree with every literal's variable indices remapped."""
-    if isinstance(node, Literal):
-        return Literal(mapping[node.lhs], mapping[node.rhs], node.cmp,
-                       node.offset)
-    if isinstance(node, Not):
-        return Not(remap_variables(node.part, mapping))
-    if isinstance(node, And):
-        return And(tuple(remap_variables(p, mapping) for p in node.parts))
-    return Or(tuple(remap_variables(p, mapping) for p in node.parts))
+        return "(" + " or ".join(_codegen(p, index) for p in node.parts) + ")"
+    return f"(not {_codegen(node.part, index)})"
 
 
 def compile_applied(pairs):
@@ -163,8 +154,7 @@ def compile_applied(pairs):
     """
     if not pairs:
         return None
-    exprs = [_codegen(remap_variables(f.root, dict(enumerate(idx))))
-             for f, idx in pairs]
+    exprs = [_codegen(f.root, idx) for f, idx in pairs]
     return eval("lambda v: " + " and ".join(exprs), {"__builtins__": {}})
 
 
@@ -186,27 +176,24 @@ def _format_node(node) -> str:
 
 
 class Formula:
-    """Immutable formula tree with lazily cached normal-form views.
+    """Immutable formula tree.
 
     ``view`` is None, "cnf" or "dnf"; when set, ``clauses`` holds the matching
-    clause lists (clause = tuple of literals).  Caches are filled at most once
-    under a lock, so shared formulas are safe to use from multiple threads;
-    the reduced forms kept by ``reduced`` are stored once, first result wins.
+    clause lists (clause = tuple of literals).  Besides memos of its variables,
+    qe-degree and hash, a formula keeps one result: the reduced forms stored
+    by ``reduced``.  Each is a deterministic value written once, so shared
+    formulas are safe to use from multiple threads.
     """
 
-    __slots__ = ("root", "view", "clauses", "_lock", "_vars", "_q", "_fn",
-                 "_cnf", "_dnf", "_reduced", "_hash")
+    __slots__ = ("root", "view", "clauses", "_vars", "_q", "_reduced",
+                 "_hash")
 
     def __init__(self, root, view=None, clauses=None):
         self.root = root
         self.view = view
         self.clauses = None if clauses is None else tuple(tuple(c) for c in clauses)
-        self._lock = threading.Lock()
         self._vars = None
         self._q = None
-        self._fn = None
-        self._cnf = None
-        self._dnf = None
         self._reduced = {}
         self._hash = None
 
@@ -232,33 +219,14 @@ class Formula:
         return _eval_node(self.root, get)
 
     def compiled(self):
-        """Fast evaluator ``f(values) -> bool``; values indexed by variable."""
-        if self._fn is None:
-            with self._lock:
-                if self._fn is None:
-                    self._fn = eval("lambda v: " + _codegen(self.root),
-                                    {"__builtins__": {}})
-        return self._fn
-
-    def cnf(self):
-        if self._cnf is None:
-            with self._lock:
-                if self._cnf is None:
-                    self._cnf = _normal_form(self.root, "cnf")
-        return self._cnf
-
-    def dnf(self):
-        if self._dnf is None:
-            with self._lock:
-                if self._dnf is None:
-                    self._dnf = _normal_form(self.root, "dnf")
-        return self._dnf
+        """Fast evaluator ``f(values) -> bool``; values indexed by variable.
+        Built anew on each call."""
+        return compile_applied([(self, range(self.nvars))])
 
     def reduced(self, view, build):
         """Clauses of the reduced ``view`` ("cnf" or "dnf") as returned by
-        ``build()``, kept with the formula.  ``build`` runs outside the lock,
-        since it needs the normal-form views; racing threads may both run
-        it, and the first result stored wins."""
+        ``build()``, kept with the formula.  Racing threads may both run
+        ``build``; the first result stored wins, and both are equal."""
         out = self._reduced.get(view)
         if out is None:
             out = self._reduced.setdefault(view, build())
@@ -368,12 +336,12 @@ def formula_from_clauses(view, clauses) -> Formula:
 
 def to_cnf(f: Formula) -> Formula:
     """Equivalent formula in conjunctive normal form (NOT pushed to literals)."""
-    return formula_from_clauses("cnf", f.cnf())
+    return formula_from_clauses("cnf", _normal_form(f.root, "cnf"))
 
 
 def to_dnf(f: Formula) -> Formula:
     """Equivalent formula in disjunctive normal form."""
-    return formula_from_clauses("dnf", f.dnf())
+    return formula_from_clauses("dnf", _normal_form(f.root, "dnf"))
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +419,19 @@ def _clause_truth_bits(view, nv, R, points):
     return truth
 
 
+def _clause_deletions(clauses):
+    """``clauses`` less one clause, for each clause in order."""
+    for i in range(len(clauses)):
+        yield clauses[:i] + clauses[i + 1:]
+
+
+def _literal_deletions(clauses):
+    """``clauses`` less one literal, clause by clause, literals in order."""
+    for i, c in enumerate(clauses):
+        for j in range(len(c)):
+            yield clauses[:i] + (c[:j] + c[j + 1:],) + clauses[i + 1:]
+
+
 def reduce(f: Formula) -> Formula:
     """Delete clauses, then literals, while equivalence holds.
 
@@ -479,40 +460,17 @@ def reduce(f: Formula) -> Formula:
                 f"clause-point evaluations")
         return clause_truth(cls)
 
-    clauses = [list(c) for c in f.clauses]
+    clauses = f.clauses
     target = truth(clauses)
-
-    changed = True
-    while changed:
-        changed = False
-        # clause pass
-        i = 0
-        while i < len(clauses):
-            cand = clauses[:i] + clauses[i + 1:]
-            if truth(cand) == target:
+    while True:
+        start = clauses
+        for deletions in (_clause_deletions, _literal_deletions):
+            # take the first deletion that keeps the truth table, then rescan
+            while (cand := next((c for c in deletions(clauses)
+                                 if truth(c) == target), None)) is not None:
                 clauses = cand
-                changed = True
-                i = 0
-            else:
-                i += 1
-        # literal pass
-        i = 0
-        while i < len(clauses):
-            j = 0
-            restarted = False
-            while j < len(clauses[i]):
-                cand = [list(c) for c in clauses]
-                del cand[i][j]
-                if truth(cand) == target:
-                    clauses = cand
-                    changed = True
-                    i = 0
-                    restarted = True
-                    break
-                j += 1
-            if not restarted:
-                i += 1
-    return formula_from_clauses(view, clauses)
+        if clauses is start:
+            return formula_from_clauses(view, clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +575,19 @@ def _scan(line_text, lineno):
 
 
 class _ExprParser:
-    """Precedence: ! binds tightest, then &, then -> (right-assoc), then |."""
+    """Precedence: ! binds tightest, then &, then -> (right-assoc), then |.
+
+    Each ``!``, ``(`` and ``->`` opens one nesting level; more than
+    ``MAX_NESTING`` open at once is a ``ParseError``.  The tree then stays
+    shallow enough for every recursive walk of it and for ``compile_applied``.
+    """
 
     def __init__(self, toks, lineno, arity):
         self.toks = toks
         self.pos = 0
         self.lineno = lineno
         self.arity = arity
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -642,6 +606,16 @@ class _ExprParser:
             raise ParseError(f"expected {text!r}, found {t.text!r}",
                              self.lineno, t.col)
         return t
+
+    def nested(self, t, parse):
+        """``parse()`` one nesting level below the token ``t`` just taken."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels",
+                             self.lineno, t.col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.parse_or()
@@ -662,8 +636,7 @@ class _ExprParser:
         t = self.peek()
         if t is not None and t.kind == "op" and t.text == "->":
             self.take()
-            right = self.parse_impl()
-            return Or((Not(left), right))
+            return Or((Not(left), self.nested(t, self.parse_impl)))
         return left
 
     def parse_and(self):
@@ -679,10 +652,10 @@ class _ExprParser:
             raise ParseError("expected a literal", self.lineno, 1)
         if t.kind == "op" and t.text == "!":
             self.take()
-            return Not(self.parse_unit())
+            return Not(self.nested(t, self.parse_unit))
         if t.kind == "op" and t.text == "(":
             self.take()
-            node = self.parse_or()
+            node = self.nested(t, self.parse_or)
             self.expect_op(")")
             return node
         return self.parse_literal()
@@ -702,11 +675,11 @@ class _ExprParser:
     def parse_literal(self):
         lhs = self.parse_var()
         t = self.take()
-        cmps = {"<=": Cmp.LEQ, "<": Cmp.LT, "=": Cmp.EQ, "!=": Cmp.NEQ}
-        if t.kind != "op" or t.text not in cmps:
+        try:
+            cmp = Cmp(t.text)
+        except ValueError:
             raise ParseError(f"expected a comparator, found {t.text!r}",
-                             self.lineno, t.col)
-        cmp = cmps[t.text]
+                             self.lineno, t.col) from None
         rhs = self.parse_var()
         offset = 0
         nxt = self.peek()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtcsp import cli, finite
+from dtcsp import cli, finite, formula
 from dtcsp.cli import main, parse_instance, write_instance
 from dtcsp import ArityError, DtcspError, Instance, ParseError, parse_language
 from dtcsp.formula import write_language
@@ -488,6 +488,43 @@ def test_check_deeply_nested_json_exits_2(tmp_path, capsys):
                          FIXTURES / "chain.dti", path)
     assert (code, out) == (2, "")
     assert err.startswith("error: maximum recursion depth exceeded")
+
+
+_DEEP = {
+    "5000_parens": "(" * 5000 + "x1 <= x2" + ")" * 5000,
+    "5000_nots": "!" * 5000 + "x1 <= x2",
+    "981_nots": "!" * 981 + "x1 = x2 + 1",
+}
+
+
+def _deep_argv(tmp_path, command, expr):
+    (tmp_path / "deep.dtl").write_text(f"rel R/2 := {expr}\n")
+    (tmp_path / "r.dti").write_text("var a b\nR(a, b)\n")
+    (tmp_path / "w.json").write_text('{"a": 0, "b": 1}')
+    files = {"classify": ["deep.dtl"], "solve": ["deep.dtl", "r.dti"],
+             "check": ["deep.dtl", "r.dti", "w.json"]}[command]
+    return [command] + [tmp_path / f for f in files]
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "check"])
+@pytest.mark.parametrize("expr", list(_DEEP.values()), ids=list(_DEEP))
+def test_deep_nesting_exits_2(tmp_path, capsys, command, expr):
+    limit = formula.MAX_NESTING
+    code, out, err = run(capsys, *_deep_argv(tmp_path, command, expr))
+    assert (code, out) == (2, "")
+    assert err == (f"error: formula nests deeper than {limit} levels "
+                   f"(line 1, col {12 + limit})\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "check"])
+@pytest.mark.parametrize("expr", [
+    "(" * formula.MAX_NESTING + "x1 <= x2" + ")" * formula.MAX_NESTING,
+    "!" * formula.MAX_NESTING + "x1 < x2 + 1",
+], ids=["parens", "nots"])
+def test_nesting_at_the_limit_runs(tmp_path, capsys, command, expr):
+    code, out, err = run(capsys, *_deep_argv(tmp_path, command, expr))
+    assert (code, err) == (0, "")
+    assert out
 
 
 @pytest.mark.parametrize("argv", [

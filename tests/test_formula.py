@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -9,12 +10,15 @@ from dtcsp import (
     Cmp,
     DuplicateNameError,
     Formula,
+    Instance,
     Literal,
     MissingVariableError,
     Not,
     Or,
     ParseError,
     SizeLimitExceeded,
+    brute_solve,
+    classify,
     equivalent,
     evaluate,
     parse_language,
@@ -94,6 +98,52 @@ def test_arrow_right_associative():
     assert equivalent(chained, grouped, 2)
 
 
+def _nested(shape, depth):
+    """Formula text whose deepest point has ``depth`` nesting levels open."""
+    if shape == "paren":
+        return "(" * depth + "x1 <= x2" + ")" * depth
+    if shape == "not":
+        return "!" * depth + "x1 = x2 + 1"
+    if shape == "arrow":
+        return " -> ".join(["x1 = x2"] * (depth + 1))
+    text = "x1 = x2 + 1"  # arrows nested to the left: two tree levels each
+    for _ in range(depth - 1):
+        text = f"({text} -> x2 = x1)"
+    return text
+
+
+_SHAPES = ("paren", "not", "arrow", "left_arrow")
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_parse_rejects_nesting_past_the_limit(shape):
+    limit = formula.MAX_NESTING
+    text = f"rel R/2 := {_nested(shape, limit + 1)}"
+    message = f"formula nests deeper than {limit} levels"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_language(text)
+    # the column of the opener one level too deep
+    if shape == "arrow":
+        col = 12 + limit * len("x1 = x2 -> ") + len("x1 = x2 ")
+    elif shape == "left_arrow":
+        col = text.index("->") + 1
+    else:
+        col = 12 + limit
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_formula_at_the_nesting_limit_classifies_and_solves(shape):
+    lang = parse_language(f"rel R/2 := {_nested(shape, formula.MAX_NESTING)}")
+    f = lang.relations[0].formula
+    assert classify(lang).cls is not None
+    fn = f.compiled()
+    for point in itertools.product(range(-2, 3), repeat=2):
+        assert fn(point) == f.evaluate(point)
+    inst = Instance(("a", "b"), (("R", ("a", "b")),))
+    assert brute_solve(lang, inst, range(-2, 3)).sat
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -164,7 +214,7 @@ def test_size_limit_exceeded(monkeypatch):
     f = Formula(And(tuple(Or((lit_a, lit_b)) for _ in range(12))))
     monkeypatch.setattr(formula, "DEFAULT_CLAUSE_BUDGET", 50)
     with pytest.raises(SizeLimitExceeded):
-        f.dnf()
+        to_dnf(f)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +304,20 @@ def test_reduce_work_budget(monkeypatch):
         reduce(cnf)
 
 
+@pytest.mark.parametrize("view,text", [
+    ("cnf", "x1 <= x2 & x1 < x2 + 1"),  # two clauses: the clause pass
+    ("cnf", "x1 <= x2 | x1 < x2 + 1"),  # one clause: the literal pass
+    ("dnf", "x1 <= x2 | x1 < x2 + 1"),
+    ("dnf", "x1 <= x2 & x1 < x2 + 1"),
+])
+def test_reduce_deletes_the_first_redundant_part(view, text):
+    # both literals mean the same, so either one alone is irredundant; the
+    # scan in order deletes the first
+    f = parse_expression(text, 2)
+    red = reduce(to_cnf(f) if view == "cnf" else to_dnf(f))
+    assert red.clauses == ((Literal(0, 1, Cmp.LT, 1),),)
+
+
 def test_reduce_requires_view():
     with pytest.raises(ValueError):
         reduce(Formula(Literal(0, 1, Cmp.EQ, 0)))
@@ -328,7 +392,20 @@ def test_language_roundtrip():
 
 def test_concurrent_view_computation():
     from concurrent.futures import ThreadPoolExecutor
-    f = parse_f().relation("F").formula
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: f.cnf(), range(16)))
+    from dtcsp.classify import reduced_cnf
+    rel = parse_f().relation("F")
+    points = list(itertools.product(range(3), repeat=4))
+
+    def views(_):
+        fn = rel.formula.compiled()
+        return (to_cnf(rel.formula), reduced_cnf(rel),
+                [fn(p) for p in points])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside each build
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(views, range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert all(r == results[0] for r in results)
