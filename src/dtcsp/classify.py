@@ -6,8 +6,13 @@ integers with order and successor, and picks its branch by dialect alone:
 * order-dialect languages: preservation by plain max or min decides between
   arc-consistency tractability and hardness,
 * successor-dialect, all-positive languages: search for a modulus d whose
-  d-modular max (or min) preserves every relation, among the candidates
-  read from the relations' difference profiles,
+  d-modular max (or min) preserves every relation, among the divisors of
+  the gcd G of the gaps between consecutive values of the relations'
+  finite difference profiles (all of 1 when there is none).  No other d
+  can pass: two values of a finite profile that differ mod d give a pair
+  of tuples, one of them translated far along, whose d-modular max (min)
+  takes one coordinate from each and lands outside the profile
+  (``_candidate_moduli`` gives the proof),
 * successor-dialect, non-positive languages: Horn definability of every
   relation decides between unit-resolution tractability and hardness.
 
@@ -428,10 +433,11 @@ def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
             f"projection window {2 * R + 1}^{k - 1} exceeds budget")
     grid = grids.pinned_grid(rel.formula, k, j, R)
     row = grid.any(axis=tuple(a for a in range(k) if a != i))
-    members = {delta: bool(row[R + delta]) for delta in range(-B, B + 1)}
-    pos_fringe = [members[delta] for delta in range(tau + 1, B + 1)]
-    neg_fringe = [members[-delta] for delta in range(tau + 1, B + 1)]
-    if len(set(pos_fringe)) > 1 or len(set(neg_fringe)) > 1:
+    members = row[R - B:R + B + 1]  # differences -B..B
+    pos_fringe = members[B + tau + 1:]
+    neg_fringe = members[:B - tau]
+    if pos_fringe.all() != pos_fringe.any() or \
+            neg_fringe.all() != neg_fringe.any():
         tag = ProfileTag.MIXED
     else:
         pos, neg = pos_fringe[0], neg_fringe[0]
@@ -441,7 +447,7 @@ def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
             tag = ProfileTag.ONE_SIDED_INFINITE
         else:
             tag = ProfileTag.FINITE
-    values = tuple(delta for delta in range(-B, B + 1) if members[delta])
+    values = tuple((np.flatnonzero(members) - B).tolist())
     return DifferenceProfile(i, j, B, values, tag)
 
 
@@ -475,25 +481,29 @@ class ComplexityVerdict:
 
 
 def _candidate_moduli(profiles):
-    """Moduli worth testing: 1..max finite spread (capped at 16) plus
-    divisors of each finite profile's gap gcd."""
-    out = {1}
-    spread_max = 0
-    for prof in profiles:
-        if prof.tag is not ProfileTag.FINITE or len(prof.values) == 0:
-            continue
-        vals = sorted(prof.values)
-        spread = vals[-1] - vals[0]
-        spread_max = max(spread_max, min(spread, 16))
-        if len(vals) >= 2:
-            g = 0
-            for a, b in zip(vals, vals[1:]):
-                g = math.gcd(g, b - a)
-            for cand in range(1, g + 1):
-                if g % cand == 0:
-                    out.add(cand)
-    out.update(range(1, spread_max + 1))
-    return sorted(out)
+    """Moduli worth testing: the divisors of G, ascending, where G is the gcd
+    of every gap between consecutive values of every FINITE profile; ``[1]``
+    when G = 0 (no finite profile holds two values).
+
+    No other modulus can pass.  Let R have a FINITE (i, j)-profile V with
+    delta, delta' in V and delta != delta' (mod d).  Take s, t in R with
+    s_i - s_j = delta and t_i - t_j = delta'.  R is translation invariant,
+    so t + c is in R for every integer c; take c = s_i - t_i (mod d) and c
+    large.  The residues agree on axis i, so u = modmax_d(s, t + c) has
+    u_i = t_i + c.  They differ on axis j (t_j + c = s_i - delta' while
+    s_j = s_i - delta, mod d), so u_j = s_j.  Then u_i - u_j exceeds
+    max V, and u is not in R, since a FINITE profile is the whole
+    projection (see ``_classify``).  For modmin_d take c very negative.  So
+    a d that preserves every relation divides every difference of two
+    values of every finite profile, and hence G.
+    """
+    g = math.gcd(*(b - a for prof in profiles
+                   if prof.tag is ProfileTag.FINITE
+                   for a, b in zip(prof.values, prof.values[1:])))
+    if g == 0:
+        return [1]
+    low = [c for c in range(1, math.isqrt(g) + 1) if g % c == 0]
+    return low + [g // c for c in reversed(low) if c * c != g]
 
 
 def _test_op(lang, op):

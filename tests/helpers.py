@@ -1,6 +1,7 @@
 """Shared corpus builders and naive reference implementations for tests."""
 
 import itertools
+import math
 import random
 import re
 
@@ -121,6 +122,49 @@ def legacy_difference_profile(rel, i, j):
                else ProfileTag.FINITE)
     values = tuple(delta for delta in range(-B, B + 1) if members[delta])
     return DifferenceProfile(i, j, B, values, tag)
+
+
+def legacy_candidate_moduli(profiles):
+    """The former candidate moduli: 1 up to the largest finite profile
+    spread (capped at 16), plus the divisors of each finite profile's gap
+    gcd.  They include every divisor of ``classify._candidate_moduli``'s G,
+    so classifying under either list must give the same verdict."""
+    out = {1}
+    spread_max = 0
+    for prof in profiles:
+        if prof.tag is not ProfileTag.FINITE or len(prof.values) == 0:
+            continue
+        vals = sorted(prof.values)
+        spread = vals[-1] - vals[0]
+        spread_max = max(spread_max, min(spread, 16))
+        if len(vals) >= 2:
+            g = 0
+            for a, b in zip(vals, vals[1:]):
+                g = math.gcd(g, b - a)
+            for cand in range(1, g + 1):
+                if g % cand == 0:
+                    out.add(cand)
+    out.update(range(1, spread_max + 1))
+    return sorted(out)
+
+
+def random_positive_language(seed, nrels=2, arity_max=3, q_max=3):
+    """Seed-deterministic successor-dialect language whose relations are
+    disjunctions of conjunctions of equalities ``x_i = x_j + c``, |c| <= q:
+    positive by construction."""
+    rng = random.Random(seed)
+    rels = []
+    for r in range(nrels):
+        k = rng.randint(2, arity_max)
+        q = rng.randint(0, q_max)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            lits = tuple(eq(*rng.sample(range(k), 2), rng.randint(-q, q))
+                         for _ in range(rng.randint(1, k - 1)))
+            terms.append(And(lits) if len(lits) > 1 else lits[0])
+        root = Or(tuple(terms)) if len(terms) > 1 else terms[0]
+        rels.append(RelationDef(f"P{r}", k, Formula(root)))
+    return ConstraintLanguage(tuple(rels))
 
 
 def _mirror_node(node):

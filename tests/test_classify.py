@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dtcsp import (
     MAX,
     MIN,
     BudgetExceeded,
+    DifferenceProfile,
     OperationSpec,
     OpKind,
     ProfileTag,
@@ -30,21 +33,26 @@ from dtcsp import (
 )
 from dtcsp import grids
 from dtcsp.classify import (
+    _candidate_moduli,
     _first_member,
     _first_violation,
     default_halfwidth,
 )
+from dtcsp.cli import verdict_to_dict
 from dtcsp.formula import Formula, Literal, Cmp, parse_expression
 
 from conftest import FIXTURES
 from helpers import (
     equivalent_rewrites,
+    legacy_candidate_moduli,
     legacy_difference_profile,
     legacy_halfwidth,
+    modular_language,
     naive_other_residue_any,
     numpy_first_violation,
     pattern_reachable,
     random_mixed_language,
+    random_positive_language,
     strided_accumulate_leq_mod,
 )
 
@@ -603,3 +611,130 @@ def test_materialize_t2_matches_catalogue():
     rows = materialize(T2_LANG.relation("T2"), range(0, 4)).tuples
     assert set(rows) == {(2, 0, 0), (2, 2, 0), (0, 2, 0),
                          (3, 1, 1), (3, 3, 1), (1, 3, 1)}
+
+
+# ---------------------------------------------------------------------------
+# candidate moduli
+
+
+def _finite(*values):
+    return DifferenceProfile(0, 1, 0, tuple(values), ProfileTag.FINITE)
+
+
+@pytest.mark.parametrize("profiles, expected", [
+    ([], [1]),
+    ([_finite(), _finite(3)], [1]),
+    ([DifferenceProfile(0, 1, 4, (-2, 0, 2), ProfileTag.COFINITE)], [1]),
+    ([_finite(-16, 0, 16)], [1, 2, 4, 8, 16]),
+    ([_finite(0, 12), _finite(-9, 9)], [1, 2, 3, 6]),
+    ([_finite(-3, 0, 6)], [1, 3]),
+    ([_finite(0, 36)], [1, 2, 3, 4, 6, 9, 12, 18, 36]),
+    ([_finite(0, 999983)], [1, 999983]),
+    ([_finite(0, 3000000)], sorted(2**a * 3**b * 5**c for a in range(7)
+                                   for b in range(2) for c in range(7))),
+])
+def test_candidate_moduli_are_the_divisors_of_the_gap_gcd(profiles,
+                                                          expected):
+    assert _candidate_moduli(profiles) == expected
+
+
+def _finite_gap_gcd(rel):
+    g = 0
+    for i, j in itertools.permutations(range(rel.arity), 2):
+        prof = difference_profile(rel, i, j)
+        if prof.tag is ProfileTag.FINITE:
+            for a, b in zip(prof.values, prof.values[1:]):
+                g = math.gcd(g, b - a)
+    return g
+
+
+def test_moduli_off_the_gap_gcd_are_refuted_by_the_window_test():
+    # the lemma of _candidate_moduli, against the exact window test: every
+    # d that does not divide the relation's own gap gcd is violated by both
+    # the d-modular max and min, with a witness that re-checks over Z
+    tested = 0
+    for seed in range(150):
+        for rel in random_positive_language(seed).relations:
+            g = _finite_gap_gcd(rel)
+            for d in range(2, 9):
+                if g % d == 0:
+                    continue
+                for op in (modmax(d), modmin(d)):
+                    res = preserved_by(rel, op)
+                    assert not res.preserved, (seed, rel.name, op)
+                    assert res.witness.revalidates(rel)
+                    tested += 1
+    assert tested > 1000
+
+
+def _dist_pair(k):
+    return parse_language(f"rel U/2 := x1 = x2 + {k} | x1 = x2 - {k}\n"
+                          f"rel V/2 := x1 = x2 + {5 * k} | x1 = x2 - {5 * k}")
+
+
+def _arity3(m):
+    body = " | ".join(f"(x1 = x2 + {i} & x3 = x1 + {i})" for i in range(m))
+    return parse_language(f"rel A/3 := {body}")
+
+
+def _without_candidates(verdict):
+    out = verdict_to_dict(verdict)
+    out["notes"] = [n for n in out["notes"]
+                    if not n.startswith("candidate moduli: ")]
+    return out
+
+
+_SHAPES = ([_dist_pair(k) for k in (1, 2, 3)]
+           + [modular_language(seed, d) for seed in range(3)
+              for d in (2, 3, 4)]
+           + [_arity3(m) for m in (2, 3, 4)]
+           + [T2_LANG, parse_language((FIXTURES / "dist1.dtl").read_text())])
+
+
+@pytest.mark.parametrize("lang", _SHAPES + [random_positive_language(seed)
+                                            for seed in range(150)])
+def test_gap_gcd_divisors_classify_as_the_legacy_candidates(monkeypatch,
+                                                           lang):
+    # the divisors of G are a subset of the former candidates that holds
+    # every modulus that can pass: the verdict, its d, witnesses and passing
+    # lines stay the same, and only the candidate note changes
+    new = classify(lang)
+    monkeypatch.setattr(classify_module, "_candidate_moduli",
+                        legacy_candidate_moduli)
+    assert _without_candidates(new) == _without_candidates(classify(lang))
+
+
+@pytest.mark.parametrize("k, scans", [(1, 8), (2, 10)])
+def test_distance_pair_scans_only_the_divisor_windows(monkeypatch, k, scans):
+    # distances k and 5k: G = 2k, so max and min each run on 1, 2 (and 4).
+    # U refutes every d < 2k in its small window; d = 2k preserves U, proved
+    # after a small and a full scan, and V refutes it in one: 4 + 4 scans
+    # for k = 1, 5 + 5 for k = 2
+    calls = []
+    scan = classify_module._scan_window
+
+    def spy(rel, op, B):
+        calls.append((rel.name, op.describe(), B))
+        return scan(rel, op, B)
+
+    monkeypatch.setattr(classify_module, "_scan_window", spy)
+    verdict = classify(_dist_pair(k))
+    assert verdict.cls is VerdictClass.NP_HARD
+    assert len(calls) == scans, calls
+
+
+def test_large_offset_profile_stays_within_memory():
+    # the profile row holds 2 * 10^6 differences; read with numpy slices it
+    # peaks near 34 MB traced, where a dict with one entry per difference
+    # peaks near 166 MB.  G = 10^6 has 49 divisors, found by trial division
+    # up to isqrt(G).
+    lang = parse_language("rel G/2 := x1 = x2 | x1 = x2 + 1000000")
+    tracemalloc.start()
+    try:
+        verdict = classify(lang)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.cls is VerdictClass.DEGENERATE_OR_UNKNOWN
+    assert "candidate moduli: 1, 2, 4, 5, 8, 10, " in "\n".join(verdict.notes)
+    assert peak < 64 * 2**20, peak

@@ -76,7 +76,7 @@ def test_classify_budget_trips_in_the_preservation_proof(capsys):
     # the profiles and the small 35^4 window fit; only the proof does not
     code, out, _ = run(capsys, "classify", FIXTURES / "bigmod.dtl")
     assert code == 3
-    assert "candidate moduli: " + ", ".join(map(str, range(1, 17))) in out
+    assert "candidate moduli: 1, 2, 4, 8, 16" in out
     assert "preservation window 129^4" in out
 
 
