@@ -12,7 +12,11 @@ integers with order and successor, and picks its branch by dialect alone:
   can pass: two values of a finite profile that differ mod d give a pair
   of tuples, one of them translated far along, whose d-modular max (min)
   takes one coordinate from each and lands outside the profile
-  (``_candidate_moduli`` gives the proof),
+  (``_candidate_moduli`` gives the proof).  The profiles are read off the
+  reduced DNF by shortest paths: over Z a term is a union of difference
+  systems, ``!=`` splitting exactly into ``<`` or ``>``, and a feasible
+  integer difference system projects onto ``x_i - x_j`` as an integer
+  interval (``difference_profile``, ``zones``),
 * successor-dialect, non-positive languages: Horn definability of every
   relation decides between unit-resolution tractability and hardness.
 
@@ -48,7 +52,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import grids
+from . import grids, zones
 from .errors import BudgetExceeded, InternalError
 from .formula import (
     Cmp,
@@ -318,26 +322,30 @@ def _walk(outside, S, T, shape, d, choices):
 def _first_member(R, u_idx, codes, d):
     """Lexicographically first relation tuple meeting per-axis constraints
     relative to ``u_idx``: "eq" (equal), "le" (at most, same residue class)
-    or "le_or_other" (at most in the same class, or in another class)."""
-    k = R.ndim
-    masked = R
-    for axis, code in enumerate(codes):
-        W = R.shape[axis]
-        index = np.arange(W)
-        u = u_idx[axis]
-        if code == "eq":
-            mask = index == u
-        elif code == "le":
-            mask = (index <= u) & (index % d == u % d)
-        else:
-            mask = (index <= u) | (index % d != u % d)
-        shape = [1] * k
-        shape[axis] = W
-        masked = masked & mask.reshape(shape)
-    hit = np.argwhere(masked)
-    if len(hit) == 0:  # pragma: no cover - contradicts the side arrays
+    or "le_or_other" (at most in the same class, or in another class).
+
+    It reads only the sub-grid the codes select: index u on an "eq" axis,
+    the slice ``u % d : u + 1 : d`` on an "le" axis, and a 1-D mask on an
+    "le_or_other" axis.  Each keeps the order of its indices, so the first
+    set cell of the sub-grid in C order is the first member."""
+    view = R[tuple(slice(u, u + 1) if code == "eq" else
+                   slice(u % d, u + 1, d) if code == "le" else slice(None)
+                   for u, code in zip(u_idx, codes))]
+    kept = {}
+    for axis, (u, code) in enumerate(zip(u_idx, codes)):
+        if code == "le_or_other":
+            index = np.arange(R.shape[axis])
+            kept[axis] = np.flatnonzero((index <= u) | (index % d != u % d))
+            view = view.take(kept[axis], axis=axis)
+    first = int(view.argmax())
+    if not view.flat[first]:  # pragma: no cover - contradicts the side arrays
         raise InternalError("empty argument set for a reachable image")
-    return tuple(int(x) for x in hit[0])
+    out = []
+    for axis, x in enumerate(np.unravel_index(first, view.shape)):
+        u, code, x = u_idx[axis], codes[axis], int(x)
+        out.append(u if code == "eq" else u % d + x * d if code == "le"
+                   else int(kept[axis][x]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -411,44 +419,50 @@ def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
     differences up to ``B = tau + 2`` per side and the tag reads the fringe
     beyond tau.
 
-    They are read off the grid pinned at x_j (``grids.pinned_grid``) with
-    half-width ``R = B + (arity - 2)(q + 1)``.  Take a tuple of the relation
-    with ``x_i - x_j = delta``, ``|delta| <= B``, translated to x_j = 0, and
-    shrink each gap above q + 1 that lies outside the stretch from x_j to
-    x_i down to q + 1.  Every literal keeps its truth value (the gap
-    compression of ``formula._window``) and delta is unchanged.  A
-    coordinate inside the stretch lies within B of x_j; outside it at most
-    ``arity - 2`` coordinates lie, at most q + 1 apart, so each lies within
-    ``(arity - 2)(q + 1)`` of x_j or of x_i: the tuple is in the grid.
+    They are read off the reduced DNF (``reduced_dnf``), which ``is_positive``
+    has already stored on the formula.  Each term splits over Z into the edge
+    systems of ``zones.split``, one per choice of side for each ``!=``
+    literal, and the relation is the union of their solution sets.  A
+    feasible integer difference system projects onto ``x_i - x_j`` as the
+    integer interval ``[-D(j -> i), D(i -> j)]`` of its shortest paths
+    (``zones``), so the profile is the union of those intervals, clipped to
+    ``[-B, B]``.  No grid is evaluated, so no "projection window" budget
+    applies; the split counts against the DNF expansion's literal budget,
+    ``formula.DEFAULT_CLAUSE_BUDGET``.
     """
     k = rel.arity
     if k < 2 or i == j or not (0 <= i < k and 0 <= j < k):
         raise ValueError("difference_profile needs two distinct coordinates")
-    q = rel.formula.qe_degree
-    tau = q * (k - 1)
+    tau = rel.formula.qe_degree * (k - 1)
     B = tau + 2
-    R = B + (k - 2) * (q + 1)
-    if (2 * R + 1) ** (k - 1) > DEFAULT_CELL_BUDGET:
-        raise BudgetExceeded(
-            f"projection window {2 * R + 1}^{k - 1} exceeds budget")
-    grid = grids.pinned_grid(rel.formula, k, j, R)
-    row = grid.any(axis=tuple(a for a in range(k) if a != i))
-    members = row[R - B:R + B + 1]  # differences -B..B
-    pos_fringe = members[B + tau + 1:]
-    neg_fringe = members[:B - tau]
-    if pos_fringe.all() != pos_fringe.any() or \
-            neg_fringe.all() != neg_fringe.any():
+    spans = []
+    for edges in zones.split(reduced_dnf(rel)):
+        if zones.feasible(edges, k):
+            lo = max(-zones.distances(edges, k, j)[i], -B)
+            hi = min(zones.distances(edges, k, i)[j], B)
+            if lo <= hi:
+                spans.append((lo, hi))
+
+    def member(delta):
+        return any(lo <= delta <= hi for lo, hi in spans)
+
+    pos = {member(delta) for delta in range(tau + 1, B + 1)}
+    neg = {member(-delta) for delta in range(tau + 1, B + 1)}
+    if len(pos) > 1 or len(neg) > 1:
         tag = ProfileTag.MIXED
     else:
-        pos, neg = pos_fringe[0], neg_fringe[0]
+        pos, neg = pos.pop(), neg.pop()
         if pos and neg:
             tag = ProfileTag.COFINITE
         elif pos or neg:
             tag = ProfileTag.ONE_SIDED_INFINITE
         else:
             tag = ProfileTag.FINITE
-    values = tuple((np.flatnonzero(members) - B).tolist())
-    return DifferenceProfile(i, j, B, values, tag)
+    values = []
+    for lo, hi in sorted(spans):
+        start = max(lo, values[-1] + 1) if values else lo
+        values.extend(range(start, hi + 1))
+    return DifferenceProfile(i, j, B, tuple(values), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +565,6 @@ def _classify(lang, notes):
     or a true NEQ, so the clusters can be moved apart or swapped freely
     while the gaps stay above q: the projection onto (i, j) is symmetric
     and constant beyond ``q(k - 1)``, and its profile FINITE or COFINITE.
-    The placements it reads fit in the profile window.
     """
     order_dialect = sorted({r.name for r in lang.relations
                             if r.dialect is Dialect.ORDER})

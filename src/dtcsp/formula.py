@@ -8,8 +8,14 @@ depends on variable differences, so equivalence of two formulas is decided
 on the assignments with x1 = 0 and the other variables in ``[-R, R]``,
 ``R = (q + 1) * (nvars - 1)`` for q the largest absolute offset, into which
 any separating assignment translates and gap-compresses (``_window``).
-Truth tables over that window (``equivalent``, ``reduce``) come from
-``grids.pinned_grid``; ``Formula.evaluate`` checks single points.
+``equivalent`` compares two grids over that window (``grids.pinned_grid``);
+``reduce`` packs one truth table per distinct literal
+(``grids.pinned_tables``) and scans clauses of literal ids.
+``Formula.evaluate`` checks single points.  Over Z every literal but ``!=``
+is a bound ``x_u - x_v <= w`` and ``!=`` splits exactly into ``<`` or
+``>``, so a conjunction is a union of difference systems (``zones``); a
+feasible one projects onto any ``x_i - x_j`` as an integer interval, which
+is how ``classify.difference_profile`` reads a reduced DNF.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -384,41 +391,6 @@ def equivalent(f: Formula, g: Formula, nvars: int) -> bool:
                                grids.pinned_grid(g, nvars, 0, R)))
 
 
-def _clause_truth_bits(view, nv, R, points):
-    """Evaluator for clause sets: truth on each window point packed into one
-    int, bit i being the i-th of the ``points`` points in row-major order."""
-    from . import grids
-    lit_bits = {}
-
-    def bits_of(lit):
-        b = lit_bits.get(lit)
-        if b is None:
-            grid = grids.pinned_grid(Formula(lit), nv, 0, R)
-            b = lit_bits[lit] = grids.pack(grid)
-        return b
-
-    full = (1 << points) - 1
-
-    def truth(cls):
-        if view == "cnf":
-            acc = full
-            for c in cls:
-                cb = 0
-                for lit in c:
-                    cb |= bits_of(lit)
-                acc &= cb
-            return acc
-        acc = 0
-        for c in cls:
-            cb = full
-            for lit in c:
-                cb &= bits_of(lit)
-            acc |= cb
-        return acc
-
-    return truth
-
-
 def _clause_deletions(clauses):
     """``clauses`` less one clause, for each clause in order."""
     for i in range(len(clauses)):
@@ -441,36 +413,66 @@ def reduce(f: Formula) -> Formula:
     deletion.  Deterministic for reproducibility.  Every evaluation of a
     clause set costs its clause count times the window's point count; past
     ``DEFAULT_REDUCE_WORK`` in total, ``BudgetExceeded`` is raised.
+
+    The scans run over clauses of literal ids, numbered in order of first
+    occurrence.  Each distinct literal's truth table on the window is one
+    packed int (``grids.pinned_tables``, bit i for the i-th point in C
+    order), so a clause set's table is a few big-int ANDs and ORs.
     """
+    from . import grids
     if f.view not in ("cnf", "dnf"):
         raise ValueError("reduce needs a formula with a CNF or DNF view")
-    view = f.view
+    cnf = f.view == "cnf"
     nv = max(1, f.nvars)
     R = _window(nv, f.qe_degree, "reduce")
     points = (2 * R + 1) ** (nv - 1)
-    clause_truth = _clause_truth_bits(view, nv, R, points)
+    full = (1 << points) - 1
+    ids = {}
+    clauses = tuple(tuple(ids.setdefault(lit, len(ids)) for lit in c)
+                    for c in f.clauses)
+    literals = list(ids)
     work = 0
 
-    def truth(cls):
+    def charge(cls):
         nonlocal work
         work += len(cls) * points
         if work > DEFAULT_REDUCE_WORK:
             raise BudgetExceeded(
                 f"reduce exceeds its work budget of {DEFAULT_REDUCE_WORK} "
                 f"clause-point evaluations")
-        return clause_truth(cls)
+        return cls
 
-    clauses = f.clauses
+    def truth(cls):
+        if cnf:
+            acc = full
+            for c in cls:
+                cb = 0
+                for i in c:
+                    cb |= tables[i]
+                acc &= cb
+            return acc
+        acc = 0
+        for c in cls:
+            cb = full
+            for i in c:
+                cb &= tables[i]
+            acc |= cb
+        return acc
+
+    charge(clauses)
+    tables = grids.pinned_tables(literals, nv, 0, R)
     target = truth(clauses)
     while True:
         start = clauses
         for deletions in (_clause_deletions, _literal_deletions):
             # take the first deletion that keeps the truth table, then rescan
             while (cand := next((c for c in deletions(clauses)
-                                 if truth(c) == target), None)) is not None:
+                                 if truth(charge(c)) == target),
+                                None)) is not None:
                 clauses = cand
         if clauses is start:
-            return formula_from_clauses(view, clauses)
+            return formula_from_clauses(
+                f.view, tuple(tuple(literals[i] for i in c) for c in clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +554,7 @@ _TOKEN_RE = re.compile(
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     col: int

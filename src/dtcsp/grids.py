@@ -72,14 +72,25 @@ def eval_node(node, axes):
     return out
 
 
-def _box_eval(formula, ranges):
-    """Boolean grid of the formula, variable i ranging over ``ranges[i]``."""
+def _box_axes(ranges):
+    """Shape of the box and one value array per variable, variable i
+    ranging over ``ranges[i]`` along axis i; they broadcast to the box."""
     shape = tuple(len(r) for r in ranges)
     axes = [np.arange(r.start, r.stop, dtype=np.int64).reshape(
                 [w if a == i else 1 for a, w in enumerate(shape)])
             for i, r in enumerate(ranges)]
+    return shape, axes
+
+
+def _box_eval(formula, ranges):
+    """Boolean grid of the formula, variable i ranging over ``ranges[i]``."""
+    shape, axes = _box_axes(ranges)
     full = np.broadcast_to(eval_node(formula.root, axes), shape)
     return np.ascontiguousarray(full)
+
+
+def _pinned_ranges(arity, pin, R):
+    return [range(1) if i == pin else range(-R, R + 1) for i in range(arity)]
 
 
 def grid_eval(formula, arity, lo, hi):
@@ -90,8 +101,19 @@ def grid_eval(formula, arity, lo, hi):
 def pinned_grid(formula, arity, pin, R):
     """Boolean grid of the formula with coordinate ``pin`` fixed at 0 (an
     axis of width 1) and every other coordinate over ``[-R, R]``."""
-    return _box_eval(formula, [range(1) if i == pin else range(-R, R + 1)
-                               for i in range(arity)])
+    return _box_eval(formula, _pinned_ranges(arity, pin, R))
+
+
+def pinned_tables(literals, arity, pin, R):
+    """The packed grid (``pack``) of each literal on the window of
+    ``pinned_grid``, all read off one set of axes into one boolean grid."""
+    shape, axes = _box_axes(_pinned_ranges(arity, pin, R))
+    grid = np.empty(shape, dtype=bool)
+    tables = []
+    for lit in literals:
+        grid[...] = eval_node(lit, axes)
+        tables.append(pack(grid))
+    return tables
 
 
 def pack(grid):

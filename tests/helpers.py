@@ -10,6 +10,7 @@ import numpy as np
 from dtcsp import (
     And,
     ArityError,
+    BudgetExceeded,
     Cmp,
     ConstraintLanguage,
     DifferenceProfile,
@@ -25,7 +26,7 @@ from dtcsp import (
     random_instance,
     random_relation,
 )
-from dtcsp import finite, grids
+from dtcsp import finite, formula, grids
 
 # Largest n per qe-degree keeping the brute windows enumerable in tests.
 BRUTE_LEAF_CAP = 4 * 10**6
@@ -122,6 +123,109 @@ def legacy_difference_profile(rel, i, j):
                else ProfileTag.FINITE)
     values = tuple(delta for delta in range(-B, B + 1) if members[delta])
     return DifferenceProfile(i, j, B, values, tag)
+
+
+def grid_difference_profile(rel, i, j):
+    """The profile read off the grid pinned at x_j (``grids.pinned_grid``)
+    with half-width ``R = B + (arity - 2)(q + 1)``, ``B = q(arity - 1) + 2``.
+
+    A tuple with ``|x_i - x_j| <= B``, translated to x_j = 0, keeps every
+    literal's truth value when each gap above q + 1 outside the stretch from
+    x_j to x_i shrinks to q + 1; it then lies in the grid."""
+    k = rel.arity
+    q = rel.formula.qe_degree
+    tau = q * (k - 1)
+    B = tau + 2
+    R = B + (k - 2) * (q + 1)
+    grid = grids.pinned_grid(rel.formula, k, j, R)
+    row = grid.any(axis=tuple(a for a in range(k) if a != i))
+    members = row[R - B:R + B + 1]  # differences -B..B
+    pos_fringe = members[B + tau + 1:]
+    neg_fringe = members[:B - tau]
+    if pos_fringe.all() != pos_fringe.any() or \
+            neg_fringe.all() != neg_fringe.any():
+        tag = ProfileTag.MIXED
+    else:
+        pos, neg = pos_fringe[0], neg_fringe[0]
+        tag = (ProfileTag.COFINITE if pos and neg
+               else ProfileTag.ONE_SIDED_INFINITE if pos or neg
+               else ProfileTag.FINITE)
+    values = tuple((np.flatnonzero(members) - B).tolist())
+    return DifferenceProfile(i, j, B, values, tag)
+
+
+def literal_keyed_reduce(f):
+    """``formula.reduce`` with its truth tables keyed by ``Literal``: each
+    literal's packed grid on the window pinned at x1 is built on first use,
+    and the scans run over the ``Literal`` clauses themselves."""
+    if f.view not in ("cnf", "dnf"):
+        raise ValueError("reduce needs a formula with a CNF or DNF view")
+    nv = max(1, f.nvars)
+    R = formula._window(nv, f.qe_degree, "reduce")
+    points = (2 * R + 1) ** (nv - 1)
+    full = (1 << points) - 1
+    lit_bits = {}
+    work = 0
+
+    def bits_of(lit):
+        if lit not in lit_bits:
+            lit_bits[lit] = grids.pack(
+                grids.pinned_grid(Formula(lit), nv, 0, R))
+        return lit_bits[lit]
+
+    def truth(cls):
+        nonlocal work
+        work += len(cls) * points
+        if work > formula.DEFAULT_REDUCE_WORK:
+            raise BudgetExceeded(
+                f"reduce exceeds its work budget of "
+                f"{formula.DEFAULT_REDUCE_WORK} clause-point evaluations")
+        if f.view == "cnf":
+            acc = full
+            for c in cls:
+                cb = 0
+                for lit in c:
+                    cb |= bits_of(lit)
+                acc &= cb
+            return acc
+        acc = 0
+        for c in cls:
+            cb = full
+            for lit in c:
+                cb &= bits_of(lit)
+            acc |= cb
+        return acc
+
+    clauses = f.clauses
+    target = truth(clauses)
+    while True:
+        start = clauses
+        for deletions in (formula._clause_deletions,
+                          formula._literal_deletions):
+            while (cand := next((c for c in deletions(clauses)
+                                 if truth(c) == target), None)) is not None:
+                clauses = cand
+        if clauses is start:
+            return formula.formula_from_clauses(f.view, clauses)
+
+
+def masked_first_member(R, u_idx, codes, d):
+    """``classify._first_member`` by masking the whole grid once per axis
+    and taking the first of all its hits."""
+    masked = R
+    for axis, code in enumerate(codes):
+        index = np.arange(R.shape[axis])
+        u = u_idx[axis]
+        if code == "eq":
+            mask = index == u
+        elif code == "le":
+            mask = (index <= u) & (index % d == u % d)
+        else:
+            mask = (index <= u) | (index % d != u % d)
+        shape = [1] * R.ndim
+        shape[axis] = R.shape[axis]
+        masked = masked & mask.reshape(shape)
+    return tuple(int(x) for x in np.argwhere(masked)[0])
 
 
 def legacy_candidate_moduli(profiles):

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,16 +38,26 @@ from dtcsp.classify import (
     _first_member,
     _first_violation,
     default_halfwidth,
+    reduced_dnf,
 )
 from dtcsp.cli import verdict_to_dict
-from dtcsp.formula import Formula, Literal, Cmp, parse_expression
+from dtcsp.formula import (
+    And,
+    Cmp,
+    Formula,
+    Literal,
+    Or,
+    parse_expression,
+)
 
 from conftest import FIXTURES
 from helpers import (
     equivalent_rewrites,
+    grid_difference_profile,
     legacy_candidate_moduli,
     legacy_difference_profile,
     legacy_halfwidth,
+    masked_first_member,
     modular_language,
     naive_other_residue_any,
     numpy_first_violation,
@@ -386,6 +397,22 @@ def test_case_tree_matches_pattern_enumeration(R, d):
     assert _first_violation(_closure(R, d), d) is None
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(),
+       R=hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
+                                           min_side=1, max_side=7)),
+       d=st.integers(1, 5))
+def test_first_member_reads_the_masked_grids_first_hit(data, R, d):
+    # the sub-grid's first cell in C order is the first tuple of the grid
+    # masked axis by axis; u itself meets every code, so a member exists
+    u = tuple(data.draw(st.integers(0, w - 1)) for w in R.shape)
+    codes = tuple(data.draw(st.sampled_from(["eq", "le", "le_or_other"]))
+                  for _ in R.shape)
+    R[u] = True
+    assert (_first_member(R, u, codes, d)
+            == masked_first_member(R, u, codes, d))
+
+
 def test_preserved_by_budget(monkeypatch):
     rel = T2_LANG.relation("T2")
     monkeypatch.setattr(classify_module, "DEFAULT_CELL_BUDGET", 100)
@@ -485,6 +512,65 @@ def test_pinned_profile_matches_legacy_window(arity, q, seed, dialect):
                 == legacy_difference_profile(rel, i, j)), (i, j)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arity=st.integers(2, 4), q=st.integers(0, 3),
+       seed=st.integers(0, 10**6),
+       dialect=st.sampled_from(["successor", "order", "mixed"]))
+def test_zone_profile_matches_grid_reference(arity, q, seed, dialect):
+    # the union of the reduced DNF's zone intervals is the pinned grid's row
+    rel = random_relation(arity, q, seed, dialect=dialect)
+    for i, j in itertools.permutations(range(arity), 2):
+        assert (difference_profile(rel, i, j)
+                == grid_difference_profile(rel, i, j)), (i, j)
+
+
+def _literals(arity, q, cmps):
+    return st.builds(Literal, st.integers(0, arity - 1),
+                     st.integers(0, arity - 1), st.sampled_from(cmps),
+                     st.integers(-q, q))
+
+
+@st.composite
+def _neq_heavy_relations(draw):
+    # DNFs whose terms carry several != literals, each split in two by the
+    # zones, and some constant literals of a variable with itself
+    arity = draw(st.integers(2, 4))
+    q = draw(st.integers(0, 3))
+    cmps = draw(st.sampled_from([(Cmp.NEQ,), (Cmp.NEQ, Cmp.EQ),
+                                 (Cmp.NEQ, Cmp.NEQ, Cmp.LEQ, Cmp.LT)]))
+    terms = draw(st.lists(st.lists(_literals(arity, q, cmps), min_size=1,
+                                   max_size=5), min_size=1, max_size=3))
+    root = Or(tuple(And(tuple(t)) for t in terms))
+    return RelationDef("N", arity, Formula(root))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rel=_neq_heavy_relations())
+def test_neq_heavy_zone_profile_matches_grid_reference(rel):
+    for i, j in itertools.permutations(range(rel.arity), 2):
+        assert (difference_profile(rel, i, j)
+                == grid_difference_profile(rel, i, j)), (i, j)
+
+
+def test_large_offset_profiles_read_no_row():
+    # the zones read the two terms' intervals, {0} and {3 * 10^6}, and hold
+    # no row of the 6 * 10^6 differences in between
+    rel = rel_of("x1 = x2 | x1 = x2 + 3000000", "G")
+    reduced_dnf(rel)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        profiles = [difference_profile(rel, i, j) for i, j in ((0, 1), (1, 0))]
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [p.values for p in profiles] == [(0, 3000000), (-3000000, 0)]
+    assert all(p.tag is ProfileTag.FINITE for p in profiles)
+    assert peak < 2**20, peak
+    assert elapsed < 0.5, elapsed
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(arity=st.integers(2, 4), q=st.integers(0, 3),
        seed=st.integers(0, 10**6))
@@ -581,8 +667,8 @@ def test_classify_large_offset_horn_clause():
 
 
 def test_classify_large_offset_positive_hard():
-    # each profile reads a grid pinned at x_j, 99^3 cells, where the shared
-    # profile window of the whole relation had 120^4, over the budget
+    # the profiles read the reduced DNF's two terms, where the shared profile
+    # window of the whole relation had 120^4 cells, over the budget
     lang = parse_language("rel P/4 := x1 = x2 + 6 | x3 = x4 + 9")
     verdict = classify(lang)
     assert verdict.cls is VerdictClass.NP_HARD

@@ -2,6 +2,8 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtcsp import (
     And,
@@ -22,6 +24,7 @@ from dtcsp import (
     equivalent,
     evaluate,
     parse_language,
+    random_relation,
     reduce,
     to_cnf,
     to_dnf,
@@ -30,7 +33,8 @@ from dtcsp import (
 from dtcsp import formula
 from dtcsp.formula import formula_from_clauses, parse_expression
 
-from helpers import random_mixed_language
+from conftest import FIXTURES
+from helpers import literal_keyed_reduce, random_mixed_language
 
 F_TEXT = "rel F/4 := (x2 = x1 + 1 -> x4 = x3 + 1) & (x4 = x3 + 1 -> x2 = x1 + 1)"
 
@@ -316,6 +320,34 @@ def test_reduce_deletes_the_first_redundant_part(view, text):
     f = parse_expression(text, 2)
     red = reduce(to_cnf(f) if view == "cnf" else to_dnf(f))
     assert red.clauses == ((Literal(0, 1, Cmp.LT, 1),),)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arity=st.integers(1, 3), q=st.integers(0, 3),
+       seed=st.integers(0, 10**6),
+       dialect=st.sampled_from(["successor", "order", "mixed"]),
+       shape=st.sampled_from([to_cnf, to_dnf]))
+def test_reduce_matches_literal_keyed_reference(arity, q, seed, dialect,
+                                                shape):
+    # the scans over literal ids delete what the scans over Literal clauses
+    # did, in the same order
+    f = shape(random_relation(arity, q, seed, dialect=dialect).formula)
+    assert reduce(f).clauses == literal_keyed_reduce(f).clauses
+
+
+def test_cnf_blowup_still_trips_reduce():
+    # the fixture's ten terms give a CNF of 4^10 clauses, past the literal
+    # budget; eight give 65,536 clauses, whose scans pass the work budget
+    root = parse_language(
+        (FIXTURES / "cnf_blowup.dtl").read_text()).relation("B").formula.root
+    with pytest.raises(SizeLimitExceeded, match="cnf expansion exceeds"):
+        to_cnf(Formula(root))
+    cnf = to_cnf(Formula(Or(root.parts[:8])))
+    with pytest.raises(BudgetExceeded) as info:
+        reduce(cnf)
+    assert str(info.value) == (
+        "reduce exceeds its work budget of 1000000000 clause-point "
+        "evaluations")
 
 
 def test_reduce_requires_view():
