@@ -16,7 +16,9 @@ integers with order and successor, and picks its branch by dialect alone:
   reduced DNF by shortest paths: over Z a term is a union of difference
   systems, ``!=`` splitting exactly into ``<`` or ``>``, and a feasible
   integer difference system projects onto ``x_i - x_j`` as an integer
-  interval (``difference_profile``, ``zones``),
+  interval.  Each relation's systems are closed once and kept with its
+  formula (``_closed_systems``, ``zones``), and each of its profiles reads
+  them (``difference_profile``),
 * successor-dialect, non-positive languages: Horn definability of every
   relation decides between unit-resolution tractability and hardness.
 
@@ -391,6 +393,17 @@ def is_positive(rel: RelationDef) -> bool:
 # Difference profiles
 
 
+def _closed_systems(rel: RelationDef):
+    """Shortest-path matrices (``zones.close``) of the feasible systems
+    into which the reduced DNF splits (``zones.split``), whose solution sets
+    make up the relation; kept with the formula, so that the k(k - 1)
+    profiles of a relation split and close them once."""
+    k = rel.arity
+    return rel.formula.reduced(("zones", k), lambda: tuple(
+        D for D in (zones.close(e, k) for e in zones.split(reduced_dnf(rel)))
+        if D is not None))
+
+
 class ProfileTag(Enum):
     FINITE = "finite"
     COFINITE = "cofinite"
@@ -419,16 +432,13 @@ def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
     differences up to ``B = tau + 2`` per side and the tag reads the fringe
     beyond tau.
 
-    They are read off the reduced DNF (``reduced_dnf``), which ``is_positive``
-    has already stored on the formula.  Each term splits over Z into the edge
-    systems of ``zones.split``, one per choice of side for each ``!=``
-    literal, and the relation is the union of their solution sets.  A
-    feasible integer difference system projects onto ``x_i - x_j`` as the
-    integer interval ``[-D(j -> i), D(i -> j)]`` of its shortest paths
-    (``zones``), so the profile is the union of those intervals, clipped to
-    ``[-B, B]``.  No grid is evaluated, so no "projection window" budget
-    applies; the split counts against the DNF expansion's literal budget,
-    ``formula.DEFAULT_CLAUSE_BUDGET``.
+    They are read off the closed systems of the reduced DNF
+    (``_closed_systems``): a feasible integer difference system projects
+    onto ``x_i - x_j`` as the integer interval ``[-D[j][i], D[i][j]]`` of
+    its shortest paths (``zones``), so the profile is the union of those
+    intervals, clipped to ``[-B, B]``.  No grid is evaluated, so no
+    "projection window" budget applies; the split counts against the DNF
+    expansion's literal budget, ``formula.DEFAULT_CLAUSE_BUDGET``.
     """
     k = rel.arity
     if k < 2 or i == j or not (0 <= i < k and 0 <= j < k):
@@ -436,12 +446,10 @@ def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
     tau = rel.formula.qe_degree * (k - 1)
     B = tau + 2
     spans = []
-    for edges in zones.split(reduced_dnf(rel)):
-        if zones.feasible(edges, k):
-            lo = max(-zones.distances(edges, k, j)[i], -B)
-            hi = min(zones.distances(edges, k, i)[j], B)
-            if lo <= hi:
-                spans.append((lo, hi))
+    for D in _closed_systems(rel):
+        lo, hi = max(-D[j][i], -B), min(D[i][j], B)
+        if lo <= hi:
+            spans.append((lo, hi))
 
     def member(delta):
         return any(lo <= delta <= hi for lo, hi in spans)

@@ -8,25 +8,27 @@ depends on variable differences, so equivalence of two formulas is decided
 on the assignments with x1 = 0 and the other variables in ``[-R, R]``,
 ``R = (q + 1) * (nvars - 1)`` for q the largest absolute offset, into which
 any separating assignment translates and gap-compresses (``_window``).
-``equivalent`` compares two grids over that window (``grids.pinned_grid``);
-``reduce`` packs one truth table per distinct literal
-(``grids.pinned_tables``) and scans clauses of literal ids.
+Both ``equivalent`` and ``reduce`` read packed truth tables over that
+window (``grids.pinned_tables``): the first one table per formula, the
+second one per distinct literal, for three passes over clauses of
+literal ids.
 ``Formula.evaluate`` checks single points.  Over Z every literal but ``!=``
 is a bound ``x_u - x_v <= w`` and ``!=`` splits exactly into ``<`` or
 ``>``, so a conjunction is a union of difference systems (``zones``); a
-feasible one projects onto any ``x_i - x_j`` as an integer interval, which
-is how ``classify.difference_profile`` reads a reduced DNF.
+feasible one projects onto any ``x_i - x_j`` as an integer interval.
+``classify.difference_profile`` reads those intervals off the closed
+systems of a reduced DNF, which ``Formula.reduced`` keeps next to it.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     ArityError,
@@ -169,10 +171,9 @@ def _format_node(node) -> str:
     if isinstance(node, Literal):
         return node.text()
     if isinstance(node, Not):
-        inner = _format_node(node.part)
-        if isinstance(node.part, Literal):
-            return f"!({inner})"
-        return f"!{inner}" if inner.startswith("(") else f"!({inner})"
+        # a literal or a ``!`` needs no parentheses: ``!`` binds tightest,
+        # and every other node writes its own
+        return "!" + _format_node(node.part)
     if isinstance(node, And):
         if not node.parts:
             return "(x1 <= x1)"
@@ -187,9 +188,10 @@ class Formula:
 
     ``view`` is None, "cnf" or "dnf"; when set, ``clauses`` holds the matching
     clause lists (clause = tuple of literals).  Besides memos of its variables,
-    qe-degree and hash, a formula keeps one result: the reduced forms stored
-    by ``reduced``.  Each is a deterministic value written once, so shared
-    formulas are safe to use from multiple threads.
+    qe-degree and hash, a formula keeps what ``reduced`` stores: its
+    reduced forms and their closed difference systems.  Each is a
+    deterministic value written once, so shared formulas are safe to use
+    from multiple threads.
     """
 
     __slots__ = ("root", "view", "clauses", "_vars", "_q", "_reduced",
@@ -232,8 +234,10 @@ class Formula:
 
     def reduced(self, view, build):
         """Clauses of the reduced ``view`` ("cnf" or "dnf") as returned by
-        ``build()``, kept with the formula.  Racing threads may both run
-        ``build``; the first result stored wins, and both are equal."""
+        ``build()``, kept with the formula; ``classify`` also keeps here,
+        under ``("zones", arity)``, the closed difference systems of the
+        reduced DNF.  Racing threads may both run ``build``; the first
+        result stored wins, and both are equal."""
         out = self._reduced.get(view)
         if out is None:
             out = self._reduced.setdefault(view, build())
@@ -387,42 +391,35 @@ def equivalent(f: Formula, g: Formula, nvars: int) -> bool:
             raise MissingVariableError(
                 f"formula uses x{max(vs) + 1} but nvars={nvars}")
     R = _window(nvars, max(f.qe_degree, g.qe_degree), "equivalent")
-    return bool(np.array_equal(grids.pinned_grid(f, nvars, 0, R),
-                               grids.pinned_grid(g, nvars, 0, R)))
-
-
-def _clause_deletions(clauses):
-    """``clauses`` less one clause, for each clause in order."""
-    for i in range(len(clauses)):
-        yield clauses[:i] + clauses[i + 1:]
-
-
-def _literal_deletions(clauses):
-    """``clauses`` less one literal, clause by clause, literals in order."""
-    for i, c in enumerate(clauses):
-        for j in range(len(c)):
-            yield clauses[:i] + (c[:j] + c[j + 1:],) + clauses[i + 1:]
+    a, b = grids.pinned_tables([f.root, g.root], nvars, 0, R)
+    return a == b
 
 
 def reduce(f: Formula) -> Formula:
     """Delete clauses, then literals, while equivalence holds.
 
-    Requires a populated CNF or DNF view.  Scans clauses in order and literals
-    in order, restarting after every successful deletion, and repeats both
-    passes until neither finds anything; the result admits no further single
-    deletion.  Deterministic for reproducibility.  Every evaluation of a
-    clause set costs its clause count times the window's point count; past
-    ``DEFAULT_REDUCE_WORK`` in total, ``BudgetExceeded`` is raised.
+    Requires a populated CNF or DNF view.  The result is what a scan in
+    order gives that takes the first single deletion keeping the truth
+    table, clauses before literals, restarts after each and stops when none
+    is left: it admits no further single deletion.  Three forward passes
+    find it: clauses, then literals clause by clause, then clauses again if
+    a literal went.  Deleting clauses only weakens a CNF, so a clause that
+    could not go never can later.  A literal l of a clause C can go iff the
+    target entails C - l, a test that no deletion elsewhere changes, and
+    that deleting another literal of C only makes harder to pass.  A DNF is
+    the complement of the CNF of its negated literals, and is reduced as
+    that CNF.
 
-    The scans run over clauses of literal ids, numbered in order of first
-    occurrence.  Each distinct literal's truth table on the window is one
-    packed int (``grids.pinned_tables``, bit i for the i-th point in C
-    order), so a clause set's table is a few big-int ANDs and ORs.
+    A clause set tested whole costs its clause count times the window's
+    point count, a literal test one clause's; past ``DEFAULT_REDUCE_WORK``
+    in total, ``BudgetExceeded`` is raised.  The passes run over clauses of
+    literal ids, numbered in order of first occurrence, and each distinct
+    literal's truth table on the window is one packed int
+    (``grids.pinned_tables``, bit i for the i-th point in C order).
     """
     from . import grids
     if f.view not in ("cnf", "dnf"):
         raise ValueError("reduce needs a formula with a CNF or DNF view")
-    cnf = f.view == "cnf"
     nv = max(1, f.nvars)
     R = _window(nv, f.qe_degree, "reduce")
     points = (2 * R + 1) ** (nv - 1)
@@ -433,46 +430,54 @@ def reduce(f: Formula) -> Formula:
     literals = list(ids)
     work = 0
 
-    def charge(cls):
+    def charge(n):
         nonlocal work
-        work += len(cls) * points
+        work += n * points
         if work > DEFAULT_REDUCE_WORK:
             raise BudgetExceeded(
                 f"reduce exceeds its work budget of {DEFAULT_REDUCE_WORK} "
                 f"clause-point evaluations")
-        return cls
 
-    def truth(cls):
-        if cnf:
-            acc = full
-            for c in cls:
-                cb = 0
-                for i in c:
-                    cb |= tables[i]
-                acc &= cb
-            return acc
-        acc = 0
-        for c in cls:
-            cb = full
-            for i in c:
-                cb &= tables[i]
-            acc |= cb
-        return acc
+    def table(c):
+        return functools.reduce(operator.or_, map(tables.__getitem__, c), 0)
 
-    charge(clauses)
-    tables = grids.pinned_tables(literals, nv, 0, R)
-    target = truth(clauses)
-    while True:
-        start = clauses
-        for deletions in (_clause_deletions, _literal_deletions):
-            # take the first deletion that keeps the truth table, then rescan
-            while (cand := next((c for c in deletions(clauses)
-                                 if truth(charge(c)) == target),
-                                None)) is not None:
-                clauses = cand
-        if clauses is start:
-            return formula_from_clauses(
-                f.view, tuple(tuple(literals[i] for i in c) for c in clauses))
+    def meet(tabs):
+        return functools.reduce(operator.and_, tabs, full)
+
+    def drop(items, keeps):
+        """``items`` less each item, in order, whose deletion ``keeps``
+        allows at its turn."""
+        i = 0
+        while i < len(items):
+            rest = items[:i] + items[i + 1:]
+            if keeps(rest):
+                items = rest
+            else:
+                i += 1
+        return items
+
+    def same(pairs):
+        charge(len(pairs))
+        return meet(t for _, t in pairs) == target
+
+    def entailed(c):
+        charge(1)
+        return target & table(c) == target
+
+    def drop_clauses(cls):
+        return [c for c, _ in drop([(c, table(c)) for c in cls], same)]
+
+    charge(len(clauses))
+    tables = grids.pinned_tables(
+        literals if f.view == "cnf" else [lit.negated() for lit in literals],
+        nv, 0, R)
+    target = meet(map(table, clauses))
+    clauses = drop_clauses(clauses)
+    shorter = [drop(c, entailed) for c in clauses]
+    if shorter != clauses:
+        clauses = drop_clauses(shorter)
+    return formula_from_clauses(
+        f.view, tuple(tuple(literals[i] for i in c) for c in clauses))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A grid is a boolean ndarray of shape ``(hi - lo,) * arity`` whose cell
 ``[i1, ..., ik]`` says whether the tuple ``(lo + i1, ..., lo + ik)`` satisfies
-a formula (``pinned_grid`` fixes one coordinate at 0).  Index residues
+a formula (``pinned_tables`` fixes one coordinate at 0, and packs the
+grid of each node it is given).  Index residues
 modulo d coincide with value residues up to a fixed shift, so residue-class
 slicing can be done directly in index space.
 ``eval_node`` evaluates a formula over any broadcastable value arrays; the
@@ -16,8 +17,9 @@ after it), moving every cell j places along the axis is a shift by j * st
 bits; the cells whose index on the axis would pass either end land on a
 neighbouring line instead, and a mask of the cells whose index lies in
 range clears them (``_read``).  Masks are cached by shape, axis and index
-range, in a cache bounded in bytes that drops its oldest masks first.  The
-two residue transforms are doublings over such reads:
+range, in a cache bounded in bytes that drops its oldest masks first; one
+lock guards its inserts and evictions, so threads may share it.
+The two residue transforms are doublings over such reads:
 
 * ``accumulate_leq_mod`` ORs into each cell the cell s places below it, for
   s = d, 2d, 4d, ... < W.  After the shifts up to s, each cell holds every
@@ -38,6 +40,7 @@ two residue transforms are doublings over such reads:
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -50,8 +53,9 @@ def eval_node(node, axes):
     object arrays of Python ints; int64 input must leave room for every
     offset, as the sums wrap silently."""
     if isinstance(node, Literal):
-        a = axes[node.lhs]
-        b = axes[node.rhs] + node.offset
+        a, b, c = axes[node.lhs], axes[node.rhs], node.offset
+        if c:  # on the smaller operand: ``a cmp b + c`` iff ``a - c cmp b``
+            a, b = (a - c, b) if a.size < b.size else (a, b + c)
         if node.cmp is Cmp.LEQ:
             return a <= b
         if node.cmp is Cmp.LT:
@@ -82,36 +86,23 @@ def _box_axes(ranges):
     return shape, axes
 
 
-def _box_eval(formula, ranges):
-    """Boolean grid of the formula, variable i ranging over ``ranges[i]``."""
-    shape, axes = _box_axes(ranges)
+def grid_eval(formula, arity, lo, hi):
+    """Boolean grid of the formula over ``[lo, hi)^arity``."""
+    shape, axes = _box_axes([range(lo, hi)] * arity)
     full = np.broadcast_to(eval_node(formula.root, axes), shape)
     return np.ascontiguousarray(full)
 
 
-def _pinned_ranges(arity, pin, R):
-    return [range(1) if i == pin else range(-R, R + 1) for i in range(arity)]
-
-
-def grid_eval(formula, arity, lo, hi):
-    """Boolean grid of the formula over ``[lo, hi)^arity``."""
-    return _box_eval(formula, [range(lo, hi)] * arity)
-
-
-def pinned_grid(formula, arity, pin, R):
-    """Boolean grid of the formula with coordinate ``pin`` fixed at 0 (an
-    axis of width 1) and every other coordinate over ``[-R, R]``."""
-    return _box_eval(formula, _pinned_ranges(arity, pin, R))
-
-
-def pinned_tables(literals, arity, pin, R):
-    """The packed grid (``pack``) of each literal on the window of
-    ``pinned_grid``, all read off one set of axes into one boolean grid."""
-    shape, axes = _box_axes(_pinned_ranges(arity, pin, R))
+def pinned_tables(nodes, arity, pin, R):
+    """The packed grid (``pack``) of each formula node with coordinate
+    ``pin`` fixed at 0 (an axis of width 1) and every other coordinate over
+    ``[-R, R]``, all read off one set of axes into one boolean grid."""
+    shape, axes = _box_axes([range(1) if i == pin else range(-R, R + 1)
+                             for i in range(arity)])
     grid = np.empty(shape, dtype=bool)
     tables = []
-    for lit in literals:
-        grid[...] = eval_node(lit, axes)
+    for node in nodes:
+        grid[...] = eval_node(node, axes)
         tables.append(pack(grid))
     return tables
 
@@ -137,6 +128,7 @@ def unpack(bits, shape):
 _MASK_CACHE_BYTES = 2 * 2**20
 _masks = {}  # (shape, axis, lo, hi) -> mask, oldest first
 _mask_bytes = 0
+_mask_lock = threading.Lock()
 
 
 def _mask(shape, axis, lo, hi):
@@ -144,7 +136,7 @@ def _mask(shape, axis, lo, hi):
     ``[lo, hi)``."""
     global _mask_bytes
     key = (shape, axis, lo, hi)
-    mask = _masks.get(key)
+    mask = _masks.get(key)  # one dict lookup: atomic, so it needs no lock
     if mask is not None:
         return mask
     stride = math.prod(shape[axis + 1:])
@@ -152,12 +144,14 @@ def _mask(shape, axis, lo, hi):
                    shape[axis] * stride, math.prod(shape[:axis]))
     size = (math.prod(shape) + 7) // 8
     if size <= _MASK_CACHE_BYTES // 64:
-        _masks[key] = mask
-        _mask_bytes += size
-        while _mask_bytes > _MASK_CACHE_BYTES:
-            old = next(iter(_masks))
-            del _masks[old]
-            _mask_bytes -= (math.prod(old[0]) + 7) // 8
+        with _mask_lock:
+            if key not in _masks:
+                _masks[key] = mask
+                _mask_bytes += size
+            while _mask_bytes > _MASK_CACHE_BYTES:
+                old = next(iter(_masks))
+                del _masks[old]
+                _mask_bytes -= (math.prod(old[0]) + 7) // 8
     return mask
 
 

@@ -17,8 +17,8 @@ solutions (infinite when no path exists).  Its solutions project onto
 adding ``x_i - x_j = delta`` for delta in it adds the edges (i, j, delta)
 and (j, i, -delta), and every new cycle through one of them weighs at
 least ``D(j -> i) + delta >= 0`` or ``D(i -> j) - delta >= 0``
-(difference-bound matrices; Mine, PADO 2001).  Both tests here are
-Bellman-Ford passes over the system's variables.
+(difference-bound matrices; Mine, PADO 2001).  ``close`` computes all
+of them at once, and finds a negative cycle as a negative diagonal.
 """
 
 from __future__ import annotations
@@ -76,31 +76,22 @@ def split(terms):
     return systems
 
 
-def _relax(edges, dist, rounds):
-    """Bellman-Ford rounds on ``dist`` in place; True once a round changes
-    nothing, False if each of ``rounds`` rounds did."""
-    for _ in range(rounds):
-        changed = False
-        for u, v, w in edges:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
-            return True
-    return False
-
-
-def feasible(edges, n):
-    """True iff the system over variables 0..n-1 has an integer solution:
-    from all-zero potentials (a virtual source joined to every variable)
-    shortest paths settle within n rounds unless a cycle is negative."""
-    return _relax(edges, [0] * n, n)
-
-
-def distances(edges, n, source):
-    """D(source -> v) for every variable v of a feasible system, ``math.inf``
-    where no path leads."""
-    dist = [math.inf] * n
-    dist[source] = 0
-    _relax(edges, dist, n)
-    return dist
+def close(edges, n):
+    """The shortest-path matrix D of the system over variables 0..n-1, by
+    Floyd-Warshall: ``D[i][j]`` is the least upper bound on ``x_i - x_j``,
+    ``math.inf`` where no path leads.  None if a cycle is negative, that is
+    if the system has no integer solution."""
+    D = [[0 if u == v else math.inf for v in range(n)] for u in range(n)]
+    for u, v, w in edges:
+        D[u][v] = min(D[u][v], w)
+    for m in range(n):
+        Dm = D[m]
+        for Du in D:
+            via = Du[m]
+            if via != math.inf:
+                for v in range(n):
+                    if via + Dm[v] < Du[v]:
+                        Du[v] = via + Dm[v]
+    if any(D[u][u] < 0 for u in range(n)):
+        return None
+    return D

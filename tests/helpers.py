@@ -126,7 +126,7 @@ def legacy_difference_profile(rel, i, j):
 
 
 def grid_difference_profile(rel, i, j):
-    """The profile read off the grid pinned at x_j (``grids.pinned_grid``)
+    """The profile read off the grid pinned at x_j (``grids.pinned_tables``)
     with half-width ``R = B + (arity - 2)(q + 1)``, ``B = q(arity - 1) + 2``.
 
     A tuple with ``|x_i - x_j| <= B``, translated to x_j = 0, keeps every
@@ -137,7 +137,9 @@ def grid_difference_profile(rel, i, j):
     tau = q * (k - 1)
     B = tau + 2
     R = B + (k - 2) * (q + 1)
-    grid = grids.pinned_grid(rel.formula, k, j, R)
+    (bits,) = grids.pinned_tables([rel.formula.root], k, j, R)
+    grid = grids.unpack(bits, tuple(1 if a == j else 2 * R + 1
+                                    for a in range(k)))
     row = grid.any(axis=tuple(a for a in range(k) if a != i))
     members = row[R - B:R + B + 1]  # differences -B..B
     pos_fringe = members[B + tau + 1:]
@@ -154,10 +156,26 @@ def grid_difference_profile(rel, i, j):
     return DifferenceProfile(i, j, B, values, tag)
 
 
+def _clause_deletions(clauses):
+    """``clauses`` less one clause, for each clause in order."""
+    for i in range(len(clauses)):
+        yield clauses[:i] + clauses[i + 1:]
+
+
+def _literal_deletions(clauses):
+    """``clauses`` less one literal, clause by clause, literals in order."""
+    for i, c in enumerate(clauses):
+        for j in range(len(c)):
+            yield clauses[:i] + (c[:j] + c[j + 1:],) + clauses[i + 1:]
+
+
 def literal_keyed_reduce(f):
-    """``formula.reduce`` with its truth tables keyed by ``Literal``: each
-    literal's packed grid on the window pinned at x1 is built on first use,
-    and the scans run over the ``Literal`` clauses themselves."""
+    """The former ``formula.reduce``, with its truth tables keyed by
+    ``Literal``: each literal's packed grid on the window pinned at x1 is
+    built on first use.  Over the ``Literal`` clauses themselves it takes
+    the first single deletion that keeps the truth table, clauses before
+    literals, restarts after each, and stops when none is left; its work
+    budget charges every clause set it evaluates in full."""
     if f.view not in ("cnf", "dnf"):
         raise ValueError("reduce needs a formula with a CNF or DNF view")
     nv = max(1, f.nvars)
@@ -169,8 +187,7 @@ def literal_keyed_reduce(f):
 
     def bits_of(lit):
         if lit not in lit_bits:
-            lit_bits[lit] = grids.pack(
-                grids.pinned_grid(Formula(lit), nv, 0, R))
+            (lit_bits[lit],) = grids.pinned_tables([lit], nv, 0, R)
         return lit_bits[lit]
 
     def truth(cls):
@@ -200,8 +217,7 @@ def literal_keyed_reduce(f):
     target = truth(clauses)
     while True:
         start = clauses
-        for deletions in (formula._clause_deletions,
-                          formula._literal_deletions):
+        for deletions in (_clause_deletions, _literal_deletions):
             while (cand := next((c for c in deletions(clauses)
                                  if truth(c) == target), None)) is not None:
                 clauses = cand

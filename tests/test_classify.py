@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
@@ -32,7 +33,7 @@ from dtcsp import (
     preserved_by,
     random_relation,
 )
-from dtcsp import grids
+from dtcsp import grids, zones
 from dtcsp.classify import (
     _candidate_moduli,
     _first_member,
@@ -353,6 +354,32 @@ def test_packed_walk_matches_numpy_walk(R, d):
     assert np.array_equal(R, before)
 
 
+def test_mask_cache_is_safe_across_threads(monkeypatch):
+    # a cache of 512 KiB keeps masks of up to 8 KiB and evicts all the time;
+    # threads switching often used to evict the same mask twice, or iterate
+    # over the cache while another thread inserted into it
+    from concurrent.futures import ThreadPoolExecutor
+    texts = [f"rel R/3 := x3 <= x1 + {q} | x3 <= x2 + {q}"
+             for q in range(2, 20)]
+    texts += [f"rel R/3 := (x1 = x2 + {q} & x3 = x1 + {q}) | "
+              f"(x1 = x2 & x3 = x1)" for q in range(1, 6)]
+    monkeypatch.setattr(grids, "_MASK_CACHE_BYTES", 2**19)
+    monkeypatch.setattr(grids, "_masks", {})
+    monkeypatch.setattr(grids, "_mask_bytes", 0)
+    serial = [classify(parse_language(t)) for t in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            verdicts = list(pool.map(lambda t: classify(parse_language(t)),
+                                     texts * 8, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert verdicts == serial * 8
+    held = sum((mask.bit_length() + 7) // 8 for mask in grids._masks.values())
+    assert held <= grids._mask_bytes <= 2**19
+
+
 def test_mask_cache_stays_within_its_byte_bound():
     # bigmax.dtl proves MAX_CLOSED on a 51^4 window, whose masks are too
     # large to cache; its small 17^4 window's masks are cached
@@ -569,6 +596,52 @@ def test_large_offset_profiles_read_no_row():
     assert all(p.tag is ProfileTag.FINITE for p in profiles)
     assert peak < 2**20, peak
     assert elapsed < 0.5, elapsed
+
+
+def test_profiles_of_a_relation_split_its_dnf_once(monkeypatch):
+    # the k(k - 1) profiles read one set of closed systems, kept with the
+    # formula like its reduced DNF
+    calls = []
+
+    def counting(terms):
+        calls.append(terms)
+        return split(terms)
+
+    split = zones.split
+    monkeypatch.setattr(zones, "split", counting)
+    rel = parse_language("rel P/3 := (x1 = x2 + 1 & x3 = x1 + 2) | x2 = x3"
+                         ).relation("P")
+    profiles = [difference_profile(rel, i, j)
+                for i, j in itertools.permutations(range(3), 2)]
+    assert len(calls) == 1
+    assert profiles == [grid_difference_profile(rel, p.i, p.j)
+                        for p in profiles]
+
+
+def test_profiles_of_a_formula_shared_across_arities():
+    # the closed systems are kept per arity: a coordinate the formula does
+    # not name is free, and its matrices need a row for it
+    f = parse_expression("x1 = x2 + 1 | x1 = x2 - 2", 2)
+    for k in (2, 3, 2):
+        rel = RelationDef(f"S{k}", k, f)
+        for i, j in itertools.permutations(range(k), 2):
+            assert (difference_profile(rel, i, j)
+                    == grid_difference_profile(rel, i, j)), (k, i, j)
+
+
+def test_large_offset_literal_tables_stay_within_memory():
+    # reduce's window holds the 6 * 10^6 values of x2 with x1 pinned at 0;
+    # the offset goes on x1's one-value axis, so no int64 temporary spans
+    # the window (about 104 MiB traced when it did, 58 MiB without)
+    lang = parse_language("rel G/2 := x1 = x2 | x1 = x2 + 3000000")
+    tracemalloc.start()
+    try:
+        verdict = classify(lang)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.cls is VerdictClass.DEGENERATE_OR_UNKNOWN
+    assert peak < 80 * 2**20, peak
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -10,6 +10,7 @@ from dtcsp import (
     ArityError,
     BudgetExceeded,
     Cmp,
+    ConstraintLanguage,
     DuplicateNameError,
     Formula,
     Instance,
@@ -18,6 +19,7 @@ from dtcsp import (
     Not,
     Or,
     ParseError,
+    RelationDef,
     SizeLimitExceeded,
     brute_solve,
     classify,
@@ -294,13 +296,14 @@ def test_reduce_merges_duplicate_disjunct():
 
 
 def test_reduce_work_budget(monkeypatch):
-    # F's CNF is already reduced: one pass of failed deletions, each clause
-    # set evaluated at all 13^3 points of the window (q = 1, four variables,
-    # x1 pinned at 0 and the other three in [-6, 6])
+    # F's CNF is already reduced: the target, one clause pass of failed
+    # deletions (c - 1 clauses each) and one literal pass (one clause per
+    # test), each clause read at all 13^3 points of the window (q = 1, four
+    # variables, x1 pinned at 0 and the other three in [-6, 6])
     cnf = to_cnf(parse_f().relation("F").formula)
     c = len(cnf.clauses)
     lits = sum(len(cl) for cl in cnf.clauses)
-    work = 13**3 * (c + c * (c - 1) + lits * c)
+    work = 13**3 * (c + c * (c - 1) + lits)
     monkeypatch.setattr(formula, "DEFAULT_REDUCE_WORK", work)
     assert reduce(cnf).clauses == cnf.clauses
     monkeypatch.setattr(formula, "DEFAULT_REDUCE_WORK", work - 1)
@@ -329,8 +332,8 @@ def test_reduce_deletes_the_first_redundant_part(view, text):
        shape=st.sampled_from([to_cnf, to_dnf]))
 def test_reduce_matches_literal_keyed_reference(arity, q, seed, dialect,
                                                 shape):
-    # the scans over literal ids delete what the scans over Literal clauses
-    # did, in the same order
+    # the three forward passes over literal ids delete what the restarting
+    # scan over Literal clauses did, in the same order
     f = shape(random_relation(arity, q, seed, dialect=dialect).formula)
     assert reduce(f).clauses == literal_keyed_reduce(f).clauses
 
@@ -420,6 +423,17 @@ def test_language_roundtrip():
         for old, new in zip(lang.relations, back.relations):
             assert old.arity == new.arity
             assert equivalent(old.formula, new.formula, old.arity)
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_negations_round_trip_at_their_own_depth(n):
+    # n ``!`` before a literal open n nesting levels, within MAX_NESTING
+    root = Literal(0, 1, Cmp.LEQ, -3)
+    for _ in range(n):
+        root = Not(root)
+    lang = ConstraintLanguage((RelationDef("N", 2, Formula(root)),))
+    text = write_language(lang)
+    assert parse_language(text).relation("N").formula.root == root
 
 
 def test_concurrent_view_computation():

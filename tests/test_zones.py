@@ -33,17 +33,25 @@ def test_constant_literals_add_no_edge():
 def test_negative_cycle_is_infeasible():
     # x1 < x2 < x3 < x1 has no solution, x1 < x2 < x3 < x1 + 3 has one
     (edges,) = zones.split([(lit(0, "<", 1), lit(1, "<", 2), lit(2, "<", 0))])
-    assert not zones.feasible(edges, 3)
+    assert zones.close(edges, 3) is None
     (edges,) = zones.split([(lit(0, "<", 1), lit(1, "<", 2),
                              lit(2, "<", 0, 3))])
-    assert zones.feasible(edges, 3)
+    assert zones.close(edges, 3) == [[0, -1, -2], [1, 0, -1], [2, 1, 0]]
 
 
 def test_distances_bound_the_differences():
     # x1 = x2 + 3, x2 <= x3 - 1: x1 - x3 <= 2, x3 - x1 unbounded
     (edges,) = zones.split([(lit(0, "=", 1, 3), lit(1, "<=", 2, -1))])
-    assert zones.distances(edges, 3, 0) == [0, 3, 2]
-    assert zones.distances(edges, 3, 2) == [math.inf, math.inf, 0]
+    D = zones.close(edges, 3)
+    assert D[0] == [0, 3, 2]
+    assert D[2] == [math.inf, math.inf, 0]
+    assert D[1] == [-3, 0, -1]
+
+
+def test_close_keeps_the_tightest_parallel_edge():
+    assert zones.close([(0, 1, 5), (0, 1, 2), (1, 0, 0)], 2) == [[0, 2],
+                                                                 [0, 0]]
+    assert zones.close([(0, 1, -1), (1, 0, 0)], 2) is None
 
 
 def test_split_counts_against_the_literal_budget(monkeypatch):
@@ -77,4 +85,5 @@ def test_feasible_iff_satisfiable_in_the_window(case):
     R = (q + 1) * (n - 1)
     sat = any(all(l.holds(p.__getitem__) for l in term)
               for p in itertools.product([0], *[range(-R, R + 1)] * (n - 1)))
-    assert any(zones.feasible(e, n) for e in zones.split([term])) == sat
+    assert any(zones.close(e, n) is not None
+               for e in zones.split([term])) == sat
