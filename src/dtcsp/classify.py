@@ -413,13 +413,19 @@ class ProfileTag(Enum):
 
 @dataclass(frozen=True)
 class DifferenceProfile:
-    """Membership of x_i - x_j differences within [-halfwidth, halfwidth]."""
+    """Membership of x_i - x_j differences within [-halfwidth, halfwidth]:
+    ``spans`` holds them as merged ``(lo, hi)`` intervals, inclusive and
+    ascending, so its size does not grow with q; ``values`` lists them."""
 
     i: int
     j: int
     halfwidth: int
-    values: tuple
+    spans: tuple
     tag: ProfileTag
+
+    @property
+    def values(self) -> tuple:
+        return tuple(v for lo, hi in self.spans for v in range(lo, hi + 1))
 
 
 def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
@@ -428,7 +434,7 @@ def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
     A difference delta is achievable iff the relation formula conjoined with
     ``x_i = x_j + delta`` is satisfiable.  Offsets can compound through
     projected-out coordinates, so membership is only guaranteed constant
-    beyond ``tau = q * (arity - 1)`` per side; the profile lists the
+    beyond ``tau = q * (arity - 1)`` per side; the profile holds the
     differences up to ``B = tau + 2`` per side and the tag reads the fringe
     beyond tau.
 
@@ -436,9 +442,9 @@ def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
     (``_closed_systems``): a feasible integer difference system projects
     onto ``x_i - x_j`` as the integer interval ``[-D[j][i], D[i][j]]`` of
     its shortest paths (``zones``), so the profile is the union of those
-    intervals, clipped to ``[-B, B]``.  No grid is evaluated, so no
-    "projection window" budget applies; the split counts against the DNF
-    expansion's literal budget, ``formula.DEFAULT_CLAUSE_BUDGET``.
+    intervals, clipped to ``[-B, B]`` and merged.  No grid is evaluated,
+    so no "projection window" budget applies; the split counts against the
+    DNF expansion's literal budget, ``formula.DEFAULT_CLAUSE_BUDGET``.
     """
     k = rel.arity
     if k < 2 or i == j or not (0 <= i < k and 0 <= j < k):
@@ -460,17 +466,15 @@ def difference_profile(rel: RelationDef, i: int, j: int) -> DifferenceProfile:
         tag = ProfileTag.MIXED
     else:
         pos, neg = pos.pop(), neg.pop()
-        if pos and neg:
-            tag = ProfileTag.COFINITE
-        elif pos or neg:
-            tag = ProfileTag.ONE_SIDED_INFINITE
-        else:
-            tag = ProfileTag.FINITE
-    values = []
+        tag = (ProfileTag.COFINITE if pos and neg
+               else ProfileTag.ONE_SIDED_INFINITE if pos or neg
+               else ProfileTag.FINITE)
+    merged = []
     for lo, hi in sorted(spans):
-        start = max(lo, values[-1] + 1) if values else lo
-        values.extend(range(start, hi + 1))
-    return DifferenceProfile(i, j, B, tuple(values), tag)
+        if merged and lo <= merged[-1][1] + 1:
+            lo, hi = merged[-1][0], max(merged.pop()[1], hi)
+        merged.append((lo, hi))
+    return DifferenceProfile(i, j, B, tuple(merged), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +509,8 @@ class ComplexityVerdict:
 def _candidate_moduli(profiles):
     """Moduli worth testing: the divisors of G, ascending, where G is the gcd
     of every gap between consecutive values of every FINITE profile; ``[1]``
-    when G = 0 (no finite profile holds two values).
+    when G = 0 (no finite profile holds two values).  Read off the spans,
+    the gaps are 1 within a span and from one span's end to the next start.
 
     No other modulus can pass.  Let R have a FINITE (i, j)-profile V with
     delta, delta' in V and delta != delta' (mod d).  Take s, t in R with
@@ -519,9 +524,10 @@ def _candidate_moduli(profiles):
     a d that preserves every relation divides every difference of two
     values of every finite profile, and hence G.
     """
-    g = math.gcd(*(b - a for prof in profiles
-                   if prof.tag is ProfileTag.FINITE
-                   for a, b in zip(prof.values, prof.values[1:])))
+    finite = [p.spans for p in profiles if p.tag is ProfileTag.FINITE]
+    g = math.gcd(*(min(hi - lo, 1) for spans in finite for lo, hi in spans),
+                 *(b[0] - a[1] for spans in finite
+                   for a, b in zip(spans, spans[1:])))
     if g == 0:
         return [1]
     low = [c for c in range(1, math.isqrt(g) + 1) if g % c == 0]

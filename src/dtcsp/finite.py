@@ -13,8 +13,8 @@ arc-consistency at every node on one domain matrix, a boolean array with
 one row per variable id and one column per window value.  Languages
 preserved by a modular maximum or minimum run that same search over
 residues mod d, on the folds reduced to residue grids, and hand each
-residue vector's quotient instance to the bound fixpoint.  Value lists
-appear only where ``backtracking_solve`` takes its ``domains``.
+residue vector's quotient instance to the bound fixpoint, whose fallback
+searches the folds it built.  Only a window that is not a range is listed.
 """
 
 from __future__ import annotations
@@ -377,10 +377,10 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     below u, and the componentwise max of those tuples is the constraint's
     restriction of u, so u is a solution and every other one lies below it.
     ``mode="min"`` mirrors all of this with lower bounds.  The fixpoint is
-    always re-verified; if it is not a solution, complete backtracking over
-    the boxes between window edge and bound takes over and the result is
-    flagged as a fallback.  ``stats["revisions"]`` counts bound steps.
-    The tables come from the window grids, so a relation past
+    always re-verified; if it is not a solution, ``_solutions`` searches the
+    same folds, its matrix rows the boxes between window edge and bound,
+    and the result is flagged as a fallback.  ``stats["revisions"]`` counts
+    bound steps.  The tables come from the window grids, so a relation past
     ``DEFAULT_TABLE_CELLS`` raises ``BudgetExceeded`` before anything is
     allocated.
     """
@@ -417,16 +417,15 @@ def decide_max_closed(lang, inst, mode="max", window=None,
                         queue.append(cj)
                         queued[cj] = True
 
-    if mode == "max":
-        boxes = [range(lo, lo + b + 1) for b in bound]
-        assignment = {v: box[-1] for v, box in zip(inst.names, boxes)}
-    else:
-        boxes = [range(hi - 1 - b, hi) for b in bound]
-        assignment = {v: box[0] for v, box in zip(inst.names, boxes)}
+    if mode == "min":
+        bound = [hi - lo - 1 - b for b in bound]
+    assignment = {v: lo + b for v, b in zip(inst.names, bound)}
     if satisfies(lang, inst, assignment):
         return SolveResult("SAT", assignment, stats=stats)
-    domains = dict(zip(inst.names, boxes))
-    result = backtracking_solve(lang, inst, domains=domains, stats=stats)
+    columns, bound = np.arange(hi - lo), np.array(bound)[:, None]
+    domains = columns <= bound if mode == "max" else columns >= bound
+    result = _first_solution(lang, inst, (constraints, folds, watchers),
+                             domains, lo, stats)
     result.fallback = True
     return result
 
@@ -479,41 +478,39 @@ def _solutions(domains, tables, stats, phase):
             stack.append(children(node, depth))
 
 
-def backtracking_solve(lang, inst, domains=None, window=None,
-                       stats=None) -> SolveResult:
+def backtracking_solve(lang, inst, window=None, stats=None) -> SolveResult:
     """Complete search over the window with AC propagation at every node.
 
-    ``domains`` maps each variable to its ascending candidate values (a
-    list or a ``range``); by default every variable takes the values of
-    ``window`` (any iterable of ints, by default the bounded window; a
-    ``range`` is read from its ends and never listed).  The domains become
-    one domain matrix over their span, built once, as are the window grids;
-    a span past ``DEFAULT_TABLE_CELLS`` values raises ``BudgetExceeded``
-    before either is allocated.  The result is the first solution of
-    ``_solutions``, the lexicographically smallest one.
+    Every variable takes the values of ``window``: any iterable of ints, by
+    default the bounded window; a ``range`` is read from its ends and never
+    listed, and the values a non-contiguous window skips stay cleared.  The
+    window becomes one domain matrix over its span, built once, as are the
+    window grids; a span past ``DEFAULT_TABLE_CELLS`` values raises
+    ``BudgetExceeded`` before either is allocated.  The result is the first
+    solution of ``_solutions``, the lexicographically smallest one.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
         return SolveResult("SAT", {}, stats=stats)
-    if domains is None:
-        window = bounded_window(lang, inst) if window is None else window
-        if not isinstance(window, range):
-            window = sorted(window)
-        elif window.step < 0:
-            window = window[::-1]
-        domains = dict.fromkeys(inst.names, window)
-    ends = [(values[0], values[-1]) for values in domains.values() if values]
-    lo = min((first for first, _ in ends), default=0)
-    hi = max((last for _, last in ends), default=0) + 1
+    window = bounded_window(lang, inst) if window is None else window
+    if not isinstance(window, range):
+        window = sorted(window)
+    elif window.step < 0:
+        window = window[::-1]
+    lo, hi = (window[0], window[-1] + 1) if window else (0, 1)
     tables = _window_grids(lang, inst, lo, hi, "arc-consistency grids")
     _check_domains(hi - lo, "arc-consistency grids")
-    matrix = np.zeros((len(inst.names), hi - lo), dtype=bool)
-    for row, values in zip(matrix, map(domains.__getitem__, inst.names)):
-        if isinstance(values, range):
-            row[values.start - lo:values.stop - lo:values.step] = True
-        else:
-            row[np.asarray(values, dtype=np.int64) - lo] = True
-    found = next(_solutions(matrix, tables, stats, "backtracking"), None)
+    domains = np.zeros((len(inst.names), hi - lo), dtype=bool)
+    if isinstance(window, range):
+        domains[:, window.start - lo:window.stop - lo:window.step] = True
+    else:
+        domains[:, np.asarray(window, dtype=np.int64) - lo] = True
+    return _first_solution(lang, inst, tables, domains, lo, stats)
+
+
+def _first_solution(lang, inst, tables, domains, lo, stats):
+    """The first solution within ``domains`` (column 0 is ``lo``), checked."""
+    found = next(_solutions(domains, tables, stats, "backtracking"), None)
     if found is None:
         return SolveResult("UNSAT", stats=stats)
     found = {v: lo + col for v, col in zip(inst.names, found.tolist())}

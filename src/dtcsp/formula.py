@@ -167,20 +167,52 @@ def compile_applied(pairs):
     return eval("lambda v: " + " and ".join(exprs), {"__builtins__": {}})
 
 
-def _format_node(node) -> str:
-    if isinstance(node, Literal):
-        return node.text()
-    if isinstance(node, Not):
-        # a literal or a ``!`` needs no parentheses: ``!`` binds tightest,
-        # and every other node writes its own
-        return "!" + _format_node(node.part)
-    if isinstance(node, And):
-        if not node.parts:
-            return "(x1 <= x1)"
-        return "(" + " & ".join(_format_node(p) for p in node.parts) + ")"
-    if not node.parts:
-        return "(x1 < x1)"
-    return "(" + " | ".join(_format_node(p) for p in node.parts) + ")"
+_OR, _IMPL, _AND, _UNIT = range(4)  # contexts of a node, loosest first
+
+
+def _format_node(root) -> str:
+    """The text of ``root`` that opens the fewest nesting levels.
+
+    The contexts (see ``_ExprParser``) are the whole formula or an operand
+    of ``|``, the right of ``->``, its left, and an operand of ``&`` or
+    ``!``.  Per context a node takes its shallowest spelling, the first on
+    a tie: ``!``, ``&`` (fits the left of ``->``), ``|`` (the loosest
+    only), ``a -> b`` for Or(!a, b) (fits the right of ``->``; b nests one
+    level deeper), or the loosest one in parentheses.  The parts' choices
+    are independent, so no text that parses to ``root`` nests less.
+    """
+    memo = {}
+
+    def spell(node):  # per context, (depth, text)
+        if id(node) in memo:
+            return memo[id(node)]
+        forms = []  # (tightest context it fits, depth, text)
+        if isinstance(node, Not):
+            depth, text = spell(node.part)[_UNIT]
+            forms.append((_UNIT, depth + 1, "!" + text))
+        elif isinstance(node, Literal) or not node.parts:
+            text = (node.text() if isinstance(node, Literal)
+                    else "x1 <= x1" if isinstance(node, And) else "x1 < x1")
+            forms.append((_UNIT, 0, text))
+        else:
+            ctx, sep = (_AND, " & ") if isinstance(node, And) else (_OR, " | ")
+            parts = [spell(p)[ctx + 1] for p in node.parts]
+            forms.append((ctx, max(d for d, _ in parts),
+                          sep.join(t for _, t in parts)))
+            first = node.parts[0]
+            if ctx == _OR and len(parts) == 2 and isinstance(first, Not):
+                (dl, tl), (dr, tr) = spell(first.part)[_AND], parts[1]
+                forms.append((_IMPL, max(dl, dr + 1), f"{tl} -> {tr}"))
+        best = []
+        for ctx in range(4):
+            fits = [(d, t) for level, d, t in forms if level >= ctx]
+            if ctx != _OR:
+                fits.append((best[_OR][0] + 1, f"({best[_OR][1]})"))
+            best.append(min(fits, key=lambda f: f[0]))
+        memo[id(node)] = best
+        return best
+
+    return spell(root)[_OR][1]
 
 
 class Formula:
@@ -740,6 +772,9 @@ def parse_language(text: str) -> ConstraintLanguage:
 
 
 def write_language(lang: ConstraintLanguage) -> str:
+    """The .dtl text of ``lang``, each formula with the fewest nesting
+    levels that parse back to its tree (``_format_node``), so every
+    language that ``parse_language`` accepts reads back to an equal one."""
     lines = [f"rel {r.name}/{r.arity} := {_format_node(r.formula.root)}"
              for r in lang.relations]
     return "\n".join(lines) + "\n"

@@ -9,10 +9,10 @@ asserted all at once, by hooking and pointer jumping over arrays
 linear-time Horn-SAT (Dowling & Gallier, "Linear-time algorithms for testing
 the satisfiability of propositional Horn formulae", J. Logic Programming
 1(3), 1984), over an offset union-find: each undecided negated equality
-waits on the components of its two endpoints and is looked at again only
-when one of them is merged away.  At a conflict-free fixpoint a concrete
-solution is read off by spacing the components far enough apart that the
-atom under every surviving negated equality comes out false.
+waits on the watch lists of its two endpoints' roots and is looked at again
+only when one of them is merged away.  At a conflict-free fixpoint a
+concrete solution is read off by spacing the components far enough apart
+that the atom under every surviving negated equality comes out false.
 
 Everything runs on integer variable ids (``Instance.names``): the compiled
 clauses are arrays (``HornClauses``), the components are arrays (lists in
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -57,19 +56,22 @@ class OffsetUnionFind:
     It starts from the components that the arrays ``root`` and ``offset``
     describe (those of ``assert_facts``), kept as lists: in every model of
     the facts, ``value(v) = value(root[v]) + offset[v]``.  Each root keeps
-    its component's ids in ``members`` (None for the other ids), built from
-    ``root`` at the first merge.  A merge relabels each member of the
-    smaller component (on a tie, the component of the fact's second id) into
-    the larger one, so an id is relabelled at most log2(n) times and a find
-    is two list reads.  After the first contradiction the structure stays in
-    the conflicted state, and ``conflict`` is the offset that the facts
-    before it imply between the contradicting fact's two ids.
+    its component's ids in ``members`` (None for the other ids).  A merge
+    relabels each member of the smaller component (on a tie, the component
+    of the fact's second id) into the larger one, so an id is relabelled at
+    most log2(n) times and a find is two list reads.  After the first
+    contradiction the structure stays in the conflicted state, and
+    ``conflict`` is the offset that the facts before it imply between the
+    contradicting fact's two ids.
     """
 
     def __init__(self, root, offset):
         self.root = root.tolist()
         self.offset = offset.tolist()
-        self.members = None
+        self.members = [[] if r == v else None
+                        for v, r in enumerate(self.root)]
+        for v, r in enumerate(self.root):
+            self.members[r].append(v)
         self.conflict = None
 
     def merge(self, x, y, p):
@@ -88,11 +90,6 @@ class OffsetUnionFind:
         # value(rx) = value(ry) + shift
         shift = offset[y] + p - offset[x]
         members = self.members
-        if members is None:
-            members = self.members = [[] if r == v else None
-                                      for v, r in enumerate(root)]
-            for v, r in enumerate(root):
-                members[r].append(v)
         if len(members[rx]) < len(members[ry]):
             rx, ry, shift = ry, rx, -shift
         moved = members[ry]
@@ -167,22 +164,19 @@ def assert_facts(n, x, y, p):
     ``implied``.  ``root`` and ``offset`` (see ``_components``) describe
     the facts asserted without a contradiction: all of them, or those
     before fact i.  One ``_components`` call decides consistency with one
-    array comparison; on a contradiction, a binary search over prefix
-    lengths finds i in O(log m) more calls.
+    array comparison; on a contradiction, an ``OffsetUnionFind`` replays
+    the facts in order up to the first that conflicts, fact i.
     """
     root, offset = _components(n, x, y, p)
     if (offset[x] - offset[y] == p).all():
         return root, offset, None
-    lo, hi = 0, len(p)  # the first lo facts agree, the first hi do not
-    root, offset = np.arange(n), np.zeros(n, dtype=offset.dtype)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        r, o = _components(n, x[:mid], y[:mid], p[:mid])
-        if (o[x[:mid]] - o[y[:mid]] == p[:mid]).all():
-            lo, root, offset = mid, r, o
-        else:
-            hi = mid
-    return root, offset, (lo, int(offset[x[lo]] - offset[y[lo]]))
+    uf = OffsetUnionFind(np.arange(n), np.zeros(n, dtype=offset.dtype))
+    for i, fact in enumerate(zip(x.tolist(), y.tolist(), p.tolist())):
+        uf.merge(*fact)
+        if uf.conflict is not None:
+            break
+    return (np.array(uf.root), np.array(uf.offset, dtype=offset.dtype),
+            (i, uf.conflict))
 
 
 class HornClause(NamedTuple):
@@ -243,19 +237,6 @@ class HornClauses(Sequence):
                     np.array(pos[1], dtype=np.int64), _ints(pos[2])),
                    origins.__getitem__)
 
-    def select(self, index):
-        """The clauses at the ascending positions ``index``, over the same
-        ids."""
-        counts = np.diff(self.starts)
-        chosen = np.zeros(len(self), dtype=bool)
-        chosen[index] = True
-        lits = np.repeat(chosen, counts)
-        return HornClauses(
-            self.names, np.concatenate(([0], np.cumsum(counts[index]))),
-            (self.neg_x[lits], self.neg_y[lits], self.neg_p[lits]),
-            (self.pos_x[index], self.pos_y[index], self.pos_p[index]),
-            lambda c: self.origin(index[c]))
-
     def __len__(self):
         return len(self.pos_x)
 
@@ -273,14 +254,6 @@ class HornClauses(Sequence):
         return HornClause(negatives, positive, self.origin(c))
 
 
-def _templates(rel) -> list:
-    """The relation's reduced Horn CNF as ``(i, j, is_eq, offset)`` tuples,
-    one tuple of argument positions per clause."""
-    return [tuple((lit.lhs, lit.rhs, lit.cmp is Cmp.EQ, lit.offset)
-                  for lit in clause)
-            for clause in reduced_cnf(rel)]
-
-
 def _columns(parts, width):
     """Concatenate parallel tuples of arrays column by column."""
     if not parts:
@@ -292,26 +265,24 @@ def compile_horn_instance(lang: ConstraintLanguage,
                           inst: Instance) -> HornClauses:
     """Instantiate each constraint's reduced Horn CNF with its arguments.
 
-    Each relation is looked up, tested for Horn definability and turned into
-    clause templates once, at its first application.  Every template clause
-    is then instantiated for all of the relation's applications at once,
-    by indexing the columns of its argument matrix.  Literals whose two
-    variables coincide are constants, found by masks: a true literal
-    discharges its clause, a false one is dropped.  The clauses are sorted
-    back into (constraint, template) order.  Raises NotHornError when some
-    applied relation has no Horn definition.
+    Each relation is looked up and tested for Horn definability once per
+    group (once per relation, when validated).  Every clause of its reduced
+    Horn CNF, a template, is then instantiated for all of the relation's
+    applications at once, by indexing the columns of its argument matrix.
+    Literals whose two variables coincide are constants, found by masks: a
+    true literal discharges its clause, a false one is dropped.  The clauses
+    are sorted back into (constraint, template) order.  Raises NotHornError
+    when some applied relation has no Horn definition.
     """
-    templates = {}
     clauses = []  # (constraint, template, pos_x, pos_y, pos_p, negatives)
     literals = []  # (constraint, template, position, x, y, p)
     for name, args, order in inst.groups:
-        cnf = templates.get(name)
-        if cnf is None:
-            rel = lang.relation(name)
-            if not is_horn(rel):
-                raise NotHornError(name)
-            cnf = templates[name] = _templates(rel)
-        for t, clause in enumerate(cnf):
+        rel = lang.relation(name)
+        if not is_horn(rel):
+            raise NotHornError(name)
+        for t, clause in enumerate(reduced_cnf(rel)):
+            clause = [(lit.lhs, lit.rhs, lit.cmp is Cmp.EQ, lit.offset)
+                      for lit in clause]
             kept = np.ones(len(order), dtype=bool)
             for i, j, is_eq, offset in clause:
                 if (offset == 0) == is_eq:  # true when its variables coincide
@@ -369,14 +340,14 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
     ``OffsetUnionFind`` started from the unit clauses' components, and a
     contradiction, or such a clause without a positive part, refutes the
     instance.  When a merge relabels the smaller component into the larger,
-    only the literals watched on the smaller one are looked at again, and
-    those still undecided move to the larger one's watch list.  Every watch
+    only the literals on the smaller one's watch list are looked at again,
+    and those still undecided extend the larger one's list.  Every watch
     entry thus moves at most log2(n) times, so the worklist costs O((n + L)
     log n) for n variables and L literals, as the batch assertion of the unit
     clauses does.  At the fixpoint the instance is satisfiable and a witness
-    is extracted.  ``stats["facts"]`` counts the facts asserted, one per unit
-    clause (given or derived), repeats included, up to the first
-    contradiction.
+    is extracted and checked against every clause.  ``stats["facts"]`` counts
+    the facts asserted, one per unit clause (given or derived), repeats
+    included, up to the first contradiction.
     """
     stats = stats if stats is not None else {}
     counts = np.diff(clauses.starts)
@@ -391,10 +362,9 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
             stats["facts"] = stats.get("facts", 0) + facts
         return SolveResult(status, assignment, reason=reason, stats=stats)
 
-    names = clauses.names
     units = np.flatnonzero(counts == 0)
     root, offset, conflict = assert_facts(
-        len(names), clauses.pos_x[units], clauses.pos_y[units],
+        len(clauses.names), clauses.pos_x[units], clauses.pos_y[units],
         clauses.pos_p[units])
     if conflict is not None:
         i, implied = conflict
@@ -416,10 +386,8 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
     empty = np.flatnonzero(full & (clauses.pos_x < 0))
     if len(empty):
         return finish("UNSAT", f"empty clause from {clauses.origin(empty[0])}")
-    residual = ~satisfied & (done > 0)
     if full.any():
-        # Derived units: watch the undecided literals on both endpoints'
-        # roots, and run the worklist over lists indexed by id.
+        # Derived units: run the worklist over lists indexed by id.
         uf = OffsetUnionFind(root, offset)
         root_of, offset_of, merge = uf.root, uf.offset, uf.merge
         pos_x, pos_y, pos_p = (a.tolist() for a in
@@ -432,15 +400,12 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
         watch = ~same & ~satisfied[lit_clause]
         live = bytearray(watch.tobytes())  # per literal: watched, undecided
         watch = np.flatnonzero(watch)
-        keys = np.concatenate((root[nx[watch]], root[ny[watch]]))
-        lits = np.concatenate((watch, watch))
-        by_root = np.lexsort((lits, keys))
-        # the literals watched on root r: watched[begin[r]:end[r]], then
-        # moved[r]
-        watched = lits[by_root].tolist()
-        bounds = np.searchsorted(keys[by_root], np.arange(len(names) + 1))
-        begin, end = bounds[:-1].tolist(), bounds[1:].tolist()
-        moved = {}
+        # the literals watched on each root, ascending, then those moved in
+        watched = [[] for _ in clauses.names]
+        for li, a, b in zip(watch.tolist(), root[nx[watch]].tolist(),
+                            root[ny[watch]].tolist()):
+            watched[a].append(li)
+            watched[b].append(li)
         queue = deque(np.flatnonzero(full).tolist())
         while queue:
             ci = queue.popleft()
@@ -452,9 +417,8 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
             if merged is None:
                 continue
             absorbed, survivor = merged
-            kept = moved.setdefault(survivor, [])
-            for li in chain(watched[begin[absorbed]:end[absorbed]],
-                            moved.pop(absorbed, ())):
+            kept = watched[survivor]
+            for li in watched[absorbed]:
                 cj = lit_of[li]
                 if not live[li] or undecided[cj] < 0:
                     continue
@@ -472,15 +436,13 @@ def solve_horn(clauses, variables, stats=None) -> SolveResult:
                         return finish("UNSAT", f"empty clause from "
                                                f"{clauses.origin(cj)}")
                     queue.append(cj)
+            watched[absorbed] = None
         root, offset = np.array(root_of), _ints(offset_of)
-        residual = np.array(undecided) > 0
 
-    q_inst = max(int(np.abs(clauses.neg_p).max(initial=0)),
-                 int(np.abs(clauses.pos_p[clauses.pos_x >= 0]).max(initial=0)),
-                 1)
+    q_inst = max(_span(clauses.neg_p),
+                 _span(clauses.pos_p[clauses.pos_x >= 0]), 1)
     return finish("SAT", assignment=extract_assignment(
-        root, offset, clauses.select(np.flatnonzero(residual)), variables,
-        q_inst))
+        root, offset, clauses, variables, q_inst))
 
 
 def _contradiction(clauses, ci, implied):
@@ -492,11 +454,11 @@ def _contradiction(clauses, ci, implied):
             f"{clauses.names[y]} + {p} but the facts imply offset {implied}")
 
 
-def extract_assignment(root, offset, residual, variables, q_inst=1) -> dict:
+def extract_assignment(root, offset, clauses, variables, q_inst=1) -> dict:
     """Concrete solution from components over variable ids.
 
     ``root`` and ``offset`` are integer arrays over the ids saying that
-    ``value(v) = value(root[v]) + offset[v]``.  ``residual`` is a
+    ``value(v) = value(root[v]) + offset[v]``.  ``clauses`` is a
     ``HornClauses`` store over the same ids, whose first ids are the distinct
     names ``variables``.  Components are laid out in order of their least id
     (so the variables' components come first, in first-seen order) at bases 0,
@@ -507,10 +469,9 @@ def extract_assignment(root, offset, residual, variables, q_inst=1) -> dict:
     ``q_inst`` apart and every surviving negated equality (whose endpoints
     always straddle components at the fixpoint) comes out true.  The values
     form one vector over the ids, int64 when they fit and Python ints
-    otherwise; the witness lists the variables component by component.  The
-    residual clauses are checked against that vector: they may keep their
-    decided literals, whose atoms hold, so the check needs one true literal
-    per clause.
+    otherwise; the witness lists the variables component by component.  Each
+    clause must have a true literal under that vector; the literals unit
+    resolution decided hold, so the check is exact.
     """
     n = len(variables)
     spacing = 2 * max(1, q_inst) * n + 1
@@ -524,17 +485,17 @@ def extract_assignment(root, offset, residual, variables, q_inst=1) -> dict:
     assignment = dict(zip([variables[i] for i in layout.tolist()],
                           value[layout].tolist()))
 
-    counts = np.diff(residual.starts)
+    counts = np.diff(clauses.starts)
     ok = np.zeros(len(counts), dtype=bool)
-    holds = value[residual.neg_x] != value[residual.neg_y] + residual.neg_p
+    holds = value[clauses.neg_x] != value[clauses.neg_y] + clauses.neg_p
     ok[np.repeat(np.arange(len(counts)), counts)[np.asarray(holds, bool)]] = True
-    has = residual.pos_x >= 0
-    px, py = np.where(has, residual.pos_x, 0), np.where(has, residual.pos_y, 0)
-    ok |= has & np.asarray(value[px] == value[py] + residual.pos_p, bool)
+    has = clauses.pos_x >= 0
+    px, py = np.where(has, clauses.pos_x, 0), np.where(has, clauses.pos_y, 0)
+    ok |= has & np.asarray(value[px] == value[py] + clauses.pos_p, bool)
     missed = np.flatnonzero(~ok)
     if len(missed):
         raise InternalError(f"extracted assignment misses clause from "
-                            f"{residual.origin(missed[0]) or 'input'}")
+                            f"{clauses.origin(missed[0]) or 'input'}")
     return assignment
 
 

@@ -121,8 +121,8 @@ def legacy_difference_profile(rel, i, j):
         tag = (ProfileTag.COFINITE if pos and neg
                else ProfileTag.ONE_SIDED_INFINITE if pos or neg
                else ProfileTag.FINITE)
-    values = tuple(delta for delta in range(-B, B + 1) if members[delta])
-    return DifferenceProfile(i, j, B, values, tag)
+    values = [delta for delta in range(-B, B + 1) if members[delta]]
+    return DifferenceProfile(i, j, B, profile_spans(values), tag)
 
 
 def grid_difference_profile(rel, i, j):
@@ -152,8 +152,20 @@ def grid_difference_profile(rel, i, j):
         tag = (ProfileTag.COFINITE if pos and neg
                else ProfileTag.ONE_SIDED_INFINITE if pos or neg
                else ProfileTag.FINITE)
-    values = tuple((np.flatnonzero(members) - B).tolist())
-    return DifferenceProfile(i, j, B, values, tag)
+    values = (np.flatnonzero(members) - B).tolist()
+    return DifferenceProfile(i, j, B, profile_spans(values), tag)
+
+
+def profile_spans(values):
+    """The ``DifferenceProfile.spans`` of ascending distinct differences:
+    maximal runs of consecutive values, as inclusive ``(lo, hi)`` pairs."""
+    spans = []
+    for v in values:
+        if spans and v == spans[-1][1] + 1:
+            spans[-1] = (spans[-1][0], v)
+        else:
+            spans.append((v, v))
+    return tuple(spans)
 
 
 def _clause_deletions(clauses):

@@ -63,6 +63,7 @@ from helpers import (
     naive_other_residue_any,
     numpy_first_violation,
     pattern_reachable,
+    profile_spans,
     random_mixed_language,
     random_positive_language,
     strided_accumulate_leq_mod,
@@ -644,6 +645,21 @@ def test_large_offset_literal_tables_stay_within_memory():
     assert peak < 80 * 2**20, peak
 
 
+def test_large_offset_profiles_stay_within_memory():
+    # each of the six profiles spans about 4 * 10^5 differences around
+    # +-10^5; as intervals they hold two numbers each (64 MiB traced and
+    # 4 s when every difference was listed)
+    lang = parse_language("rel R/3 := x1 = x2 + 100000")
+    tracemalloc.start()
+    try:
+        verdict = classify(lang)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.cls is VerdictClass.DEGENERATE_OR_UNKNOWN
+    assert peak < 8 * 2**20, peak
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(arity=st.integers(2, 4), q=st.integers(0, 3),
        seed=st.integers(0, 10**6))
@@ -777,13 +793,14 @@ def test_materialize_t2_matches_catalogue():
 
 
 def _finite(*values):
-    return DifferenceProfile(0, 1, 0, tuple(values), ProfileTag.FINITE)
+    return DifferenceProfile(0, 1, 0, profile_spans(values), ProfileTag.FINITE)
 
 
 @pytest.mark.parametrize("profiles, expected", [
     ([], [1]),
     ([_finite(), _finite(3)], [1]),
-    ([DifferenceProfile(0, 1, 4, (-2, 0, 2), ProfileTag.COFINITE)], [1]),
+    ([DifferenceProfile(0, 1, 4, profile_spans((-2, 0, 2)),
+                        ProfileTag.COFINITE)], [1]),
     ([_finite(-16, 0, 16)], [1, 2, 4, 8, 16]),
     ([_finite(0, 12), _finite(-9, 9)], [1, 2, 3, 6]),
     ([_finite(-3, 0, 6)], [1, 3]),
@@ -791,6 +808,8 @@ def _finite(*values):
     ([_finite(0, 999983)], [1, 999983]),
     ([_finite(0, 3000000)], sorted(2**a * 3**b * 5**c for a in range(7)
                                    for b in range(2) for c in range(7))),
+    ([_finite(0, 6, 7, 8)], [1]),
+    ([_finite(-12, -6, 0, 6, 12)], [1, 2, 3, 6]),
 ])
 def test_candidate_moduli_are_the_divisors_of_the_gap_gcd(profiles,
                                                           expected):

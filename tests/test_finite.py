@@ -21,6 +21,7 @@ from dtcsp import (
     decide_max_closed,
     parse_language,
     random_instance,
+    SolveResult,
     satisfies,
     solve_mod_max,
     validate_instance,
@@ -196,6 +197,26 @@ def test_decide_max_closed_unsat():
 
 def test_decide_max_closed_empty_instance():
     assert decide_max_closed(ORDER_LANG, Instance((), ())).sat
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_fallback_searches_the_bound_tables_grids(mode, monkeypatch):
+    # a = b on the top (bottom) bounds violates N, so the search takes over
+    # on the window grids the bound tables came from: one grid per relation
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return grid_eval(*args, **kwargs)
+
+    grid_eval = finite.grids.grid_eval
+    monkeypatch.setattr(finite.grids, "grid_eval", counting)
+    lang = parse_language("rel N/2 := x1 != x2")
+    inst = Instance(("a", "b"), (("N", ("a", "b")),))
+    res = decide_max_closed(lang, inst, mode=mode)
+    assert res == SolveResult("SAT", {"a": 0, "b": 1}, fallback=True,
+                              stats={"branches": 3, "revisions": 1})
+    assert calls == [(2, 0, 2)]
 
 
 def test_decide_max_closed_empty_window_unsat():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -434,6 +435,80 @@ def test_negations_round_trip_at_their_own_depth(n):
     lang = ConstraintLanguage((RelationDef("N", 2, Formula(root)),))
     text = write_language(lang)
     assert parse_language(text).relation("N").formula.root == root
+
+
+def _lit(k):
+    return f"x1 = x2 + {k}"
+
+
+def _nested_text(shape, n):
+    """A formula of the given shape that opens exactly n nesting levels."""
+    if shape == "parentheses":
+        return "(" * n + _lit(0) + ")" * n
+    if shape == "negations":
+        return "!" * n + _lit(0)
+    if shape == "right arrows":
+        return " -> ".join(_lit(k) for k in range(n + 1))
+    if shape == "left arrows":  # n - 1 parentheses around n arrows
+        text = _lit(0)
+        for k in range(1, n + 1):
+            text = (f"({text})" if k > 1 else text) + f" -> {_lit(k)}"
+        return text
+    text = f"({_lit(0)})" if n % 2 else _lit(0)  # "!( ... | ... )"
+    for k in range(1, n // 2 + 1):
+        text = f"!({text} | {_lit(k)})"
+    return text
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+@pytest.mark.parametrize("shape", ["parentheses", "negations", "right arrows",
+                                   "left arrows", "negated disjunctions"])
+def test_written_language_nests_no_deeper_than_its_text(shape, n,
+                                                         monkeypatch):
+    # the text opens n levels, so the writer's text must parse back to the
+    # same tree within n levels too
+    text = f"rel R/2 := {_nested_text(shape, n)}\n"
+    lang = parse_language(text)
+    monkeypatch.setattr(formula, "MAX_NESTING", n - 1)
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_language(text)
+    monkeypatch.setattr(formula, "MAX_NESTING", n)
+    back = parse_language(write_language(lang))
+    assert back.relation("R").formula.root == lang.relation("R").formula.root
+
+
+def _random_text(rng, size):
+    """A random formula text with ``size`` connectives, in any spelling."""
+    if size == 0:
+        return _lit(rng.randint(0, 3))
+    kind = rng.choice("!(&|>")
+    if kind == "!":
+        return "!" + _random_text(rng, size - 1)
+    if kind == "(":
+        return f"({_random_text(rng, size - 1)})"
+    k = rng.randint(0, size - 1)
+    op = {"&": "&", "|": "|", ">": "->"}[kind]
+    return f"{_random_text(rng, k)} {op} {_random_text(rng, size - 1 - k)}"
+
+
+def test_written_random_formulas_nest_no_deeper_than_their_text(monkeypatch):
+    rng = random.Random(0)
+    limit = formula.MAX_NESTING
+    for _ in range(400):
+        text = f"rel R/2 := {_random_text(rng, rng.randint(1, 14))}\n"
+        monkeypatch.setattr(formula, "MAX_NESTING", limit)
+        root = parse_language(text).relation("R").formula.root
+        depth = 0
+        while True:  # the levels the text opens
+            monkeypatch.setattr(formula, "MAX_NESTING", depth)
+            try:
+                parse_language(text)
+                break
+            except ParseError:
+                depth += 1
+        # the writer's text parses back within as many levels
+        back = parse_language(write_language(parse_language(text)))
+        assert back.relation("R").formula.root == root, text
 
 
 def test_concurrent_view_computation():

@@ -303,6 +303,28 @@ def test_reversed_f_chain_2000():
     assert stats["facts"] == 2 * 2000 + 1
 
 
+def test_derived_chains_keep_the_witness_and_its_key_order():
+    # Two chains of derived facts, declared interleaved: the witness lists
+    # the component of b0 (the first id) and then that of a0, each anchored
+    # at its first-declared variable, the second at D = 2 * 1 * 604 + 1.
+    n = 300
+    a = [f"a{i}" for i in range(n + 2)]
+    b = [f"b{i}" for i in range(n + 2)]
+    cons = []
+    for i in reversed(range(n)):
+        cons.append(("F", (a[i], a[i + 1], a[i + 1], a[i + 2])))
+        cons.append(("F", (b[i + 2], b[i + 1], b[i + 1], b[i])))
+    cons += [("S1", (a[0], a[1])), ("S1", (b[n + 1], b[n]))]
+    inst = Instance(tuple(v for pair in zip(b, a) for v in pair), tuple(cons))
+    stats = {}
+    res = solve_horn_csp(F_LANG, inst, stats=stats)
+    assert res.sat
+    assert stats["facts"] == 4 * n + 2
+    assert list(res.assignment.items()) == (
+        [(v, -i) for i, v in enumerate(b)]
+        + [(v, 1209 + i) for i, v in enumerate(a)])
+
+
 def test_star_with_the_centre_declared_last():
     # Every leaf's only neighbour is the centre, the largest id.  Least-root
     # hooking joins the star in two rounds; hooking each root onto the first
@@ -345,6 +367,35 @@ def test_chain_of_20000_units(shuffled):
     assert stats["facts"] == n - 1
     base = int(declared[0][1:])
     assert res.assignment == {v: i - base for i, v in enumerate(chain)}
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("at", [10000, 20000], ids=["halfway", "last"])
+def test_first_contradicting_unit_of_20000(at):
+    # The chain v(i+1) = v(i) + 1 with v(at) = v0 + 0 inserted at position
+    # ``at``, against the offset ``at`` that the units before it imply (at
+    # the end, it closes the chain).  The units are replayed one by one up
+    # to that unit.
+    n = 20000
+    chain = [f"v{i}" for i in range(n + 1)]
+    clauses = [HornClause((), (chain[i + 1], chain[i], 1)) for i in range(n)]
+    clauses.insert(at, HornClause((), (chain[at], chain[0], 0)))
+    store = HornClauses.pack(clauses, chain)
+    started = time.perf_counter()
+    root, offset, conflict = assert_facts(len(chain), store.pos_x,
+                                          store.pos_y, store.pos_p)
+    elapsed = time.perf_counter() - started
+    assert conflict == (at, at)
+    assert (root == root[0]).sum() == at + 1  # joined before the conflict
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+    stats = {}
+    started = time.perf_counter()
+    res = solve_horn(store, chain, stats=stats)
+    elapsed = time.perf_counter() - started
+    assert res.status == "UNSAT"
+    assert res.reason == (f"fact needs v{at} = v0 + 0 but the facts imply "
+                          f"offset {at}")
+    assert stats["facts"] == at + 1
     assert elapsed < 2.0, f"took {elapsed:.1f}s"
 
 

@@ -81,8 +81,8 @@ _NOT_ON_SOLVE_ROUTES = {
     ("dtcsp.horn", "solve_horn_csp"): "cli calls it through its own binding",
     ("dtcsp.finite", "solve_mod_max"): "cli calls it through its own binding",
     ("dtcsp.finite", "backtracking_solve"):
-        "only a decide_max_closed fallback calls it here, and no fixture "
-        "below falls back",
+        "cli calls it through its own binding, and no solver calls it: a "
+        "decide_max_closed fallback searches its own tables",
 }
 _ROUTES = (("horn", "f.dtl", "chain.dti"), ("ac", "maxrel.dtl", "maxinst.dti"),
            ("modmax", "t2.dtl", "t2.dti"), ("bt", "dist15.dtl", "triangle.dti"))
