@@ -26,12 +26,18 @@ Preservation is tested inside a bounded window: any violating pair of tuples
 can be gap-compressed, preserving literal truth values, residues mod d and
 order, until it fits in ``[-B, B]^arity`` with
 ``B = ceil(((2 * arity - 1) * (q + d) + d - 1) / 2)`` (``default_halfwidth``
-gives the argument).  Only a PRESERVED answer needs that window.  A
-violation is a certificate at any window, because its pair of tuples and
-their image re-check over Z by evaluation; so each test first scans the
-small window ``q + d + 1`` when it is narrower, and sweeps the full one
-only when the small window shows no violation.  The verdict class is
-therefore the full window's.  Within a window the test walks a case tree
+gives the argument).  A positive relation's coordinates fall into c
+clusters, within which every tuple keeps them at most P_C apart, and a
+violation then also compresses into half-width
+``B_s = ceil((2 * sum(P_C) + (2c - 1)(q + d) + d - 1) / 2)``; the smaller
+of B_s and B serves (``cluster_halfwidth``).  Only a PRESERVED answer
+needs that proof window.  A violation is a certificate at any window,
+because its pair of tuples and their image re-check over Z by evaluation;
+so each test first scans the small window ``q + d + 1`` when it is
+narrower than B, and sweeps the proof window only when the small window
+shows no violation and is narrower than it.  The verdict class is
+therefore the proof window's.
+Within a window the test walks a case tree
 depth first: at each axis either the first argument supplies the image's
 coordinate or the second does, each choice a cumulative transform of one
 argument's grid.  Each side condition is a
@@ -71,8 +77,8 @@ from .formula import (
 # moment, while the grid is evaluated or flipped) and one bit in each packed
 # int the case-tree walk holds at once: the grid, its complement and one
 # transform per level, plus a kernel's temporaries, about arity + 6 ints.
-# ``rel P/4 := x1 = x2 + 12 & x3 = x4 + 12`` (93^4 = 7.5e7 cells) peaks at
-# 212 MB RSS, against 530 MB when the walk held boolean ndarrays.
+# ``rel P/4 := x1 = x2 + 12 & x3 = x4 + 12`` (89^4 = 6.3e7 cells) peaks at
+# 189 MB RSS; a walk on boolean ndarrays took 530 MB on 93^4 cells.
 DEFAULT_CELL_BUDGET = 2 * 10**8
 DEFAULT_OP_BUDGET = 6 * 10**9
 
@@ -175,9 +181,60 @@ def default_halfwidth(rel: RelationDef, op: OperationSpec) -> int:
     multiple of d, which changes nothing either, puts its least value in
     [-B, -B + d), so its greatest is at most -B + d - 1 + (2k - 1)(q + d),
     which is at most B when 2B >= (2k - 1)(q + d) + d - 1.
+
+    A relation whose coordinates stay a bounded distance apart needs less
+    (``cluster_halfwidth``).  Let the coordinates fall into c clusters,
+    and let every tuple of R keep |x_i - x_j| <= P_C for i and j in the
+    same cluster C.  Then the values of a violation lie in 2c intervals,
+    one per cluster of s and one per cluster of t, the one of C at most
+    P_C long.  The compression above never lengthens a gap, so each
+    piece of the intervals' union stays at most as long as it was, and
+    their lengths sum to at most 2 * sum(P_C); it cuts each of the at most
+    2c - 1 gaps between the pieces to at most q + d.  So the compressed
+    violation spans at most ``2 * sum(P_C) + (2c - 1)(q + d)``, and the
+    same shift puts it in [-B_s, B_s] with
+    ``B_s = ceil((2 * sum(P_C) + (2c - 1)(q + d) + d - 1) / 2)``.  With
+    k clusters of one coordinate each this is B, and it is at most B
+    whenever every P_C <= q(|C| - 1).  A pair can be bounded through
+    coordinates outside its cluster, though, so that only P_C <= q(k - 1)
+    holds: ``(x3 = x1 + 3 & x2 = x3 + 3) | x2 = x1 + 3`` has clusters
+    {x1, x2} with P = 6 and {x3}, and B_s = 12 > B = 10 for plain max.
+    Either window is complete, so the smaller one serves.
     """
     q, d, k = rel.formula.qe_degree, op.d, rel.arity
     return -(-((2 * k - 1) * (q + d) + d - 1) // 2)
+
+
+def cluster_halfwidth(rel: RelationDef, op: OperationSpec) -> int:
+    """The half-width on which ``preserved_by`` proves PRESERVED: the
+    smaller of B (``default_halfwidth``) and, for a positive relation, the
+    cluster bound B_s that its argument gives.
+
+    Coordinates i and j share a cluster when every closed system of the
+    reduced DNF (``_closed_systems``) bounds x_i - x_j both ways, that is
+    when their difference profile is FINITE; as the systems' bounds add up
+    along paths, this is an equivalence.  The systems make up R, so the
+    largest bound D[i][j] over them and over i, j in C is the largest
+    |x_i - x_j| that a tuple of R reaches in C, P_C.  Positive relations
+    split into no more systems than their DNF has terms, and ``classify``
+    has closed them already for the profiles; every other relation keeps B.
+    """
+    B = default_halfwidth(rel, op)
+    if not is_positive(rel):
+        return B
+    systems = _closed_systems(rel)
+    clusters, spread, left = 0, 0, list(range(rel.arity))
+    while left:
+        i = left[0]
+        cluster = [j for j in left if all(
+            D[i][j] < math.inf and D[j][i] < math.inf for D in systems)]
+        left = [j for j in left if j not in cluster]
+        clusters += 1
+        spread += max((D[a][b] for D in systems for a in cluster
+                       for b in cluster), default=0)
+    q, d = rel.formula.qe_degree, op.d
+    return min(B, -(-(2 * spread + (2 * clusters - 1) * (q + d) + d - 1)
+                    // 2))
 
 
 def preserved_by(rel: RelationDef, op: OperationSpec,
@@ -202,13 +259,18 @@ def preserved_by(rel: RelationDef, op: OperationSpec,
     and t), so only one is walked.
 
     A violation is a certificate at any window: its pair of tuples and their
-    image re-check over Z by evaluation.  Only PRESERVED needs the window of
-    half-width ``default_halfwidth``, where gap compression makes it sound
-    for the whole of Z.  So without an explicit ``halfwidth`` the test first
-    scans the small window ``q + d + 1``, when that is narrower than the
-    full one, and returns a violation found there (with that
-    ``halfwidth``); otherwise it scans the full window, which answers both
-    questions.  An explicit ``halfwidth`` scans that window only.
+    image re-check over Z by evaluation.  Only PRESERVED needs a window
+    where gap compression makes it sound for the whole of Z: half-width
+    ``default_halfwidth`` B in general, and the cluster bound B_s when the
+    relation is positive (``cluster_halfwidth`` takes the smaller; the
+    proof is ``default_halfwidth``'s).  So without an explicit
+    ``halfwidth`` the test first scans the small window
+    ``min(q + d + 1, B)`` and returns a violation found there (with that
+    ``halfwidth``).  A clean small window that is at least as wide as
+    ``cluster_halfwidth`` is the proof; otherwise the test scans that
+    window, which answers both questions.  An explicit ``halfwidth`` scans
+    that window only.  Finding the proof window of a successor relation
+    reads its reduced DNF (``is_positive``), under the DNF's budgets.
     ``DEFAULT_CELL_BUDGET`` bounds a window's cells and ``DEFAULT_OP_BUDGET``
     a full walk's cell passes, one per transform and per leaf test.
 
@@ -220,12 +282,14 @@ def preserved_by(rel: RelationDef, op: OperationSpec,
     an OR; a leaf test is two ANDs.
     """
     if halfwidth is None:
-        halfwidth = default_halfwidth(rel, op)
-        small = rel.formula.qe_degree + op.d + 1
-        if small < halfwidth:
-            res = _scan_window(rel, op, small)
-            if not res.preserved:
-                return res
+        small = min(rel.formula.qe_degree + op.d + 1,
+                    default_halfwidth(rel, op))
+        res = _scan_window(rel, op, small)
+        if not res.preserved:
+            return res
+        halfwidth = cluster_halfwidth(rel, op)
+        if small >= halfwidth:
+            return res
     return _scan_window(rel, op, halfwidth)
 
 

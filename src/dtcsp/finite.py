@@ -230,9 +230,11 @@ def bounded_window(lang: ConstraintLanguage, inst: Instance) -> range:
 # ---------------------------------------------------------------------------
 # Window grids
 
-def _window_grids(lang, inst, lo, hi, phase):
-    """Each constraint's relation grid over ``[lo, hi)``, folded onto its
-    distinct arguments.
+def _window_grids(lang, inst, width, phase):
+    """Each constraint's relation grid over ``[0, width)``, folded onto its
+    distinct arguments.  Relations are translation invariant, so the grid
+    serves any window ``[lo, lo + width)``, cell c standing for lo + c,
+    wherever lo lies in Z.
 
     Returns ``(constraints, folds, watchers)``.  Per constraint, in
     declaration order, ``constraints`` holds its distinct argument ids in
@@ -244,13 +246,13 @@ def _window_grids(lang, inst, lo, hi, phase):
     of them, ``BudgetExceeded`` naming ``phase`` is raised before anything
     is allocated.
     """
-    _check_cells(lang, inst, hi - lo, phase)
+    _check_cells(lang, inst, width, phase)
     fold_index = {}
     folds = []
     constraints = [None] * sum(len(order) for _, _, order in inst.groups)
     for name, args, order in inst.groups:
         rel = lang.relation(name)
-        grid = grids.grid_eval(rel.formula, rel.arity, lo, hi)
+        grid = grids.grid_eval(rel.formula, rel.arity, 0, width)
         for ci, row in zip(order.tolist(), args.tolist()):
             distinct = tuple(dict.fromkeys(row))
             pattern = tuple(distinct.index(a) for a in row)
@@ -382,7 +384,8 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     and the result is flagged as a fallback.  ``stats["revisions"]`` counts
     bound steps.  The tables come from the window grids, so a relation past
     ``DEFAULT_TABLE_CELLS`` raises ``BudgetExceeded`` before anything is
-    allocated.
+    allocated; like the bounds, they run over offsets from the window's
+    start (``_window_grids``).
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
@@ -394,7 +397,7 @@ def decide_max_closed(lang, inst, mode="max", window=None,
         return SolveResult("UNSAT", reason="empty window", stats=stats)
     lo, hi = window.start, window.stop
 
-    constraints, folds, watchers = _window_grids(lang, inst, lo, hi,
+    constraints, folds, watchers = _window_grids(lang, inst, hi - lo,
                                                  "bound tables")
     tables = [_bound_tables(fold if mode == "max" else np.flip(fold))
               for fold in folds]
@@ -486,8 +489,11 @@ def backtracking_solve(lang, inst, window=None, stats=None) -> SolveResult:
     listed, and the values a non-contiguous window skips stay cleared.  The
     window becomes one domain matrix over its span, built once, as are the
     window grids; a span past ``DEFAULT_TABLE_CELLS`` values raises
-    ``BudgetExceeded`` before either is allocated.  The result is the first
-    solution of ``_solutions``, the lexicographically smallest one.
+    ``BudgetExceeded`` before either is allocated.  Both run over offsets
+    from the window's least value lo (``_window_grids``), which
+    ``_first_solution`` adds back, so the window may lie anywhere in Z,
+    past int64 too.  The result is the first solution of ``_solutions``,
+    the lexicographically smallest one.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
@@ -498,13 +504,13 @@ def backtracking_solve(lang, inst, window=None, stats=None) -> SolveResult:
     elif window.step < 0:
         window = window[::-1]
     lo, hi = (window[0], window[-1] + 1) if window else (0, 1)
-    tables = _window_grids(lang, inst, lo, hi, "arc-consistency grids")
+    tables = _window_grids(lang, inst, hi - lo, "arc-consistency grids")
     _check_domains(hi - lo, "arc-consistency grids")
     domains = np.zeros((len(inst.names), hi - lo), dtype=bool)
     if isinstance(window, range):
         domains[:, window.start - lo:window.stop - lo:window.step] = True
     else:
-        domains[:, np.asarray(window, dtype=np.int64) - lo] = True
+        domains[:, [v - lo for v in window]] = True
     return _first_solution(lang, inst, tables, domains, lo, stats)
 
 
@@ -538,7 +544,7 @@ def _residue_tables(lang, inst, d):
     arity = max((lang.relation(name).arity for name, _, _ in inst.groups),
                 default=1)
     span = -(-((arity - 1) * (lang.q + d) + d) // d) * d
-    constraints, folds, watchers = _window_grids(lang, inst, 0, span,
+    constraints, folds, watchers = _window_grids(lang, inst, span,
                                                  "residue grids")
     residues = [fold.reshape((span // d, d) * fold.ndim)
                 .any(axis=tuple(range(0, 2 * fold.ndim, 2)))

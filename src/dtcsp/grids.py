@@ -16,9 +16,10 @@ shift.  On axis a with width W and stride st (the product of the widths
 after it), moving every cell j places along the axis is a shift by j * st
 bits; the cells whose index on the axis would pass either end land on a
 neighbouring line instead, and a mask of the cells whose index lies in
-range clears them (``_read``).  Masks are cached by shape, axis and index
-range, in a cache bounded in bytes that drops its oldest masks first; one
-lock guards its inserts and evictions, so threads may share it.
+range clears them (``_read``, ``_spread``).  Masks are cached by shape,
+axis and index range, in a cache bounded in bytes that drops its oldest
+masks first; one lock guards its inserts and evictions, so threads may
+share it.
 The two residue transforms are doublings over such reads:
 
 * ``accumulate_leq_mod`` ORs into each cell the cell s places below it, for
@@ -184,9 +185,13 @@ def _read(bits, shape, axis, j):
 def _spread(bits, shape, axis, d, step):
     """OR into each cell the same-class cells on its line that lie below it
     (``step`` -1) or above it (``step`` 1), by doubling."""
+    width, stride = shape[axis], math.prod(shape[axis + 1:])
     s = d
-    while s < shape[axis]:
-        bits |= _read(bits, shape, axis, step * s)
+    while s < width:
+        if step > 0:
+            bits |= (bits >> s * stride) & _mask(shape, axis, 0, width - s)
+        else:
+            bits |= (bits << s * stride) & _mask(shape, axis, s, width)
         s *= 2
     return bits
 

@@ -354,7 +354,7 @@ def dict_arc_consistency(lang, inst, domains, stats=None, changed=None):
     a dict, or None."""
     values = [x for d in domains.values() for x in d]
     lo, hi = min(values, default=0), max(values, default=0) + 1
-    tables = finite._window_grids(lang, inst, lo, hi, "arc-consistency grids")
+    tables = finite._window_grids(lang, inst, hi - lo, "arc-consistency grids")
     matrix = np.zeros((len(inst.names), hi - lo), dtype=bool)
     for row, v in zip(matrix, inst.names):
         row[np.asarray(domains[v], dtype=np.int64) - lo] = True

@@ -38,6 +38,7 @@ from dtcsp.classify import (
     _candidate_moduli,
     _first_member,
     _first_violation,
+    cluster_halfwidth,
     default_halfwidth,
     reduced_dnf,
 )
@@ -67,6 +68,7 @@ from helpers import (
     random_mixed_language,
     random_positive_language,
     strided_accumulate_leq_mod,
+    t_relation_formula,
 )
 
 # the module, which the package's ``classify`` function shadows
@@ -215,6 +217,27 @@ def test_preserved_proof_prescans_only_a_narrower_window(monkeypatch, arity,
     assert windows[-1] == default_halfwidth(rel, MAX)
 
 
+@pytest.mark.parametrize("d, windows, full", [
+    (2, [5], 11), (3, [7], 16), (4, [9, 10], 22)])
+def test_positive_proof_scans_the_cluster_window(monkeypatch, d, windows,
+                                                 full):
+    # T(d) is one cluster with P = d, so B_s = ceil((5d - 1) / 2): the small
+    # window 2d + 1 is the proof for d <= 3, and d = 4 sweeps 10, not 22
+    scanned = []
+    scan = classify_module._scan_window
+
+    def spy(rel, op, B):
+        scanned.append(B)
+        return scan(rel, op, B)
+
+    monkeypatch.setattr(classify_module, "_scan_window", spy)
+    rel = RelationDef("T", 3, t_relation_formula(d))
+    res = preserved_by(rel, modmax(d))
+    assert res.preserved and res.halfwidth == windows[-1]
+    assert scanned == windows
+    assert default_halfwidth(rel, modmax(d)) == full
+
+
 _ALL_OPS = [MAX, MIN] + [ctor(d) for ctor in (modmax, modmin)
                          for d in range(1, 6)]
 
@@ -285,7 +308,9 @@ _OPS = [MAX, MIN] + [ctor(d) for ctor in (modmax, modmin) for d in (1, 2, 3)]
 def test_preserved_by_random_windows_match_naive_pair_scan(seed, arity, q,
                                                           op, data):
     # an explicit window is scanned exactly; the default call refutes in a
-    # small window first but must answer as the full window does
+    # small window first but must answer as the full window does, and it
+    # proves PRESERVED on the small window when that is at least the proof
+    # window, else on the proof window
     rel = random_relation(arity, q, seed)
     B = data.draw(st.integers(1, 6 if arity == 2 else 3))
     assert (preserved_by(rel, op, halfwidth=B).preserved
@@ -294,10 +319,87 @@ def test_preserved_by_random_windows_match_naive_pair_scan(seed, arity, q,
     res = preserved_by(rel, op)
     assert res.preserved == preserved_by(rel, op, halfwidth=full_B).preserved
     if res.preserved:
-        assert res.halfwidth == full_B
+        small = min(rel.formula.qe_degree + op.d + 1, full_B)
+        assert res.halfwidth == max(small, cluster_halfwidth(rel, op))
     else:
         assert res.witness.revalidates(rel)
         assert res.halfwidth <= full_B
+
+
+@st.composite
+def _positive_relations(draw):
+    # DNFs of equalities x_i = x_j + c, |c| <= q: positive by construction,
+    # with bounded clusters wherever a pair is linked in every term
+    arity = draw(st.integers(2, 3))
+    q = draw(st.integers(0, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        lits = []
+        for _ in range(draw(st.integers(1, arity - 1))):
+            i, j = draw(st.permutations(range(arity)))[:2]
+            lits.append(Literal(i, j, Cmp.EQ, draw(st.integers(-q, q))))
+        terms.append(And(tuple(lits)))
+    return RelationDef("P", arity, Formula(Or(tuple(terms))))
+
+
+_BOUND_OPS = [MAX, MIN] + [ctor(d) for ctor in (modmax, modmin)
+                           for d in (2, 3, 4)]
+
+
+def _images(op, s, t):
+    """Componentwise op images of broadcast int arrays."""
+    pick = np.maximum if op.kind in (OpKind.MAX, OpKind.MODMAX) else np.minimum
+    return np.where(s % op.d == t % op.d, pick(s, t), s)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rel=_positive_relations(), op=st.sampled_from(_BOUND_OPS),
+       seed=st.integers(0, 2**32 - 1))
+def test_violations_compress_into_the_cluster_window(rel, op, seed):
+    # the map of default_halfwidth's proof, applied to violations found by
+    # enumerating pairs of tuples of a window wider than the bound: shrink
+    # every gap above q + d between sorted values by a multiple of d into
+    # (q, q + d], then shift the least value into [-B_s, -B_s + d).  Every
+    # image lies in [-B_s, B_s] and is still a violation.
+    k, q, d = rel.arity, rel.formula.qe_degree, op.d
+    B = cluster_halfwidth(rel, op)
+    assert is_positive(rel) and B <= default_halfwidth(rel, op)
+    width = 2 * B + 2 * (q + d)
+    grid = grids.grid_eval(rel.formula, k, 0, width)
+    rows = np.argwhere(grid)
+    rng = np.random.default_rng(seed)
+    S = rows[rng.choice(len(rows), min(len(rows), 300), replace=False)]
+    T = rows[rng.choice(len(rows), min(len(rows), 300), replace=False)]
+    s, t = np.broadcast_arrays(S[:, None, :], T[None, :, :])
+    u = _images(op, s, t)
+    outside = ~grid[tuple(np.moveaxis(u, -1, 0))]
+    V = np.concatenate([s, t, u], axis=-1)[outside]
+    order = np.argsort(V, axis=1, kind="stable")
+    vals = np.take_along_axis(V, order, axis=1)
+    gaps = np.diff(vals, axis=1)
+    gaps = np.where(gaps > q + d, q + 1 + (gaps - q - 1) % d, gaps)
+    least = -B + (vals[:, :1] + B) % d
+    new = np.empty_like(V)
+    np.put_along_axis(new, order, np.concatenate(
+        [least, least + np.cumsum(gaps, axis=1)], axis=1), axis=1)
+    assert new.size == 0 or (new.min() >= -B and new.max() <= B)
+    R = grids.grid_eval(rel.formula, k, -B, B + 1)
+    s2, t2, u2 = (new[:, a * k:(a + 1) * k] + B for a in range(3))
+    assert np.array_equal(u2 - B, _images(op, s2 - B, t2 - B))
+    assert R[tuple(s2.T)].all() and R[tuple(t2.T)].all()
+    assert not R[tuple(u2.T)].any()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rel=_positive_relations(), op=st.sampled_from(_ALL_OPS))
+def test_cluster_window_answers_as_the_arity_window(rel, op):
+    # on positive relations the proof on the cluster window answers as a
+    # forced scan of the window B that the arity alone gives
+    res = preserved_by(rel, op)
+    full = preserved_by(rel, op, halfwidth=default_halfwidth(rel, op))
+    assert res.preserved == full.preserved
+    if not res.preserved:
+        assert res.witness.revalidates(rel)
 
 
 _GRIDS = hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
@@ -882,12 +984,13 @@ def test_gap_gcd_divisors_classify_as_the_legacy_candidates(monkeypatch,
     assert _without_candidates(new) == _without_candidates(classify(lang))
 
 
-@pytest.mark.parametrize("k, scans", [(1, 8), (2, 10)])
+@pytest.mark.parametrize("k, scans", [(1, 6), (2, 8)])
 def test_distance_pair_scans_only_the_divisor_windows(monkeypatch, k, scans):
     # distances k and 5k: G = 2k, so max and min each run on 1, 2 (and 4).
     # U refutes every d < 2k in its small window; d = 2k preserves U, proved
-    # after a small and a full scan, and V refutes it in one: 4 + 4 scans
-    # for k = 1, 5 + 5 for k = 2
+    # by its small scan alone (one cluster with P = k, so the proof window
+    # ceil((7k - 1) / 2) is no wider than 3k + 1), and V refutes it in one:
+    # 3 + 3 scans for k = 1, 4 + 4 for k = 2
     calls = []
     scan = classify_module._scan_window
 

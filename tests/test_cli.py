@@ -63,9 +63,10 @@ def test_classify_parse_error(capsys):
     assert "error" in err
 
 
-# bigmod.dtl: Gap is preserved only by modmax(16), and proving Pairs/4
-# preserved by it needs the full 129^4 window
-@pytest.mark.parametrize("language", ["bigmod.dtl", "cnf_blowup.dtl"])
+# bigmod5.dtl: Gap is preserved only by modmax(8), and proving Pairs/5
+# (three clusters: x1 and x2, x3 and x4, x5) preserved by it needs the
+# 49^5 cluster window
+@pytest.mark.parametrize("language", ["bigmod5.dtl", "cnf_blowup.dtl"])
 def test_classify_budget_downgrade_exits_3(capsys, language):
     code, out, _ = run(capsys, "classify", FIXTURES / language)
     assert code == 3
@@ -73,11 +74,20 @@ def test_classify_budget_downgrade_exits_3(capsys, language):
 
 
 def test_classify_budget_trips_in_the_preservation_proof(capsys):
-    # the profiles and the small 35^4 window fit; only the proof does not
-    code, out, _ = run(capsys, "classify", FIXTURES / "bigmod.dtl")
+    # the profiles and the small 19^5 window fit; only the proof does not
+    code, out, _ = run(capsys, "classify", FIXTURES / "bigmod5.dtl")
     assert code == 3
-    assert "candidate moduli: 1, 2, 4, 8, 16" in out
-    assert "preservation window 129^4" in out
+    assert "candidate moduli: 1, 2, 4, 8" in out
+    assert "preservation window 49^5" in out
+
+
+def test_classify_bigmod_proved_on_its_cluster_window(capsys):
+    # Pairs/4 has two clusters of spread 0, so modmax(16) is proved on the
+    # 65^4 cluster window, where the arity bound needs 129^4
+    code, out, _ = run(capsys, "classify", FIXTURES / "bigmod.dtl")
+    assert code == 0
+    assert "MODMAX_CLOSED(16)" in out
+    assert "Pairs preserved by modmax(16) (window 32)" in out
 
 
 def test_classify_bigmax_max_closed(capsys):

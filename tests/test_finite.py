@@ -240,6 +240,21 @@ def test_search_budgets_huge_ranges_from_their_ends(constraints, message):
         brute_solve(ORDER_LANG, inst, window)
 
 
+@pytest.mark.parametrize("solve, window, expect", [
+    (backtracking_solve, [10**20, 10**20 + 1], (10**20, 10**20)),
+    (backtracking_solve, range(-10**20 - 2, -10**20), (-10**20 - 2,) * 2),
+    (decide_max_closed, range(10**20, 10**20 + 3), (10**20 + 2,) * 2),
+], ids=["backtracking list", "backtracking range", "max-closed range"])
+def test_windows_past_int64_solve_on_offsets(solve, window, expect):
+    # relations are translation invariant: the tables run over offsets from
+    # the window's least value, and the witness is re-verified over Z
+    inst = Instance(("a", "b"), (("Le", ("a", "b")),))
+    res = solve(ORDER_LANG, inst, window=window)
+    assert res.status == "SAT"
+    assert (res.assignment["a"], res.assignment["b"]) == expect
+    assert satisfies(ORDER_LANG, inst, res.assignment)
+
+
 def test_residue_domains_budget(monkeypatch):
     # with no constraint, no residue grid bounds the modulus: the residue
     # domains are held to the budget of backtracking_solve's window
