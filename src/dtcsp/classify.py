@@ -458,14 +458,13 @@ def is_positive(rel: RelationDef) -> bool:
 
 
 def _closed_systems(rel: RelationDef):
-    """Shortest-path matrices (``zones.close``) of the feasible systems
-    into which the reduced DNF splits (``zones.split``), whose solution sets
-    make up the relation; kept with the formula, so that the k(k - 1)
-    profiles of a relation split and close them once."""
+    """Shortest-path matrices of the feasible systems into which the
+    reduced DNF splits (``zones.closed``), whose solution sets make up the
+    relation; kept with the formula, so that the k(k - 1) profiles of a
+    relation split and close them once."""
     k = rel.arity
-    return rel.formula.reduced(("zones", k), lambda: tuple(
-        D for D in (zones.close(e, k) for e in zones.split(reduced_dnf(rel)))
-        if D is not None))
+    return rel.formula.reduced(("zones", k), lambda: zones.closed(
+        reduced_dnf(rel), range(k)))
 
 
 class ProfileTag(Enum):

@@ -2,34 +2,40 @@
 
 An instance over a language with qe-degree q and n variables is satisfiable
 over the integers iff it is satisfiable over ``{0, ..., (q + 1) * n - 1}``, so
-every solver here works on such a window.  All solvers share one table
-core: each relation's ``grids.grid_eval`` grid over a window, folded onto
-each constraint's distinct arguments (``_window_grids``), with constraints
-and variables addressed by the instance's ids.  On it run one bound per
-variable, propagated to a fixpoint for max- or min-closed languages
-(Jeavons & Cooper, "Tractable constraints on ordered domains", 1995), and
-one complete search, which is the universal fallback: generalized
-arc-consistency at every node on one domain matrix, a boolean array with
-one row per variable id and one column per window value.  Languages
-preserved by a modular maximum or minimum run that same search over
-residues mod d, on the folds reduced to residue grids, and hand each
-residue vector's quotient instance to the bound fixpoint, whose fallback
-searches the folds it built.  Only a window that is not a range is listed.
+every solver here works on such a window.  Constraints are grouped by
+relation and repeated-argument pattern (``_grouped``), with constraints and
+variables addressed by the instance's ids.  For max- or min-closed
+languages one bound per variable is propagated to a fixpoint (Jeavons &
+Cooper, "Tractable constraints on ordered domains", 1995) on each group's
+closed difference systems (``zones.closed``), which do not grow with the
+window.  The one complete search, the universal fallback, runs on window
+grids instead: each relation's ``grids.grid_eval`` grid over the window,
+folded onto each constraint's distinct arguments (``_window_grids``), with
+generalized arc-consistency at every node on one domain matrix, a boolean
+array with one row per variable id and one column per window value.
+Languages preserved by a modular maximum or minimum run that same search
+over residues mod d, on the folds reduced to residue grids, and hand each
+residue vector's quotient instance to the bound fixpoint.  Only a window
+that is not a range is listed.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grids
+from . import grids, zones
 from .errors import ArityError, BudgetExceeded, InternalError, ParseError
-from .formula import And, Cmp, ConstraintLanguage, Formula, Literal, Not, Or, RelationDef
+from .formula import (And, Cmp, ConstraintLanguage, Formula, Literal, Not, Or,
+                      RelationDef, to_dnf)
 
 DEFAULT_BRANCH_BUDGET = 10**6
-# Window cells one relation's grid may span (see _window_grids).
+# Window cells one relation's grid may span (see _window_grids), and window
+# values a domain matrix may span: a budget of the searches and residue
+# grids, as bound propagation builds no grid.
 DEFAULT_TABLE_CELLS = 10**8
 
 
@@ -228,7 +234,36 @@ def bounded_window(lang: ConstraintLanguage, inst: Instance) -> range:
 
 
 # ---------------------------------------------------------------------------
-# Window grids
+# Constraint groups and window grids
+
+def _grouped(inst):
+    """Each constraint's distinct arguments and (relation, repeated-argument
+    pattern).
+
+    Returns ``(constraints, keys, watchers)``.  Per constraint, in
+    declaration order, ``constraints`` holds its distinct argument ids in
+    order of first position and the index of its ``(relation name,
+    pattern)`` pair in ``keys``, where pattern maps each argument position
+    to its distinct argument, so R(x, x, y) has pattern (0, 0, 1).
+    ``watchers[v]`` lists the constraints on variable id v, ascending.
+    """
+    key_index = {}
+    keys = []
+    constraints = [None] * sum(len(order) for _, _, order in inst.groups)
+    for name, args, order in inst.groups:
+        for ci, row in zip(order.tolist(), args.tolist()):
+            distinct = tuple(dict.fromkeys(row))
+            key = (name, tuple(distinct.index(a) for a in row))
+            if key not in key_index:
+                key_index[key] = len(keys)
+                keys.append(key)
+            constraints[ci] = (distinct, key_index[key])
+    watchers = [[] for _ in inst.names]
+    for ci, (distinct, _) in enumerate(constraints):
+        for v in distinct:
+            watchers[v].append(ci)
+    return constraints, keys, watchers
+
 
 def _window_grids(lang, inst, width, phase):
     """Each constraint's relation grid over ``[0, width)``, folded onto its
@@ -236,36 +271,25 @@ def _window_grids(lang, inst, width, phase):
     serves any window ``[lo, lo + width)``, cell c standing for lo + c,
     wherever lo lies in Z.
 
-    Returns ``(constraints, folds, watchers)``.  Per constraint, in
-    declaration order, ``constraints`` holds its distinct argument ids in
-    order of first position and the index of its grid in ``folds``, which
-    holds one grid per (relation, repeated-argument pattern).  Repeated
-    arguments fold onto the diagonal, so R(x, x, y) has two axes.
-    ``watchers[v]`` lists the constraints on variable id v, ascending.  A
-    relation of arity k spans W^k window cells; past ``DEFAULT_TABLE_CELLS``
-    of them, ``BudgetExceeded`` naming ``phase`` is raised before anything
-    is allocated.
+    Returns ``(constraints, folds, watchers)``: ``folds`` holds one grid
+    per (relation, repeated-argument pattern) of ``_grouped``, whose
+    ``constraints`` and ``watchers`` it shares.  Repeated arguments fold
+    onto the diagonal, so R(x, x, y) has two axes.  A relation of arity k
+    spans W^k window cells; past ``DEFAULT_TABLE_CELLS`` of them,
+    ``BudgetExceeded`` naming ``phase`` is raised before anything is
+    allocated.
     """
     _check_cells(lang, inst, width, phase)
-    fold_index = {}
+    constraints, keys, watchers = _grouped(inst)
+    relation_grids = {}
     folds = []
-    constraints = [None] * sum(len(order) for _, _, order in inst.groups)
-    for name, args, order in inst.groups:
-        rel = lang.relation(name)
-        grid = grids.grid_eval(rel.formula, rel.arity, 0, width)
-        for ci, row in zip(order.tolist(), args.tolist()):
-            distinct = tuple(dict.fromkeys(row))
-            pattern = tuple(distinct.index(a) for a in row)
-            key = (name, pattern)
-            if key not in fold_index:
-                fold_index[key] = len(folds)
-                folds.append(np.einsum(grid, list(pattern),
-                                       list(range(len(distinct)))))
-            constraints[ci] = (distinct, fold_index[key])
-    watchers = [[] for _ in inst.names]
-    for ci, (distinct, _) in enumerate(constraints):
-        for v in distinct:
-            watchers[v].append(ci)
+    for name, pattern in keys:
+        if name not in relation_grids:
+            rel = lang.relation(name)
+            relation_grids[name] = grids.grid_eval(rel.formula, rel.arity, 0,
+                                                   width)
+        folds.append(np.einsum(relation_grids[name], list(pattern),
+                               list(range(max(pattern) + 1))))
     return constraints, folds, watchers
 
 
@@ -344,25 +368,25 @@ def arc_consistency(tables, domains, stats=None, changed=None):
 # ---------------------------------------------------------------------------
 # Max-closed decision
 
-def _bound_tables(grid):
-    """Per axis j, the table whose cell t is the largest s <= t_j such that
-    some tuple r of the grid has r_j = s and r <= t on every other axis, or
-    -1 when there is none."""
-    width = grid.shape[0]
-    dtype = np.min_scalar_type(-width)
-    tables = []
-    for j in range(grid.ndim):
-        below = grid
-        for axis in range(grid.ndim):
-            if axis != j:
-                below = np.logical_or.accumulate(below, axis=axis)
-        shape = [1] * grid.ndim
-        shape[j] = width
-        index = np.arange(width, dtype=dtype).reshape(shape)
-        table = np.where(below, index, dtype.type(-1))
-        np.maximum.accumulate(table, axis=j, out=table)
-        tables.append(table)
-    return tables
+def _top(systems, bound):
+    """The componentwise max of the tuples of the closed systems that lie in
+    ``[0, bound]``, or None when there is none.
+
+    Under upper bounds u, the greatest solution of the closed system D is
+    ``t_j = min_i(u_i + D[j][i])``: every solution has x_j <= x_i + D[j][i]
+    <= u_i + D[j][i], and t itself is one, as D is closed.  A system has a
+    tuple in the box iff t >= 0, and then t is its greatest one.  Each
+    system comes as its finite entries ``(j, i, D[j][i])`` off the
+    diagonal, whose own entries are 0."""
+    top = None
+    for entries in systems:
+        t = bound[:]
+        for j, i, w in entries:
+            if bound[i] + w < t[j]:
+                t[j] = bound[i] + w
+        if min(t) >= 0:
+            top = t if top is None else list(map(max, top, t))
+    return top
 
 
 def decide_max_closed(lang, inst, mode="max", window=None,
@@ -372,20 +396,30 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     Each variable's bound u starts at the top of the window (a contiguous
     ``range``, by default the bounded window; an empty one is UNSAT) and a
     constraint queue lowers it to the largest value the variable takes in a
-    relation tuple lying at or below u.  Soundness, for any language: every
-    solution stays componentwise at or below u, so a constraint with no tuple
-    left means UNSAT.  Greatest solution, for a max-closed language: at the
-    fixpoint each argument of a constraint reaches its bound in some tuple
-    below u, and the componentwise max of those tuples is the constraint's
-    restriction of u, so u is a solution and every other one lies below it.
-    ``mode="min"`` mirrors all of this with lower bounds.  The fixpoint is
-    always re-verified; if it is not a solution, ``_solutions`` searches the
-    same folds, its matrix rows the boxes between window edge and bound,
-    and the result is flagged as a fallback.  ``stats["revisions"]`` counts
-    bound steps.  The tables come from the window grids, so a relation past
-    ``DEFAULT_TABLE_CELLS`` raises ``BudgetExceeded`` before anything is
-    allocated; like the bounds, they run over offsets from the window's
-    start (``_window_grids``).
+    relation tuple lying in the window at or below u.  Soundness, for any
+    language: every solution stays componentwise at or below u, so a
+    constraint with no tuple left means UNSAT.  Greatest solution, for a
+    max-closed language: at the fixpoint each argument of a constraint
+    reaches its bound in some tuple below u, and the componentwise max of
+    those tuples is the constraint's restriction of u, so u is a solution
+    and every other one lies below it.  ``mode="min"`` mirrors all of this
+    with lower bounds.
+
+    The tuples are those of the closed difference systems of each
+    (relation, repeated-argument pattern) of ``_grouped``: the relation's
+    DNF split and closed by ``zones.closed``, arguments merged by the
+    pattern, kept with the formula.  ``_top`` gives all of a constraint's
+    largest values at once; lowering one bound to its value keeps every
+    tuple in the box, so the others stay valid.  Bounds run over offsets
+    from the window's start, and ``mode="min"`` reflects them (x to
+    W - 1 - x), which transposes each system.  No grid is built; the split
+    counts against the DNF literal budget, ``formula.DEFAULT_CLAUSE_BUDGET``.
+
+    The fixpoint is always re-verified; if it is not a solution,
+    ``_first_solution`` searches the window grids (``_window_grids``, phase
+    "max-closed fallback"), its matrix rows the boxes between window edge
+    and bound, and the result is flagged as a fallback.
+    ``stats["revisions"]`` counts bound steps.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
@@ -397,23 +431,29 @@ def decide_max_closed(lang, inst, mode="max", window=None,
         return SolveResult("UNSAT", reason="empty window", stats=stats)
     lo, hi = window.start, window.stop
 
-    constraints, folds, watchers = _window_grids(lang, inst, hi - lo,
-                                                 "bound tables")
-    tables = [_bound_tables(fold if mode == "max" else np.flip(fold))
-              for fold in folds]
+    constraints, keys, watchers = _grouped(inst)
+    systems = []
+    for name, pattern in keys:
+        f = lang.relation(name).formula
+        closed = f.reduced(("dnf zones", pattern), lambda: zones.closed(
+            to_dnf(f).clauses, pattern))
+        systems.append([[(j, i, w) if mode == "max" else (i, j, w)
+                         for j, row in enumerate(D)
+                         for i, w in enumerate(row) if i != j and w < math.inf]
+                        for D in closed])
     bound = [hi - lo - 1] * len(inst.names)
     queue = deque(range(len(constraints)))
     queued = [True] * len(constraints)
     while queue:
         ci = queue.popleft()
         queued[ci] = False
-        distinct, fi = constraints[ci]
-        for v, table in zip(distinct, tables[fi]):
-            top = int(table[tuple(bound[w] for w in distinct)])
-            if top < 0:
-                return SolveResult("UNSAT", reason="bound wipeout", stats=stats)
-            if top < bound[v]:
-                bound[v] = top
+        distinct, si = constraints[ci]
+        top = _top(systems[si], [bound[w] for w in distinct])
+        if top is None:
+            return SolveResult("UNSAT", reason="bound wipeout", stats=stats)
+        for v, t in zip(distinct, top):
+            if t < bound[v]:
+                bound[v] = t
                 stats["revisions"] = stats.get("revisions", 0) + 1
                 for cj in watchers[v]:
                     if not queued[cj]:
@@ -425,10 +465,10 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     assignment = {v: lo + b for v, b in zip(inst.names, bound)}
     if satisfies(lang, inst, assignment):
         return SolveResult("SAT", assignment, stats=stats)
+    tables = _window_grids(lang, inst, hi - lo, "max-closed fallback")
     columns, bound = np.arange(hi - lo), np.array(bound)[:, None]
     domains = columns <= bound if mode == "max" else columns >= bound
-    result = _first_solution(lang, inst, (constraints, folds, watchers),
-                             domains, lo, stats)
+    result = _first_solution(lang, inst, tables, domains, lo, stats)
     result.fallback = True
     return result
 

@@ -17,7 +17,8 @@ is a bound ``x_u - x_v <= w`` and ``!=`` splits exactly into ``<`` or
 ``>``, so a conjunction is a union of difference systems (``zones``); a
 feasible one projects onto any ``x_i - x_j`` as an integer interval.
 ``classify.difference_profile`` reads those intervals off the closed
-systems of a reduced DNF, which ``Formula.reduced`` keeps next to it.
+systems of a reduced DNF, and ``finite.decide_max_closed`` reads greatest
+tuples off those of a DNF; ``Formula.reduced`` keeps both next to it.
 """
 
 from __future__ import annotations
@@ -266,10 +267,12 @@ class Formula:
 
     def reduced(self, view, build):
         """Clauses of the reduced ``view`` ("cnf" or "dnf") as returned by
-        ``build()``, kept with the formula; ``classify`` also keeps here,
-        under ``("zones", arity)``, the closed difference systems of the
-        reduced DNF.  Racing threads may both run ``build``; the first
-        result stored wins, and both are equal."""
+        ``build()``, kept with the formula.  Closed difference systems
+        (``zones.closed``) are kept here too: ``classify``'s of the reduced
+        DNF under ``("zones", arity)``, and ``finite.decide_max_closed``'s
+        of the DNF, its arguments merged by a repeated-argument pattern,
+        under ``("dnf zones", pattern)``.  Racing threads may both run
+        ``build``; the first result stored wins, and both are equal."""
         out = self._reduced.get(view)
         if out is None:
             out = self._reduced.setdefault(view, build())

@@ -10,9 +10,9 @@ slicing can be done directly in index space.
 grids use it on ranges, ``finite.satisfies`` on columns of argument values.
 
 The preservation test of ``classify`` walks its case tree on *packed*
-grids: one Python int whose bit i holds C-order cell i (``pack``,
-``unpack``).  A whole grid is then one operand of a machine-word OR, AND or
-shift.  On axis a with width W and stride st (the product of the widths
+grids: one Python int whose bit i holds C-order cell i (``pack``).  A
+whole grid is then one operand of a machine-word OR, AND or shift.  On
+axis a with width W and stride st (the product of the widths
 after it), moving every cell j places along the axis is a shift by j * st
 bits; the cells whose index on the axis would pass either end land on a
 neighbouring line instead, and a mask of the cells whose index lies in
@@ -112,14 +112,6 @@ def pack(grid):
     """The boolean grid as one int, bit i holding C-order cell i."""
     return int.from_bytes(
         np.packbits(grid, axis=None, bitorder="little").tobytes(), "little")
-
-
-def unpack(bits, shape):
-    """The boolean grid of ``shape`` packed in ``bits``."""
-    n = math.prod(shape)
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool).reshape(
-        shape)
 
 
 # Bytes (one bit per cell) held by cached masks.  A mask over 1/64 of it is

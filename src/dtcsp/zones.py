@@ -19,6 +19,8 @@ and (j, i, -delta), and every new cycle through one of them weighs at
 least ``D(j -> i) + delta >= 0`` or ``D(i -> j) - delta >= 0``
 (difference-bound matrices; Mine, PADO 2001).  ``close`` computes all
 of them at once, and finds a negative cycle as a negative diagonal.
+``closed`` splits and closes a DNF in one step, for ``classify``'s
+profiles and for ``finite``'s bound propagation alike.
 """
 
 from __future__ import annotations
@@ -95,3 +97,19 @@ def close(edges, n):
     if any(D[u][u] < 0 for u in range(n)):
         return None
     return D
+
+
+def closed(terms, pattern):
+    """The matrices D of ``close`` of the feasible systems into which the
+    DNF ``terms`` split (``split``), variable i renamed ``pattern[i]``, over
+    ``max(pattern) + 1`` variables.  Renaming the arguments of a relation
+    applied to repeated variables merges them: an edge between two merged
+    variables becomes a loop, which makes the system infeasible iff its
+    weight is negative."""
+    n = max(pattern, default=-1) + 1
+    out = []
+    for edges in split(terms):
+        D = close([(pattern[u], pattern[v], w) for u, v, w in edges], n)
+        if D is not None:
+            out.append(D)
+    return tuple(out)

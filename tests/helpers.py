@@ -125,6 +125,14 @@ def legacy_difference_profile(rel, i, j):
     return DifferenceProfile(i, j, B, profile_spans(values), tag)
 
 
+def unpack(bits, shape):
+    """The boolean grid of ``shape`` packed in ``bits`` (``grids.pack``)."""
+    n = math.prod(shape)
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool).reshape(
+        shape)
+
+
 def grid_difference_profile(rel, i, j):
     """The profile read off the grid pinned at x_j (``grids.pinned_tables``)
     with half-width ``R = B + (arity - 2)(q + 1)``, ``B = q(arity - 1) + 2``.
@@ -138,8 +146,8 @@ def grid_difference_profile(rel, i, j):
     B = tau + 2
     R = B + (k - 2) * (q + 1)
     (bits,) = grids.pinned_tables([rel.formula.root], k, j, R)
-    grid = grids.unpack(bits, tuple(1 if a == j else 2 * R + 1
-                                    for a in range(k)))
+    grid = unpack(bits, tuple(1 if a == j else 2 * R + 1
+                              for a in range(k)))
     row = grid.any(axis=tuple(a for a in range(k) if a != i))
     members = row[R - B:R + B + 1]  # differences -B..B
     pos_fringe = members[B + tau + 1:]

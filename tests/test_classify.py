@@ -69,6 +69,7 @@ from helpers import (
     random_positive_language,
     strided_accumulate_leq_mod,
     t_relation_formula,
+    unpack,
 )
 
 # the module, which the package's ``classify`` function shadows
@@ -411,7 +412,7 @@ _GRIDS = hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=4,
 def test_pack_unpack_round_trip(arr):
     bits = grids.pack(arr)
     assert bits < 1 << arr.size
-    got = grids.unpack(bits, arr.shape)
+    got = unpack(bits, arr.shape)
     assert got.dtype == arr.dtype
     assert np.array_equal(got, arr)
 
@@ -433,7 +434,7 @@ def test_accumulate_leq_mod_matches_strided_reference(arr, d):
     bits = grids.pack(arr)
     for axis in range(arr.ndim):
         got = grids.accumulate_leq_mod(bits, arr.shape, axis, d)
-        assert np.array_equal(grids.unpack(got, arr.shape),
+        assert np.array_equal(unpack(got, arr.shape),
                               strided_accumulate_leq_mod(arr, axis, d))
 
 
@@ -443,7 +444,7 @@ def test_other_residue_any_matches_per_cell_reference(arr, d):
     bits = grids.pack(arr)
     for axis in range(arr.ndim):
         got = grids.other_residue_any(bits, arr.shape, axis, d)
-        assert np.array_equal(grids.unpack(got, arr.shape),
+        assert np.array_equal(unpack(got, arr.shape),
                               naive_other_residue_any(arr, axis, d))
 
 

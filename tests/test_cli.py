@@ -340,15 +340,20 @@ def test_solve_huge_modulus_exits_3_before_listing_residues(tmp_path,
 
 
 def test_solve_table_budget_exits_3(capsys, monkeypatch):
-    # the window {0, ..., 17} gives M/4 tables of 18^4 cells
-    # by auto routing to bound propagation, and by forced backtracking
+    # the window {0, ..., 17} gives M/4 a grid of 18^4 cells for forced
+    # backtracking; auto routing to bound propagation builds no grid
     monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
-    for flags in ((), ("--method", "bt")):
-        code, out, err = run(capsys, "solve", FIXTURES / "ring4.dtl",
-                             FIXTURES / "ring4.dti", *flags)
-        assert code == 3, flags
-        assert out == ""
-        assert "relation M" in err and "budget" in err
+    code, out, err = run(capsys, "solve", FIXTURES / "ring4.dtl",
+                         FIXTURES / "ring4.dti", "--json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["status"] == "SAT" and report["method"] == "ac"
+    assert report["stats"]["branches"] == 0  # no fallback search
+    code, out, err = run(capsys, "solve", FIXTURES / "ring4.dtl",
+                         FIXTURES / "ring4.dti", "--method", "bt")
+    assert code == 3
+    assert out == ""
+    assert "relation M" in err and "budget" in err
 
 
 def test_solve_search_budget_exits_3(capsys, monkeypatch):

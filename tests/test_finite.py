@@ -77,19 +77,22 @@ def test_bounded_window_examples():
 
 
 @st.composite
-def _backtracking_cases(draw):
-    """Random mixed language, up to 4 variables, arguments drawn with
-    repetition, and a default, offset or non-contiguous window."""
+def _backtracking_cases(draw, windows=st.sampled_from(
+        [None, range(2, 7), [0, 2, 5]]), least=0):
+    """Random mixed language (with ``!=`` and negated literals), 1 + least
+    to 4 variables, least to 5 constraints whose arguments are drawn with
+    repetition, and a window of ``windows``: by default a default, offset
+    or non-contiguous one."""
     lang = random_mixed_language(draw(st.integers(0, 10**6)), nrels=2,
                                  arity_max=3, q_max=2)
-    vs = tuple(f"v{i}" for i in range(draw(st.integers(1, 4))))
+    vs = tuple(f"v{i}" for i in range(draw(st.integers(1 + least, 4))))
     cons = []
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(least, 5))):
         rel = draw(st.sampled_from(lang.relations))
         args = draw(st.lists(st.sampled_from(vs), min_size=rel.arity,
                              max_size=rel.arity))
         cons.append((rel.name, tuple(args)))
-    window = draw(st.sampled_from([None, range(2, 7), [0, 2, 5]]))
+    window = draw(windows)
     return lang, Instance(vs, tuple(cons)), window
 
 
@@ -202,7 +205,7 @@ def test_decide_max_closed_empty_instance():
 @pytest.mark.parametrize("mode", ["max", "min"])
 def test_fallback_searches_the_bound_tables_grids(mode, monkeypatch):
     # a = b on the top (bottom) bounds violates N, so the search takes over
-    # on the window grids the bound tables came from: one grid per relation
+    # on window grids built for it: one grid per relation
     calls = []
 
     def counting(*args, **kwargs):
@@ -291,6 +294,28 @@ def test_decide_max_closed_needs_contiguous_range():
             decide_max_closed(ORDER_LANG, inst, window=window)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_backtracking_cases(windows=st.builds(
+           lambda lo, width: range(lo, lo + width),
+           st.integers(-5, 5), st.integers(2, 8)), least=1),
+       mode=st.sampled_from(["max", "min"]))
+def test_bound_fixpoint_matches_tuple_reference(case, mode):
+    # on any language the bound fixpoint is that of tuple enumeration, and
+    # the answer, by fixpoint or by fallback search, that of brute force;
+    # of the 300 cases about 130 end SAT on the fixpoint, 160 UNSAT on a
+    # wipeout and 10 in the fallback
+    lang, inst, window = case
+    got = decide_max_closed(lang, inst, mode=mode, window=window)
+    assert got.status == brute_solve(lang, inst, window).status
+    fixpoint = naive_bounds(lang, inst, window, mode=mode)
+    if fixpoint is None:
+        assert got.status == "UNSAT" and not got.fallback
+    elif satisfies(lang, inst, fixpoint):
+        assert got.assignment == fixpoint and not got.fallback
+    else:
+        assert got.fallback
+
+
 def _solutions(lang, inst, window):
     order = list(inst.variables)
     fns = [(lang.relation(nm).formula.compiled(),
@@ -376,20 +401,51 @@ def test_decide_on_hard_language_matches_oracle(mode):
     assert fallbacks >= 5
 
 
-def test_decide_ring_over_chain_scales():
-    # ternary ring x3 <= max(x1, x2) + 1 over the strict chain v0 < ... < v59,
-    # a 120-value window.  No timing assertion: arc-consistency over tuple
-    # lists takes minutes here, so a regression shows as a hung suite.
-    lang = parse_language("rel M/3 := x3 <= x1 + 1 | x3 <= x2 + 1\n"
+def _ring(n, offset=1, closed=False):
+    """Ternary ring x3 <= max(x1, x2) + offset over the strict chain
+    v0 < ... < v(n-1); closing the chain into a cycle makes it UNSAT."""
+    lang = parse_language(f"rel M/3 := x3 <= x1 + {offset} | x3 <= x2 + {offset}\n"
                           "rel C/2 := x1 <= x2 - 1")
-    n = 60
     vs = tuple(f"v{i}" for i in range(n))
     cons = [("M", (vs[i], vs[(i + 1) % n], vs[(i + 2) % n])) for i in range(n)]
     cons += [("C", (vs[i], vs[i + 1])) for i in range(n - 1)]
-    inst = Instance(vs, tuple(cons))
+    if closed:
+        cons.append(("C", (vs[-1], vs[0])))
+    return lang, Instance(vs, tuple(cons))
+
+
+def test_decide_ring_over_chain_scales():
+    # n = 200 gives a 600-value window, on which any table of M's 600^3
+    # cells takes hundreds of MB: the tracemalloc bound catches one.  No
+    # timing assertion: arc-consistency over tuple lists takes minutes here,
+    # so a slow regression shows as a hung suite.
+    lang, inst = _ring(200)
+    tracemalloc.start()
+    try:
+        res = decide_max_closed(lang, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.sat and not res.fallback
+    assert res.stats == {"revisions": 19900}
+    assert satisfies(lang, inst, res.assignment)
+    assert peak < 64 * 2**20
+    lang, inst = _ring(200, closed=True)
+    res = decide_max_closed(lang, inst)
+    assert res.status == "UNSAT" and not res.fallback
+    assert res.stats == {"revisions": 79401}
+
+
+def test_decide_large_offset_builds_no_window_grid():
+    # offset 1000 at n = 20: a 20020-value window, on which a grid of M
+    # spans 20020^3 cells, past any cell budget.  Called directly, as
+    # classify answers DEGENERATE_OR_UNKNOWN on this language (its
+    # preservation window passes the work budget), so auto routes it to bt
+    lang, inst = _ring(20, offset=1000)
     res = decide_max_closed(lang, inst)
     assert res.sat and not res.fallback
     assert satisfies(lang, inst, res.assignment)
+    assert res.assignment == {f"v{i}": 20000 + i for i in range(20)}
 
 
 RING4 = parse_language(
@@ -406,20 +462,34 @@ def _ring4(n):
 
 
 def test_decide_table_cell_budget(monkeypatch):
-    # n = 6 gives the window {0, ..., 17}, so M's tables span 18^4 cells
-    # for bound propagation and for backtracking, which share the grids
+    # n = 6 gives the window {0, ..., 17}, so M's grid spans 18^4 cells for
+    # backtracking; bound propagation reads M's closed systems, not a grid
     inst = _ring4(6)
-    for solve, phase in ((decide_max_closed, "bound tables"),
-                         (backtracking_solve, "arc-consistency grids")):
-        monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4)
-        assert solve(RING4, inst).sat
-        monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
-        with pytest.raises(BudgetExceeded) as exc:
-            solve(RING4, inst)
-        message = str(exc.value)
-        assert phase in message
-        assert "relation M" in message
-        assert str(18**4) in message
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
+    res = decide_max_closed(RING4, inst)
+    assert res.sat and not res.fallback
+    assert satisfies(RING4, inst, res.assignment)
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4)
+    assert backtracking_solve(RING4, inst).sat
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 18**4 - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        backtracking_solve(RING4, inst)
+    message = str(exc.value)
+    assert "arc-consistency grids" in message
+    assert "relation M" in message
+    assert str(18**4) in message
+
+
+def test_decide_fallback_grid_budget(monkeypatch):
+    # the top bounds a = b = 1 violate N, so the fallback builds N's grid
+    # over the window {0, 1}: 2^2 cells, past a budget of 3
+    lang = parse_language("rel N/2 := x1 != x2")
+    inst = Instance(("a", "b"), (("N", ("a", "b")),))
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 3)
+    with pytest.raises(BudgetExceeded) as exc:
+        decide_max_closed(lang, inst)
+    assert str(exc.value) == ("max-closed fallback: relation N needs 2^2 = 4 "
+                              "window cells, over the budget of 3")
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ _NOT_ON_SOLVE_ROUTES = {
     ("dtcsp.finite", "solve_mod_max"): "cli calls it through its own binding",
     ("dtcsp.finite", "backtracking_solve"):
         "cli calls it through its own binding, and no solver calls it: a "
-        "decide_max_closed fallback searches its own tables",
+        "decide_max_closed fallback builds its own window grids",
 }
 _ROUTES = (("horn", "f.dtl", "chain.dti"), ("ac", "maxrel.dtl", "maxinst.dti"),
            ("modmax", "t2.dtl", "t2.dti"), ("bt", "dist15.dtl", "triangle.dti"))
