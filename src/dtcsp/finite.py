@@ -15,8 +15,8 @@ generalized arc-consistency at every node on one domain matrix, a boolean
 array with one row per variable id and one column per window value.
 Languages preserved by a modular maximum or minimum run that same search
 over residues mod d, on the folds reduced to residue grids, and hand each
-residue vector's quotient instance to the bound fixpoint.  Only a window
-that is not a range is listed.
+residue vector to the bound fixpoint, on the quotients of the same closed
+systems (``zones.quotient``).  Only a window that is not a range is listed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import numpy as np
 
 from . import grids, zones
 from .errors import ArityError, BudgetExceeded, InternalError, ParseError
-from .formula import (And, Cmp, ConstraintLanguage, Formula, Literal, Not, Or,
-                      RelationDef, to_dnf)
+from .formula import ConstraintLanguage, to_dnf
 
 DEFAULT_BRANCH_BUDGET = 10**6
 # Window cells one relation's grid may span (see _window_grids), and window
@@ -236,15 +235,16 @@ def bounded_window(lang: ConstraintLanguage, inst: Instance) -> range:
 # ---------------------------------------------------------------------------
 # Constraint groups and window grids
 
-def _grouped(inst):
+def _grouped(inst, rho=None):
     """Each constraint's distinct arguments and (relation, repeated-argument
-    pattern).
+    pattern, residues).
 
     Returns ``(constraints, keys, watchers)``.  Per constraint, in
     declaration order, ``constraints`` holds its distinct argument ids in
-    order of first position and the index of its ``(relation name,
-    pattern)`` pair in ``keys``, where pattern maps each argument position
-    to its distinct argument, so R(x, x, y) has pattern (0, 0, 1).
+    order of first position and the index of its key in ``keys``: pattern
+    maps each argument position to its distinct argument, so R(x, x, y)
+    has pattern (0, 0, 1), and residues are the distinct arguments' in
+    ``rho`` (a list by variable id), or None without it.
     ``watchers[v]`` lists the constraints on variable id v, ascending.
     """
     key_index = {}
@@ -253,7 +253,8 @@ def _grouped(inst):
     for name, args, order in inst.groups:
         for ci, row in zip(order.tolist(), args.tolist()):
             distinct = tuple(dict.fromkeys(row))
-            key = (name, tuple(distinct.index(a) for a in row))
+            key = (name, tuple(distinct.index(a) for a in row),
+                   None if rho is None else tuple(rho[a] for a in distinct))
             if key not in key_index:
                 key_index[key] = len(keys)
                 keys.append(key)
@@ -265,30 +266,31 @@ def _grouped(inst):
     return constraints, keys, watchers
 
 
-def _window_grids(lang, inst, width, phase):
+def _window_grids(lang, inst, width, phase, d=1, rho=None):
     """Each constraint's relation grid over ``[0, width)``, folded onto its
     distinct arguments.  Relations are translation invariant, so the grid
     serves any window ``[lo, lo + width)``, cell c standing for lo + c,
-    wherever lo lies in Z.
+    wherever lo lies in Z; given ``rho`` (``_grouped``), cell c of
+    variable v stands for ``d * (lo + c) + rho[v]`` instead.
 
     Returns ``(constraints, folds, watchers)``: ``folds`` holds one grid
-    per (relation, repeated-argument pattern) of ``_grouped``, whose
-    ``constraints`` and ``watchers`` it shares.  Repeated arguments fold
-    onto the diagonal, so R(x, x, y) has two axes.  A relation of arity k
-    spans W^k window cells; past ``DEFAULT_TABLE_CELLS`` of them,
-    ``BudgetExceeded`` naming ``phase`` is raised before anything is
-    allocated.
+    per key of ``_grouped``, whose ``constraints`` and ``watchers`` it
+    shares.  Repeated arguments fold onto the diagonal, so R(x, x, y) has
+    two axes.  A relation of arity k spans W^k window cells; past
+    ``DEFAULT_TABLE_CELLS`` of them, ``BudgetExceeded`` naming ``phase``
+    is raised before anything is allocated.
     """
     _check_cells(lang, inst, width, phase)
-    constraints, keys, watchers = _grouped(inst)
+    constraints, keys, watchers = _grouped(inst, rho)
     relation_grids = {}
     folds = []
-    for name, pattern in keys:
-        if name not in relation_grids:
+    for name, pattern, res in keys:
+        at = None if res is None else tuple(res[p] for p in pattern)
+        if (name, at) not in relation_grids:
             rel = lang.relation(name)
-            relation_grids[name] = grids.grid_eval(rel.formula, rel.arity, 0,
-                                                   width)
-        folds.append(np.einsum(relation_grids[name], list(pattern),
+            relation_grids[name, at] = grids.grid_eval(
+                rel.formula, rel.arity, 0, width, residues=at, d=d)
+        folds.append(np.einsum(relation_grids[name, at], list(pattern),
                                list(range(max(pattern) + 1))))
     return constraints, folds, watchers
 
@@ -389,8 +391,8 @@ def _top(systems, bound):
     return top
 
 
-def decide_max_closed(lang, inst, mode="max", window=None,
-                      stats=None) -> SolveResult:
+def decide_max_closed(lang, inst, mode="max", window=None, stats=None,
+                      residues=None) -> SolveResult:
     """Decide by upper-bound propagation; the greatest solution on success.
 
     Each variable's bound u starts at the top of the window (a contiguous
@@ -415,32 +417,48 @@ def decide_max_closed(lang, inst, mode="max", window=None,
     W - 1 - x), which transposes each system.  No grid is built; the split
     counts against the DNF literal budget, ``formula.DEFAULT_CLAUSE_BUDGET``.
 
+    ``residues=(d, rho)``, rho a residue mod d per variable name, decides
+    the y with ``d * y + rho`` a solution and answers ``d * y + rho``: keys
+    add residues, systems are the relation's ``zones.quotient``, and the
+    default window over y is ``{0, ..., (q' + 1) * n - 1}``, q' the largest
+    ``zones.quotient_degree`` of the applied relations.
+
     The fixpoint is always re-verified; if it is not a solution,
     ``_first_solution`` searches the window grids (``_window_grids``, phase
-    "max-closed fallback"), its matrix rows the boxes between window edge
-    and bound, and the result is flagged as a fallback.
-    ``stats["revisions"]`` counts bound steps.
+    "max-closed fallback", over the quotient with ``residues``), its
+    matrix rows the boxes between window edge and bound, and the result is
+    flagged as a fallback.  ``stats["revisions"]`` counts bound steps.
     """
     stats = stats if stats is not None else {}
     if not inst.variables:
         return SolveResult("SAT", {}, stats=stats)
-    window = bounded_window(lang, inst) if window is None else window
-    if not isinstance(window, range) or window.step != 1:
+    if window is not None and (not isinstance(window, range)
+                               or window.step != 1):
         raise ValueError("window must be a contiguous range")
-    if not window:
+    if window is not None and not window:
         return SolveResult("UNSAT", reason="empty window", stats=stats)
-    lo, hi = window.start, window.stop
+    d, rho = residues if residues is not None else (1, None)
+    rho = None if rho is None else [rho[v] for v in inst.names]
 
-    constraints, keys, watchers = _grouped(inst)
-    systems = []
-    for name, pattern in keys:
+    constraints, keys, watchers = _grouped(inst, rho)
+    systems, degree = [], lang.q if rho is None else 0
+    for name, pattern, res in keys:
         f = lang.relation(name).formula
         closed = f.reduced(("dnf zones", pattern), lambda: zones.closed(
             to_dnf(f).clauses, pattern))
+        if res is not None:
+            closed, q = f.reduced(("dnf zones", pattern, d, res), lambda: (
+                tuple(Q for Q in (zones.quotient(D, res, d) for D in closed)
+                      if Q is not None),
+                zones.quotient_degree(f.root, [res[p] for p in pattern], d)))
+            degree = max(degree, q)
         systems.append([[(j, i, w) if mode == "max" else (i, j, w)
                          for j, row in enumerate(D)
                          for i, w in enumerate(row) if i != j and w < math.inf]
                         for D in closed])
+    if window is None:
+        window = range(0, (degree + 1) * len(inst.variables))
+    lo, hi = window.start, window.stop
     bound = [hi - lo - 1] * len(inst.names)
     queue = deque(range(len(constraints)))
     queued = [True] * len(constraints)
@@ -462,13 +480,14 @@ def decide_max_closed(lang, inst, mode="max", window=None,
 
     if mode == "min":
         bound = [hi - lo - 1 - b for b in bound]
-    assignment = {v: lo + b for v, b in zip(inst.names, bound)}
+    start = [d * lo + r for r in rho or [0] * len(bound)]
+    assignment = {v: s + d * b for v, s, b in zip(inst.names, start, bound)}
     if satisfies(lang, inst, assignment):
         return SolveResult("SAT", assignment, stats=stats)
-    tables = _window_grids(lang, inst, hi - lo, "max-closed fallback")
+    tables = _window_grids(lang, inst, hi - lo, "max-closed fallback", d, rho)
     columns, bound = np.arange(hi - lo), np.array(bound)[:, None]
     domains = columns <= bound if mode == "max" else columns >= bound
-    result = _first_solution(lang, inst, tables, domains, lo, stats)
+    result = _first_solution(lang, inst, tables, domains, start, stats, d)
     result.fallback = True
     return result
 
@@ -551,15 +570,18 @@ def backtracking_solve(lang, inst, window=None, stats=None) -> SolveResult:
         domains[:, window.start - lo:window.stop - lo:window.step] = True
     else:
         domains[:, [v - lo for v in window]] = True
-    return _first_solution(lang, inst, tables, domains, lo, stats)
+    return _first_solution(lang, inst, tables, domains,
+                           [lo] * len(inst.names), stats)
 
 
-def _first_solution(lang, inst, tables, domains, lo, stats):
-    """The first solution within ``domains`` (column 0 is ``lo``), checked."""
+def _first_solution(lang, inst, tables, domains, start, stats, d=1):
+    """The first solution within ``domains``, column c of variable id v
+    standing for ``start[v] + d * c``, checked."""
     found = next(_solutions(domains, tables, stats, "backtracking"), None)
     if found is None:
         return SolveResult("UNSAT", stats=stats)
-    found = {v: lo + col for v, col in zip(inst.names, found.tolist())}
+    found = {v: s + d * c
+             for v, s, c in zip(inst.names, start, found.tolist())}
     if not satisfies(lang, inst, found):
         raise InternalError("backtracking produced a non-solution")
     return SolveResult("SAT", found, stats=stats)
@@ -592,31 +614,6 @@ def _residue_tables(lang, inst, d):
     return constraints, residues, watchers
 
 
-def _quotient_literal(lit: Literal, r_lhs, r_rhs, d):
-    """Rewrite a literal under x = d*x' + r(x); None means constant."""
-    if lit.cmp in (Cmp.LEQ, Cmp.LT):
-        c = lit.offset if lit.cmp is Cmp.LEQ else lit.offset - 1
-        shifted = c + r_rhs - r_lhs
-        return Literal(lit.lhs, lit.rhs, Cmp.LEQ, shifted // d)
-    shifted = lit.offset + r_rhs - r_lhs
-    if shifted % d != 0:
-        # the congruence is impossible: EQ is constant false, NEQ constant true
-        if lit.cmp is Cmp.EQ:
-            return Literal(lit.lhs, lit.lhs, Cmp.LT, 0)
-        return Literal(lit.lhs, lit.lhs, Cmp.LEQ, 0)
-    return Literal(lit.lhs, lit.rhs, lit.cmp, shifted // d)
-
-
-def _quotient_node(node, residues, d):
-    if isinstance(node, Literal):
-        return _quotient_literal(node, residues[node.lhs], residues[node.rhs], d)
-    if isinstance(node, Not):
-        return Not(_quotient_node(node.part, residues, d))
-    if isinstance(node, And):
-        return And(tuple(_quotient_node(p, residues, d) for p in node.parts))
-    return Or(tuple(_quotient_node(p, residues, d) for p in node.parts))
-
-
 def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
     """Two-phase decision for languages preserved by a d-modular max or min.
 
@@ -626,12 +623,12 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
     is pruned by arc-consistency; its quotient would be unsatisfiable.
     Domains of more than ``DEFAULT_TABLE_CELLS`` residues raise
     ``BudgetExceeded`` before the matrix is allocated.
-    Phase two substitutes ``v = d * v' + residue(v)`` into each constraint
-    formula (offsets floor-divide; equalities require divisibility),
-    producing a quotient instance handled by the max-closed decision
-    procedure.  The first residue vector, in lexicographic order, whose
-    quotient is satisfiable gives the witness, which is re-verified; if
-    there is none the instance is unsatisfiable.
+    Phase two decides each residue vector's quotient, the y with
+    ``d * y + residue`` a solution, by ``decide_max_closed`` with
+    ``residues``, on the quotients of the relations' closed systems.  The
+    first residue vector, in lexicographic order, whose quotient is
+    satisfiable gives the witness, verified there; if there is none the
+    instance is unsatisfiable.
     """
     stats = stats if stats is not None else {}
     if d < 1:
@@ -641,32 +638,9 @@ def solve_mod_max(lang, inst, d, mode="max", stats=None) -> SolveResult:
     tables = _residue_tables(lang, inst, d)
     _check_domains(d, "residue search")
     domains = np.ones((len(inst.names), d), dtype=bool)
-
-    quotient_rel_cache = {}
     for cols in _solutions(domains, tables, stats, "residue search"):
-        rho = dict(zip(inst.names, cols.tolist()))
-        qrels = {}  # by name, in order of first use
-        qconstraints = []
-        for name, args in inst.constraints:
-            rel = lang.relation(name)
-            residues = tuple(rho[a] for a in args)
-            key = (name, residues)
-            if key not in quotient_rel_cache:
-                qroot = _quotient_node(rel.formula.root, residues, d)
-                qname = f"{name}~{'_'.join(map(str, residues))}"
-                quotient_rel_cache[key] = RelationDef(qname, rel.arity,
-                                                      Formula(qroot))
-            qrel = quotient_rel_cache[key]
-            qrels.setdefault(qrel.name, qrel)
-            qconstraints.append((qrel.name, args))
-        qlang = ConstraintLanguage(tuple(qrels.values()))
-        qinst = Instance(inst.variables, tuple(qconstraints))
-        sub = decide_max_closed(qlang, qinst, mode=mode, stats=stats)
+        sub = decide_max_closed(lang, inst, mode=mode, stats=stats, residues=(
+            d, dict(zip(inst.names, cols.tolist()))))
         if sub.sat:
-            assignment = {v: d * sub.assignment[v] + rho[v]
-                          for v in inst.names}
-            if not satisfies(lang, inst, assignment):
-                raise InternalError("modular pipeline witness failed")
-            return SolveResult("SAT", assignment, fallback=sub.fallback,
-                               stats=stats)
+            return sub
     return SolveResult("UNSAT", stats=stats)

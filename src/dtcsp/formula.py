@@ -18,7 +18,7 @@ is a bound ``x_u - x_v <= w`` and ``!=`` splits exactly into ``<`` or
 feasible one projects onto any ``x_i - x_j`` as an integer interval.
 ``classify.difference_profile`` reads those intervals off the closed
 systems of a reduced DNF, and ``finite.decide_max_closed`` reads greatest
-tuples off those of a DNF; ``Formula.reduced`` keeps both next to it.
+tuples off those of a DNF or their quotients; ``Formula.reduced`` keeps them.
 """
 
 from __future__ import annotations
@@ -119,14 +119,15 @@ class Not:
     part: object
 
 
-def _walk_literals(node):
+def walk_literals(node):
+    """The literals of a formula node, left to right, repeats included."""
     if isinstance(node, Literal):
         yield node
     elif isinstance(node, Not):
-        yield from _walk_literals(node.part)
+        yield from walk_literals(node.part)
     else:
         for p in node.parts:
-            yield from _walk_literals(p)
+            yield from walk_literals(p)
 
 
 def _eval_node(node, get) -> bool:
@@ -241,7 +242,7 @@ class Formula:
 
     def variables(self) -> tuple:
         if self._vars is None:
-            self._vars = tuple(sorted({i for lit in _walk_literals(self.root)
+            self._vars = tuple(sorted({i for lit in walk_literals(self.root)
                                        for i in (lit.lhs, lit.rhs)}))
         return self._vars
 
@@ -253,7 +254,7 @@ class Formula:
     @property
     def qe_degree(self) -> int:
         if self._q is None:
-            self._q = max((abs(l.offset) for l in _walk_literals(self.root)), default=0)
+            self._q = max((abs(l.offset) for l in walk_literals(self.root)), default=0)
         return self._q
 
     def evaluate(self, assignment) -> bool:
@@ -270,9 +271,9 @@ class Formula:
         ``build()``, kept with the formula.  Closed difference systems
         (``zones.closed``) are kept here too: ``classify``'s of the reduced
         DNF under ``("zones", arity)``, and ``finite.decide_max_closed``'s
-        of the DNF, its arguments merged by a repeated-argument pattern,
-        under ``("dnf zones", pattern)``.  Racing threads may both run
-        ``build``; the first result stored wins, and both are equal."""
+        of the DNF per argument pattern, and their ``zones.quotient``, under
+        ``("dnf zones", pattern)`` and ``("dnf zones", pattern, d, residues)``.
+        Racing threads may both run ``build``; the first stored wins."""
         out = self._reduced.get(view)
         if out is None:
             out = self._reduced.setdefault(view, build())
@@ -544,7 +545,7 @@ class RelationDef:
     @property
     def dialect(self) -> Dialect:
         # Self-comparisons like x1 <= x1 are constants, not order atoms.
-        for lit in _walk_literals(self.formula.root):
+        for lit in walk_literals(self.formula.root):
             if lit.cmp in (Cmp.LEQ, Cmp.LT) and lit.lhs != lit.rhs:
                 return Dialect.ORDER
         return Dialect.SUCCESSOR_ONLY

@@ -81,15 +81,17 @@ def _box_axes(ranges):
     """Shape of the box and one value array per variable, variable i
     ranging over ``ranges[i]`` along axis i; they broadcast to the box."""
     shape = tuple(len(r) for r in ranges)
-    axes = [np.arange(r.start, r.stop, dtype=np.int64).reshape(
+    axes = [np.arange(r.start, r.stop, r.step, dtype=np.int64).reshape(
                 [w if a == i else 1 for a, w in enumerate(shape)])
             for i, r in enumerate(ranges)]
     return shape, axes
 
 
-def grid_eval(formula, arity, lo, hi):
-    """Boolean grid of the formula over ``[lo, hi)^arity``."""
-    shape, axes = _box_axes([range(lo, hi)] * arity)
+def grid_eval(formula, arity, lo, hi, residues=None, d=1):
+    """Boolean grid of the formula over ``[lo, hi)^arity``; with
+    ``residues``, cell c on axis i is ``d * (lo + c) + residues[i]``."""
+    shape, axes = _box_axes([range(d * lo + r, d * hi + r, d)
+                             for r in residues or [0] * arity])
     full = np.broadcast_to(eval_node(formula.root, axes), shape)
     return np.ascontiguousarray(full)
 

@@ -20,7 +20,7 @@ least ``D(j -> i) + delta >= 0`` or ``D(i -> j) - delta >= 0``
 (difference-bound matrices; Mine, PADO 2001).  ``close`` computes all
 of them at once, and finds a negative cycle as a negative diagonal.
 ``closed`` splits and closes a DNF in one step, for ``classify``'s
-profiles and for ``finite``'s bound propagation alike.
+profiles and for ``finite``'s bound propagation and its quotients alike.
 """
 
 from __future__ import annotations
@@ -102,14 +102,42 @@ def close(edges, n):
 def closed(terms, pattern):
     """The matrices D of ``close`` of the feasible systems into which the
     DNF ``terms`` split (``split``), variable i renamed ``pattern[i]``, over
-    ``max(pattern) + 1`` variables.  Renaming the arguments of a relation
+    ``max(pattern) + 1`` variables, in order, less each one inside another:
+    as D(i -> j) is attained, that is one entrywise at most another (of
+    equal ones the first stays).  Renaming the arguments of a relation
     applied to repeated variables merges them: an edge between two merged
     variables becomes a loop, which makes the system infeasible iff its
     weight is negative."""
+    def inside(D, E):  # entrywise D <= E
+        return all(a <= b for Du, Eu in zip(D, E) for a, b in zip(Du, Eu))
+
     n = max(pattern, default=-1) + 1
     out = []
     for edges in split(terms):
         D = close([(pattern[u], pattern[v], w) for u, v, w in edges], n)
-        if D is not None:
-            out.append(D)
+        if D is not None and not any(inside(D, E) for E in out):
+            out = [E for E in out if not inside(E, D)] + [D]
     return tuple(out)
+
+
+def quotient(D, residues, d):
+    """The closed system of the y with ``d * y + residues`` a solution of
+    the closed system D, or None if there is none: an exact rewrite over Z
+    of each edge, to ``y_u - y_v <= floor((D[u][v] - r_u + r_v) / d)``."""
+    return close([(u, v, (w - residues[u] + residues[v]) // d)
+                  for u, row in enumerate(D) for v, w in enumerate(row)
+                  if u != v and w < math.inf], len(D))
+
+
+def quotient_degree(root, residues, d):
+    """The qe-degree of ``root`` under ``x = d * y + residues``: each
+    ``x_a cmp x_b + c`` becomes ``y_a cmp y_b + s / d``, s = c - r_a + r_b,
+    floored for ``<=`` and ``<`` (``<=`` with s - 1), or else a constant
+    when d does not divide s."""
+    q = 0
+    for lit in formula.walk_literals(root):
+        s = lit.offset - residues[lit.lhs] + residues[lit.rhs]
+        s -= lit.cmp is Cmp.LT
+        if lit.cmp in (Cmp.LEQ, Cmp.LT) or s % d == 0:
+            q = max(q, abs(s // d))
+    return q

@@ -584,6 +584,26 @@ def test_congruence_example_sat_verified():
     assert res.assignment["y"] - res.assignment["x"] == 2
 
 
+def test_quotient_window_reads_the_applied_quotients():
+    # x2 = x1 + 4 at residues (0, 0) is y2 = y1 + 2: q' = 2 and the window
+    # over y is {0, ..., 5}, whatever offsets unapplied relations hold
+    lang = parse_language("rel S/2 := x2 = x1 + 4\nrel B/2 := x2 <= x1 + 100")
+    inst = Instance(("a", "b"), (("S", ("a", "b")),))
+    assert solve_mod_max(lang, inst, 2).assignment == {"a": 6, "b": 10}
+    assert solve_mod_max(lang, inst, 2, mode="min").assignment == {"a": 0,
+                                                                  "b": 4}
+
+
+def test_quotients_are_kept_per_modulus():
+    # one formula, two moduli: y2 = y1 + 3 on {0, ..., 7}, then y2 = y1 + 2
+    # on {0, ..., 5}, each from its own quotient systems (no fallback)
+    lang = parse_language("rel S/2 := x2 = x1 + 6")
+    inst = Instance(("a", "b"), (("S", ("a", "b")),))
+    for d, want in ((2, {"a": 8, "b": 14}), (3, {"a": 9, "b": 15})):
+        res = solve_mod_max(lang, inst, d)
+        assert (res.assignment, res.fallback) == (want, False)
+
+
 def test_parity_conflict_unsat():
     lang = parse_language(
         "rel Even6/2 := x2 = x1 - 6 | x2 = x1 - 4 | x2 = x1 - 2 | x2 = x1"
@@ -657,6 +677,67 @@ def test_modular_language_agreement_sample():
         assert got.status == want.status, f"seed {seed}"
         if got.sat:
             assert satisfies(lang, inst, got.assignment)
+
+
+def test_quotient_fallback_matches_brute_force():
+    # forced moduli on languages that no modular max need preserve: some
+    # quotient fixpoints are no solution, and the search over quotient grids
+    # takes over
+    fallbacks = 0
+    for seed in range(300):
+        lang = random_mixed_language(seed, nrels=2, arity_max=3, q_max=2)
+        inst = capped_instance(lang, seed, nmax=4, cmax=5)
+        want = brute_solve(lang, inst, bounded_window(lang, inst))
+        for d in (2, 3):
+            got = solve_mod_max(lang, inst, d)
+            assert got.status == want.status, (seed, d)
+            if got.sat:
+                assert satisfies(lang, inst, got.assignment)
+            fallbacks += got.fallback
+    assert fallbacks
+
+
+def test_quotient_fallback_pinned():
+    # R1(v0, v3) is v0 != v3: the residue vector of zeros comes first, its
+    # quotient's bound fixpoint puts v0 = v3, and the fallback finds y_3 = 1
+    lang = random_mixed_language(19, nrels=2, arity_max=3, q_max=2)
+    inst = capped_instance(lang, 19, nmax=4, cmax=5)
+    assert inst.constraints == (("R1", ("v0", "v3")),)
+    assert solve_mod_max(lang, inst, 2) == SolveResult(
+        "SAT", {"v0": 0, "v1": 0, "v2": 0, "v3": 2}, fallback=True,
+        stats={"branches": 10, "revisions": 1})
+
+
+def test_quotient_fallback_budget_names_the_relation(monkeypatch):
+    # the residue grids span 4^2 cells, the quotient's fallback grid 5^2
+    lang = parse_language("rel N/2 := x1 != x2")
+    inst = Instance(tuple("abcde"), (("N", ("a", "b")),))
+    monkeypatch.setattr(finite, "DEFAULT_TABLE_CELLS", 16)
+    with pytest.raises(BudgetExceeded) as exc:
+        solve_mod_max(lang, inst, 2)
+    assert str(exc.value) == ("max-closed fallback: relation N needs 5^2 = 25 "
+                              "window cells, over the budget of 16")
+
+
+def test_one_quotient_decision_per_residue_vector(monkeypatch):
+    # D(a, b), D(b, a) leaves a = b mod 2 and two free variables: 8 residue
+    # vectors, each with an UNSAT quotient decided by the module-level
+    # decide_max_closed, which perfbench counts as finite.quotient_solves
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["residues"])
+        return decide(*args, **kwargs)
+
+    decide = finite.decide_max_closed
+    monkeypatch.setattr(finite, "decide_max_closed", counting)
+    lang = parse_language("rel D/2 := x2 = x1 + 2")
+    inst = Instance(("a", "b", "c", "e"), (("D", ("a", "b")),
+                                           ("D", ("b", "a"))))
+    stats = {}
+    assert solve_mod_max(lang, inst, 2, stats=stats).status == "UNSAT"
+    assert len(calls) == 8 and stats["branches"] == 17
+    assert calls[0] == (2, {"a": 0, "b": 0, "c": 0, "e": 0})
 
 
 def test_auto_routing_agrees_with_oracle():
