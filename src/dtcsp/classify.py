@@ -74,11 +74,11 @@ from .formula import (
 )
 
 # A counted window cell costs one byte of the relation grid (a few more for a
-# moment, while the grid is evaluated or flipped) and one bit in each packed
+# moment, while the grid is evaluated or packed) and one bit in each packed
 # int the case-tree walk holds at once: the grid, its complement and one
 # transform per level, plus a kernel's temporaries, about arity + 6 ints.
 # ``rel P/4 := x1 = x2 + 12 & x3 = x4 + 12`` (89^4 = 6.3e7 cells) peaks at
-# 189 MB RSS; a walk on boolean ndarrays took 530 MB on 93^4 cells.
+# 170 MB RSS; a walk on boolean ndarrays took 530 MB on 93^4 cells.
 DEFAULT_CELL_BUDGET = 2 * 10**8
 DEFAULT_OP_BUDGET = 6 * 10**9
 
@@ -278,8 +278,9 @@ def preserved_by(rel: RelationDef, op: OperationSpec,
     is a few big-int operations over ``W^k / 64`` machine words: on a window
     of width W, a transform on one axis takes about ``log2(W / d)`` shifted
     reads for the same-class OR and, when d > 1, ``2 log2(W / d) + 2(d - 1)``
-    more for the other classes, each a shift, an AND with a cached mask and
-    an OR; a leaf test is two ANDs.
+    more for the other classes, each a shift, an AND with a mask and an OR
+    (and each mask but the first of a run of reads one shift and AND more,
+    ``grids``); a leaf test is two ANDs.
     """
     if halfwidth is None:
         small = min(rel.formula.qe_degree + op.d + 1,
@@ -317,7 +318,7 @@ def _scan_window(rel, op, B):
     flipped = op.kind in (OpKind.MIN, OpKind.MODMIN)
     R = grids.grid_eval(rel.formula, k, -B, B + 1)
     if flipped:
-        R = R[(slice(None, None, -1),) * k].copy()
+        R = R[(slice(None, None, -1),) * k]
     hit = _first_violation(R, d)
     if hit is None:
         return PreservationResult(True, halfwidth=B)

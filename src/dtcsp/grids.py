@@ -12,14 +12,19 @@ grids use it on ranges, ``finite.satisfies`` on columns of argument values.
 The preservation test of ``classify`` walks its case tree on *packed*
 grids: one Python int whose bit i holds C-order cell i (``pack``).  A
 whole grid is then one operand of a machine-word OR, AND or shift.  On
-axis a with width W and stride st (the product of the widths
-after it), moving every cell j places along the axis is a shift by j * st
-bits; the cells whose index on the axis would pass either end land on a
-neighbouring line instead, and a mask of the cells whose index lies in
-range clears them (``_read``, ``_spread``).  Masks are cached by shape,
-axis and index range, in a cache bounded in bytes that drops its oldest
-masks first; one lock guards its inserts and evictions, so threads may
-share it.
+axis a with width W and stride st (the product of the widths after it),
+moving every cell j places along the axis is a shift by j * st bits; the
+cells whose index on the axis would pass either end land on a neighbouring
+line instead, and the mask of the cells i with i + j on the axis clears
+them (``_build_mask``).  A kernel takes the first mask of each run of reads
+from ``_mask``, a ``functools.lru_cache`` that threads may share
+(``_base_mask``), and derives the rest from it.  Reading s places back, the
+mask M_s holds the cells with i >= s, and for 0 < e <= s
+M_(s+e) = M_s & (M_s << e * st): the shift moves every bit e places up its
+line, and carries those with i >= W - e onto the next line at index
+i + e - W < e <= s, which the AND with M_s clears.  Reading forward is the
+mirror image, with shifts down.  The doublings take e = s, the unit steps
+of ``other_residue_any`` e = 1.
 The two residue transforms are doublings over such reads:
 
 * ``accumulate_leq_mod`` ORs into each cell the cell s places below it, for
@@ -40,8 +45,8 @@ The two residue transforms are doublings over such reads:
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 
@@ -116,38 +121,23 @@ def pack(grid):
         np.packbits(grid, axis=None, bitorder="little").tobytes(), "little")
 
 
-# Bytes (one bit per cell) held by cached masks.  A mask over 1/64 of it is
-# built on every call and never cached, so the cache keeps at least 64
-# masks: about what one walk of an arity-4 window, or of an arity-3 window
-# with d up to 8, reads.
+# Bytes held by cached masks, one bit per cell: ``_mask`` keeps up to 1,024
+# masks of at most 1/1,024 of it each, 2^14 cells, and a larger mask is built
+# on every call.  The walks of the classify benchmark read under 200
+# distinct cached masks, the largest on 21^3 = 9,261 cells.
 _MASK_CACHE_BYTES = 2 * 2**20
-_masks = {}  # (shape, axis, lo, hi) -> mask, oldest first
-_mask_bytes = 0
-_mask_lock = threading.Lock()
 
 
-def _mask(shape, axis, lo, hi):
-    """Bits of the cells of ``shape`` whose index on ``axis`` lies in
-    ``[lo, hi)``."""
-    global _mask_bytes
-    key = (shape, axis, lo, hi)
-    mask = _masks.get(key)  # one dict lookup: atomic, so it needs no lock
-    if mask is not None:
-        return mask
-    stride = math.prod(shape[axis + 1:])
-    mask = _repeat(((1 << (hi - lo) * stride) - 1) << lo * stride,
-                   shape[axis] * stride, math.prod(shape[:axis]))
-    size = (math.prod(shape) + 7) // 8
-    if size <= _MASK_CACHE_BYTES // 64:
-        with _mask_lock:
-            if key not in _masks:
-                _masks[key] = mask
-                _mask_bytes += size
-            while _mask_bytes > _MASK_CACHE_BYTES:
-                old = next(iter(_masks))
-                del _masks[old]
-                _mask_bytes -= (math.prod(old[0]) + 7) // 8
-    return mask
+def _build_mask(shape, axis, j):
+    """Bits of the cells of ``shape`` whose index i on ``axis`` has i + j on
+    the axis too, for 0 < |j| < its width."""
+    width, stride = shape[axis], math.prod(shape[axis + 1:])
+    lo, hi = max(0, -j), width - max(0, j)
+    return _repeat(((1 << (hi - lo) * stride) - 1) << lo * stride,
+                   width * stride, math.prod(shape[:axis]))
+
+
+_mask = functools.lru_cache(maxsize=1024)(_build_mask)
 
 
 def _repeat(block, period, count):
@@ -164,30 +154,29 @@ def _repeat(block, period, count):
         period *= 2
 
 
-def _read(bits, shape, axis, j):
-    """The packed grid read ``j`` places along ``axis``: cell i takes the
-    cell at index i + j on its line, or False past either end."""
-    width = shape[axis]
-    if abs(j) >= width:
-        return 0
-    shift = abs(j) * math.prod(shape[axis + 1:])
-    if j > 0:
-        return (bits >> shift) & _mask(shape, axis, 0, width - j)
-    return (bits << shift) & _mask(shape, axis, -j, width)
+def _base_mask(shape, axis, j):
+    """``_build_mask``, from the cache ``_mask`` on grids of up to 2^14
+    cells."""
+    if math.prod(shape) * 1024 <= _MASK_CACHE_BYTES * 8:
+        return _mask(shape, axis, j)
+    return _build_mask(shape, axis, j)
 
 
 def _spread(bits, shape, axis, d, step):
     """OR into each cell the same-class cells on its line that lie below it
-    (``step`` -1) or above it (``step`` 1), by doubling."""
+    (``step`` -1) or above it (``step`` 1), by doubling; each read's mask
+    is derived from the one before."""
     width, stride = shape[axis], math.prod(shape[axis + 1:])
-    s = d
-    while s < width:
-        if step > 0:
-            bits |= (bits >> s * stride) & _mask(shape, axis, 0, width - s)
-        else:
-            bits |= (bits << s * stride) & _mask(shape, axis, s, width)
-        s *= 2
-    return bits
+    if d >= width:
+        return bits
+    mask, n = _base_mask(shape, axis, step * d), d * stride
+    while True:
+        bits |= (bits >> n if step > 0 else bits << n) & mask
+        d *= 2
+        if d >= width:
+            return bits
+        mask &= mask >> n if step > 0 else mask << n
+        n *= 2
 
 
 def accumulate_leq_mod(bits, shape, axis, d):
@@ -199,10 +188,16 @@ def accumulate_leq_mod(bits, shape, axis, d):
 def other_residue_any(bits, shape, axis, d):
     """OR over all positions along ``axis`` whose index residue mod d
     differs from the cell's own, of the packed grid ``bits`` of ``shape``."""
-    if d == 1:
+    width, stride = shape[axis], math.prod(shape[axis + 1:])
+    if d == 1 or width == 1:
         return 0
     same = _spread(_spread(bits, shape, axis, d, -1), shape, axis, d, 1)
-    out = 0
-    for j in range(1, d):
-        out |= _read(same, shape, axis, j) | _read(same, shape, axis, j - d)
-    return out
+    fwd, back = _base_mask(shape, axis, 1), _base_mask(shape, axis, -1)
+    out, n = 0, stride
+    while True:
+        out |= (same >> n) & fwd | (same << n) & back
+        n += stride
+        if n >= min(d, width) * stride:
+            return out
+        fwd &= fwd >> stride
+        back &= back << stride

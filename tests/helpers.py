@@ -444,7 +444,7 @@ def naive_other_residue_any(arr, axis, d):
     return out
 
 
-def _numpy_other_residue_any(arr, axis, d):
+def numpy_other_residue_any(arr, axis, d):
     """``grids.other_residue_any`` on a boolean ndarray: count the residue
     phases of each line that hold a cell; another phase than a cell's own
     holds one iff more phases do than its own alone."""
@@ -481,7 +481,7 @@ def numpy_first_violation(R, d):
                     tuple(codes[c][1] for c in choices))
         T_s = strided_accumulate_leq_mod(T, axis, d)
         if d > 1:
-            T_s |= _numpy_other_residue_any(T, axis, d)
+            T_s |= numpy_other_residue_any(T, axis, d)
         hit = walk(outside, S, T_s, choices + ("s",))
         if hit is not None or (d == 1 and axis == 0):
             return hit

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import math
@@ -7,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -63,6 +64,7 @@ from helpers import (
     modular_language,
     naive_other_residue_any,
     numpy_first_violation,
+    numpy_other_residue_any,
     pattern_reachable,
     profile_spans,
     random_mixed_language,
@@ -427,6 +429,23 @@ def test_lowest_set_bit_is_first_cell_in_c_order(arr):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), R=_GRIDS, d=st.integers(1, 5))
+def test_reversed_view_reads_as_its_copy(data, R, d):
+    # the MIN and MODMIN walks read the relation grid through a reversed
+    # view, never copied: packing and the first members read it as a copy
+    view = R[(slice(None, None, -1),) * R.ndim]
+    u = tuple(data.draw(st.integers(0, w - 1)) for w in R.shape)
+    codes = tuple(data.draw(st.sampled_from(["eq", "le", "le_or_other"]))
+                  for _ in R.shape)
+    view[u] = True  # u meets every code, so a member exists
+    copy = view.copy()
+    assert grids.pack(view) == grids.pack(copy)
+    assert _first_violation(view, d) == _first_violation(copy, d)
+    assert (_first_member(view, u, codes, d)
+            == _first_member(copy, u, codes, d))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(arr=_GRIDS, d=st.integers(1, 9))
 def test_accumulate_leq_mod_matches_strided_reference(arr, d):
     # widths up to 7 against moduli up to 9: widths not divisible by d and
@@ -459,17 +478,15 @@ def test_packed_walk_matches_numpy_walk(R, d):
 
 
 def test_mask_cache_is_safe_across_threads(monkeypatch):
-    # a cache of 512 KiB keeps masks of up to 8 KiB and evicts all the time;
-    # threads switching often used to evict the same mask twice, or iterate
-    # over the cache while another thread inserted into it
+    # an LRU of 8 masks evicts all the time; threads switching often must
+    # still find or build the masks that the serial walks read
     from concurrent.futures import ThreadPoolExecutor
     texts = [f"rel R/3 := x3 <= x1 + {q} | x3 <= x2 + {q}"
              for q in range(2, 20)]
     texts += [f"rel R/3 := (x1 = x2 + {q} & x3 = x1 + {q}) | "
               f"(x1 = x2 & x3 = x1)" for q in range(1, 6)]
-    monkeypatch.setattr(grids, "_MASK_CACHE_BYTES", 2**19)
-    monkeypatch.setattr(grids, "_masks", {})
-    monkeypatch.setattr(grids, "_mask_bytes", 0)
+    monkeypatch.setattr(grids, "_mask",
+                        functools.lru_cache(maxsize=8)(grids._build_mask))
     serial = [classify(parse_language(t)) for t in texts]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -480,21 +497,95 @@ def test_mask_cache_is_safe_across_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert verdicts == serial * 8
-    held = sum((mask.bit_length() + 7) // 8 for mask in grids._masks.values())
-    assert held <= grids._mask_bytes <= 2**19
+    info = grids._mask.cache_info()
+    assert info.currsize <= 8 < info.misses
 
 
-def test_mask_cache_stays_within_its_byte_bound():
-    # bigmax.dtl proves MAX_CLOSED on a 51^4 window, whose masks are too
-    # large to cache; its small 17^4 window's masks are cached
-    grids._masks.clear()
-    grids._mask_bytes = 0
-    lang = parse_language((FIXTURES / "bigmax.dtl").read_text())
-    assert classify(lang).cls is VerdictClass.MAX_CLOSED
-    shapes = {key[0] for key in grids._masks}
-    assert (17,) * 4 in shapes and (51,) * 4 not in shapes
-    held = sum((mask.bit_length() + 7) // 8 for mask in grids._masks.values())
-    assert held <= grids._mask_bytes <= grids._MASK_CACHE_BYTES
+def test_mask_cache_stays_within_its_byte_bound(monkeypatch):
+    # bigmod.dtl walks windows from 5^4 to 81^2 and 65^4 cells: masks of up
+    # to 2^14 cells are cached, larger ones built on every call; 1,024
+    # masks of 2^14 bits make 2 MiB
+    info = grids._mask.cache_info()
+    assert info.maxsize * 2**14 // 8 == grids._MASK_CACHE_BYTES == 2 * 2**20
+    real = grids._build_mask
+    cached, built = [], []
+
+    def record(into):
+        return lambda shape, axis, j: into.append(shape) or real(
+            shape, axis, j)
+
+    monkeypatch.setattr(grids, "_build_mask", record(built))
+    monkeypatch.setattr(grids, "_mask", functools.lru_cache(
+        maxsize=info.maxsize)(record(cached)))
+    lang = parse_language((FIXTURES / "bigmod.dtl").read_text())
+    assert classify(lang).cls is VerdictClass.MODMAX_CLOSED
+    assert (max(map(math.prod, cached)) <= 2**14
+            < min(map(math.prod, built)))
+    assert grids._mask.cache_info().currsize <= info.maxsize
+
+
+def test_kernels_build_one_base_mask_per_run_of_reads(monkeypatch):
+    # on a grid too large to cache its masks, a kernel call builds the
+    # first mask of each run of reads and derives the others: one run for
+    # accumulate_leq_mod, two doublings and two unit-step runs for
+    # other_residue_any, however many reads each run takes
+    built = []
+    real = grids._repeat
+    monkeypatch.setattr(grids, "_repeat",
+                        lambda *args: built.append(args) or real(*args))
+    shape = (700, 400)  # 280,000 cells
+    arr = np.random.default_rng(0).random(shape) < 0.01
+    bits = grids.pack(arr)
+    for axis in (0, 1):
+        built.clear()
+        got = grids.accumulate_leq_mod(bits, shape, axis, 3)
+        assert len(built) == 1
+        assert np.array_equal(unpack(got, shape),
+                              strided_accumulate_leq_mod(arr, axis, 3))
+        built.clear()
+        got = grids.other_residue_any(bits, shape, axis, 3)
+        assert len(built) == 4
+        assert np.array_equal(unpack(got, shape),
+                              numpy_other_residue_any(arr, axis, 3))
+
+
+def _reference_mask(shape, axis, j):
+    index = np.indices(shape)[axis]
+    return grids.pack((0 <= index + j) & (index + j < shape[axis]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=4, min_side=1,
+                              max_side=9),
+       d=st.integers(1, 9))
+@example(shape=(4, 9), d=2)  # lines of 9: the shifts wrap onto the next one
+@example(shape=(3, 8, 5), d=1)
+def test_derived_masks_equal_the_masks_built_directly(shape, d):
+    # the kernels take the mask of the first read j of each run and derive
+    # the next as M(j + e) = M(j) & (M(j) read e places), with e = j for the
+    # doublings and e = ±1 for the unit steps; each must be the mask that
+    # _repeat builds for its read, and the cells in range
+    for axis, width in enumerate(shape):
+        stride = math.prod(shape[axis + 1:])
+        for j, unit in ((d, False), (-d, False), (1, True), (-1, True)):
+            limit = min(d, width) if unit else width
+            mask = grids._base_mask(shape, axis, j) if abs(j) < limit else 0
+            while abs(j) < limit:
+                assert mask == grids._build_mask(shape, axis, j)
+                assert mask == _reference_mask(shape, axis, j)
+                e = (1 if j > 0 else -1) if unit else j
+                n = e * stride
+                mask &= mask >> n if n > 0 else mask << -n
+                j += e
+
+
+def test_mask_derivation_clears_the_cells_that_wrap():
+    # reading back along lines of 9, M(-2) shifted up 2 places carries the
+    # last two cells of each line onto the first two of the next, and the
+    # AND with M(-2) clears them
+    m2, m4 = (grids._build_mask((4, 9), 1, j) for j in (-2, -4))
+    assert (m2 << 2) & ((1 << 36) - 1) != m4
+    assert m2 & (m2 << 2) == m4
 
 
 def _closure(R, d):
